@@ -23,7 +23,7 @@ func (s *directSender) Send(c *Chunk) error {
 }
 
 // cluster wires n backends with direct senders.
-func newCluster(t *testing.T, n, threads int, agg crdt.Aggregate, winEnd func(uint64) stream.Watermark) []*Backend {
+func newCluster(t testing.TB, n, threads int, agg crdt.Aggregate, winEnd func(uint64) stream.Watermark) []*Backend {
 	t.Helper()
 	backends := make([]*Backend, n)
 	senders := make([][]Sender, n)

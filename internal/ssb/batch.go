@@ -223,13 +223,13 @@ func (t *Table) updateAggColumns(kind aggKind, keys, hashes []uint64, v0, times,
 			if found {
 				off = *slot
 			} else {
-				o, value, err := t.appendBlank(key, noPrev, size)
+				o, value, err := t.appendBlank(key, size)
 				if err != nil {
 					return err
 				}
-				// appendBlank zero-fills, which already is the identity of
-				// count/sum/avg; only the extremes and generic aggregates
-				// need an explicit init.
+				// Zero is the identity of count/sum/avg; only the extremes
+				// and generic aggregates need an explicit init on top.
+				clear(value)
 				switch kind {
 				case aggMin:
 					putU64(value, uint64(math.MaxInt64))
@@ -271,8 +271,10 @@ func (t *Table) updateAggColumns(kind aggKind, keys, hashes []uint64, v0, times,
 // AppendBagBatch appends the live records of rb at selection positions
 // [p0, p1) to window win's bags — the batch form of AppendBag. sides[j]
 // holds the join side of record index j (the full batch index domain, not
-// the selection domain). Routing and table resolution are hoisted per run;
-// the append itself stays per element because every element grows the log.
+// the selection domain). Records are routed and counted per leader first, so
+// each fragment's log is extended once for the whole run; the second pass
+// writes every entry straight to its place, in batch order per leader — the
+// same log bytes the per-record path produces.
 func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1 int, sides []uint8) error {
 	n := p1 - p0
 	if n <= 0 {
@@ -287,24 +289,52 @@ func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1
 	c := ts.cacheEntry(win, gen)
 	na := len(active)
 	sel := rb.Sel
-	var e crdt.BagElem
-	for i := p0; i < p1; i++ {
-		p := i
+	s := &ts.batch
+	s.ensure(n, len(c.tables), false)
+
+	// Pass 1: route each key and count per leader.
+	for _, node := range active {
+		s.off[node] = 0
+	}
+	for i := 0; i < n; i++ {
+		p := p0 + i
 		if sel != nil {
-			p = int(sel[i])
+			p = int(sel[p])
 		}
-		key := rb.Keys[p]
-		node := active[partitionIndex(PartitionHash(key), na)]
+		node := int32(active[partitionIndex(PartitionHash(rb.Keys[p]), na)])
+		s.node[i] = node
+		s.off[node]++
+	}
+	// Extend each touched fragment once; s.off[node] becomes its write cursor.
+	for _, node := range active {
+		cnt := int(s.off[node])
+		if cnt == 0 {
+			continue
+		}
 		tbl := c.tables[node]
 		if tbl == nil {
 			tbl = ts.tableSlow(c, win, gen, node)
 		}
-		e.Time = rb.Times[p]
-		e.Val = rb.V0[p]
-		e.Side = sides[p]
-		if err := tbl.AppendBag(key, &e); err != nil {
+		if tbl.agg != nil {
+			return ErrTableKind
+		}
+		off, err := tbl.reserveBag(cnt)
+		if err != nil {
 			return err
 		}
+		s.off[node] = int32(off)
+	}
+	// Pass 2: write the entries.
+	for i := 0; i < n; i++ {
+		p := p0 + i
+		if sel != nil {
+			p = int(sel[p])
+		}
+		node := s.node[i]
+		at := s.off[node]
+		s.off[node] = at + bagEntrySize
+		e := crdt.BagElem{Time: rb.Times[p], Val: rb.V0[p], Side: sides[p]}
+		putBagEntry(c.tables[node].log[at:], rb.Keys[p], &e)
 	}
 	return nil
 }

@@ -83,6 +83,139 @@ func BenchmarkMergeDelta(b *testing.B) {
 	}
 }
 
+// The three bag stages of a join window, at the nb8_join_replay shape: 2
+// nodes, ~20k sellers of which one leader sees ~9k, 4 KiB chunks, ~60k
+// elements per leader window. Each reports ns/elem and must stay at 0
+// allocs/op once the pooled tables have reached their working size.
+
+const (
+	benchBagKeys   = 20_000
+	benchBagWindow = 60_000 // elements per leader window
+)
+
+// benchBagRegions serializes n random elements into 4 KiB chunk payloads.
+func benchBagRegions(b *testing.B, n int) [][]byte {
+	b.Helper()
+	src := NewBagTable()
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < n; i++ {
+		// Half the key space: the share one of two leaders owns.
+		e := crdt.BagElem{Time: int64(i), Val: rng.Int63(), Side: uint8(i & 1)}
+		if err := src.AppendBag(uint64(rng.Intn(benchBagKeys/2)), &e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var regions [][]byte
+	if err := src.SerializeDelta(4096, func(r []byte) error {
+		regions = append(regions, append([]byte(nil), r...))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return regions
+}
+
+func BenchmarkBagAppendBatch(b *testing.B) {
+	bs := newCluster(b, 2, 1, nil, fixedWindowEnd)
+	ts := bs[0].Thread(0)
+	rng := rand.New(rand.NewSource(7))
+	rb := stream.NewRecordBatch(256)
+	rb.Reset(rb.Cap())
+	sides := make([]uint8, rb.Cap())
+	for rb.Free() > 0 {
+		sides[rb.Len()] = uint8(rb.Len() & 1)
+		rb.Append(&stream.Record{Key: uint64(rng.Intn(benchBagKeys)), Time: int64(rb.Len()), V0: rng.Int63()})
+	}
+	// recycle is the table half of Flush: an epoch's fragments go back to
+	// the pool, so the next epoch appends into reset tables.
+	recycle := func() {
+		ts.invalidateCache()
+		for k, t := range ts.tables {
+			t.Reset()
+			ts.pool = append(ts.pool, t)
+			delete(ts.tables, k)
+		}
+	}
+	appended := 0
+	step := func() {
+		if err := ts.AppendBagBatch(0, rb, 0, rb.Live(), sides); err != nil {
+			b.Fatal(err)
+		}
+		if appended += rb.Cap() * bagEntrySize; appended >= DefaultEpochBytes {
+			recycle()
+			appended = 0
+		}
+	}
+	for i := 0; i < 2*DefaultEpochBytes/(bagEntrySize*rb.Cap()); i++ {
+		step() // grow the pooled logs to epoch size before timing
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rb.Cap()), "ns/elem")
+}
+
+func BenchmarkBagMergeDelta(b *testing.B) {
+	regions := benchBagRegions(b, benchBagWindow)
+	dst := NewBagTable()
+	merge := func(i int) {
+		if i%len(regions) == 0 {
+			dst.Reset() // a new window: the pooled table starts over
+		}
+		if err := dst.MergeDelta(regions[i%len(regions)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range regions {
+		merge(i)
+	}
+	b.SetBytes(int64(len(regions[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge(i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(regions[0])/bagEntrySize), "ns/elem")
+}
+
+func BenchmarkBagTrigger(b *testing.B) {
+	regions := benchBagRegions(b, benchBagWindow)
+	tbl := NewBagTable()
+	var keys, left int
+	emit := func(_ uint64, elems []crdt.BagElem) { // what a join sink does
+		keys++
+		for i := range elems {
+			left += int(elems[i].Side ^ 1)
+		}
+	}
+	fill := func() {
+		tbl.Reset()
+		for _, r := range regions {
+			if err := tbl.MergeDelta(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fill()
+	tbl.ForEachBag(emit) // size the index and the grouped arrays once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fill()
+		keys, left = 0, 0
+		b.StartTimer()
+		tbl.ForEachBag(emit)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBagWindow), "ns/elem")
+	b.ReportMetric(float64(keys), "keys")
+	if left <= 0 || left >= benchBagWindow {
+		b.Fatalf("%d of %d elements on the left side", left, benchBagWindow)
+	}
+}
+
 func BenchmarkIndexLookupOrReserve(b *testing.B) {
 	ix := newIndex()
 	for i := uint64(0); i < 1<<16; i++ {

@@ -10,12 +10,14 @@ import (
 	"github.com/slash-stream/slash/internal/stream"
 )
 
-// Table is one log-structured state fragment (§7.2.1): a hash index over a
-// hybrid log of dense key-value entries. Aggregate tables keep one entry per
-// key and update its value in place (RMW); bag tables append one entry per
-// element and chain entries per key through the prev field. The log doubles
-// as the wire format: an epoch delta is a raw log region, shipped without
-// pointer chasing, and the log grows adaptively as partitions shift in size.
+// Table is one log-structured state fragment (§7.2.1): a hybrid log of dense
+// key-value entries. Aggregate tables keep one entry per key, found through a
+// hash index, and update its value in place (RMW). Bag tables are plain logs:
+// an append writes one fixed-size entry and touches nothing else, a merge
+// concatenates, and the only reader — the window trigger — groups the log by
+// key once (see bagGroups). The log doubles as the wire format: an epoch
+// delta is a raw log region, shipped without pointer chasing, and the log
+// grows adaptively as partitions shift in size.
 //
 // A Table has a single writer (the owning executor thread, or the leader's
 // merge task); that is the SSB's concurrency discipline, not a limitation —
@@ -23,21 +25,30 @@ import (
 type Table struct {
 	agg  crdt.Aggregate // nil for holistic (bag) tables
 	kind aggKind        // specialized dispatch for the built-in aggregates
-	idx  *index
+	idx  *index         // key → log offset; nil for bag tables
 	log  []byte
-	elem int // total entries appended (bag elements or agg groups)
-	wire []byte // reusable scratch for the varint delta encoding
+	elem int       // total entries appended (bag elements or agg groups)
+	wire []byte    // reusable scratch for the varint delta encoding
+	bag  bagGroups // bag tables only
 }
 
 // Log entry layout:
 //
 //	offset 0:  key   uint64
-//	offset 8:  prev  int32  (bag chain; -1 terminates; meaningless for agg)
+//	offset 8:  prev  int32  (reserved)
 //	offset 12: vlen  uint32
 //	offset 16: value [vlen]byte
+//
+// prev is a reserved word: it keeps chunk, journal, checkpoint and published
+// snapshot framing at the sizes deployed readers expect. Writers store
+// noPrev; readers — merges, restores, remote stateq clients — must ignore it.
 const entryHeaderSize = 16
 
-const noPrev = int32(-1)
+const noPrev = ^uint32(0) // -1 as an int32
+
+// bagEntrySize is the fixed stride of a bag table's log: every entry enters
+// through AppendBag or a validated merge, so entry i sits at i*bagEntrySize.
+const bagEntrySize = entryHeaderSize + crdt.BagElemSize
 
 // maxLogSize bounds a single table's log so int32 offsets stay valid.
 const maxLogSize = math.MaxInt32 - 1
@@ -59,14 +70,21 @@ func NewAggTable(agg crdt.Aggregate) *Table {
 
 // NewBagTable creates a table holding grow-only bags of elements.
 func NewBagTable() *Table {
-	return &Table{idx: newIndex()}
+	return &Table{}
 }
 
 // Holistic reports whether the table stores bags.
 func (t *Table) Holistic() bool { return t.agg == nil }
 
-// Keys returns the number of distinct keys.
-func (t *Table) Keys() int { return t.idx.len() }
+// Keys returns the number of distinct keys. On a bag table it groups the
+// entries appended since the last call (see group).
+func (t *Table) Keys() int {
+	if t.agg == nil {
+		t.group()
+		return len(t.bag.keys)
+	}
+	return t.idx.len()
+}
 
 // Entries returns the number of log entries (for bags: total elements).
 func (t *Table) Entries() int { return t.elem }
@@ -80,51 +98,50 @@ func (t *Table) LogBytes() int { return len(t.log) }
 // backing memory and is invalidated by the next append or Reset.
 func (t *Table) Log() []byte { return t.log }
 
-// appendEntry writes a new log entry and returns its offset.
-func (t *Table) appendEntry(key uint64, prev int32, value []byte) (int32, error) {
-	off, dst, err := t.appendBlank(key, prev, len(value))
-	if err != nil {
-		return 0, err
+// growLog makes room for extra more log bytes, growing geometrically with a
+// floor so small tables do not churn through many tiny reallocations as
+// entries trickle in.
+func (t *Table) growLog(extra int) error {
+	need := len(t.log) + extra
+	if need > maxLogSize {
+		return ErrLogOverflow
 	}
-	copy(dst, value)
-	return off, nil
+	if need <= cap(t.log) {
+		return nil
+	}
+	c := 2 * cap(t.log)
+	if c < 1024 {
+		c = 1024
+	}
+	if c < need {
+		c = need
+	}
+	if c > maxLogSize {
+		c = maxLogSize
+	}
+	grown := make([]byte, len(t.log), c)
+	copy(grown, t.log)
+	t.log = grown
+	return nil
 }
 
 // appendBlank reserves a new log entry and returns its offset and the
-// in-place value slice, avoiding a staging allocation on the hot path.
-func (t *Table) appendBlank(key uint64, prev int32, vlen int) (int32, []byte, error) {
+// in-place value slice, avoiding a staging allocation on the hot path. The
+// value holds whatever the recycled capacity held: callers overwrite all of
+// it, or clear it first where a fresh aggregate group needs the identity.
+func (t *Table) appendBlank(key uint64, vlen int) (int32, []byte, error) {
 	need := entryHeaderSize + vlen
+	if err := t.growLog(need); err != nil {
+		return 0, nil, err
+	}
 	off := len(t.log)
-	if off+need > maxLogSize {
-		return 0, nil, ErrLogOverflow
-	}
-	if cap(t.log) < off+need {
-		// Grow geometrically with a floor so small tables do not churn
-		// through many tiny reallocations as entries trickle in.
-		c := 2 * cap(t.log)
-		if c < 1024 {
-			c = 1024
-		}
-		if c < off+need {
-			c = off + need
-		}
-		if c > maxLogSize {
-			c = maxLogSize
-		}
-		grown := make([]byte, off, c)
-		copy(grown, t.log)
-		t.log = grown
-	}
 	t.log = t.log[:off+need]
 	e := t.log[off:]
 	putU64(e[0:], key)
-	putU32(e[8:], uint32(prev))
+	putU32(e[8:], noPrev)
 	putU32(e[12:], uint32(vlen))
-	value := e[entryHeaderSize : entryHeaderSize+vlen]
-	// Recycled capacity holds stale bytes; aggregate state must start zeroed.
-	clear(value)
 	t.elem++
-	return int32(off), value, nil
+	return int32(off), e[entryHeaderSize : entryHeaderSize+vlen], nil
 }
 
 // UpdateAgg folds rec into the aggregate state of rec.Key, creating the
@@ -139,10 +156,11 @@ func (t *Table) UpdateAgg(rec *stream.Record) error {
 		t.agg.Update(t.valueAt(*slot), rec)
 		return nil
 	}
-	off, value, err := t.appendBlank(rec.Key, noPrev, t.agg.Size())
+	off, value, err := t.appendBlank(rec.Key, t.agg.Size())
 	if err != nil {
 		return err
 	}
+	clear(value)
 	t.agg.Init(value)
 	t.agg.Update(value, rec)
 	*slot = off
@@ -163,10 +181,11 @@ func (t *Table) MergeAggValue(key uint64, value []byte) error {
 		t.agg.Merge(t.valueAt(*slot), value)
 		return nil
 	}
-	off, err := t.appendEntry(key, noPrev, value)
+	off, dst, err := t.appendBlank(key, len(value))
 	if err != nil {
 		return err
 	}
+	copy(dst, value)
 	*slot = off
 	return nil
 }
@@ -183,46 +202,11 @@ func (t *Table) GetAgg(key uint64) ([]byte, bool) {
 	return t.valueAt(off), true
 }
 
-// AppendBag appends one element to key's bag (the holistic-window delta
-// update: state only ever grows, §5.1).
-func (t *Table) AppendBag(key uint64, e *crdt.BagElem) error {
-	if t.agg != nil {
-		return ErrTableKind
-	}
-	slot, found := t.idx.lookupOrReserve(key)
-	prev := noPrev
-	if found {
-		prev = *slot
-	}
-	off, value, err := t.appendBlank(key, prev, crdt.BagElemSize)
-	if err != nil {
-		return err
-	}
-	crdt.EncodeBagElem(value, e)
-	*slot = off
-	return nil
-}
-
-// BagLen returns the number of elements in key's bag.
-func (t *Table) BagLen(key uint64) int {
-	n := 0
-	off, ok := t.idx.get(key)
-	for ok && off != noPrev {
-		n++
-		off = t.prevAt(off)
-	}
-	return n
-}
-
 // valueAt returns the value bytes of the entry at off.
 func (t *Table) valueAt(off int32) []byte {
 	vlen := getU32(t.log[off+12:])
 	start := int(off) + entryHeaderSize
 	return t.log[start : start+int(vlen)]
-}
-
-func (t *Table) prevAt(off int32) int32 {
-	return int32(getU32(t.log[off+8:]))
 }
 
 // ForEachAgg visits every (key, state) pair of an aggregate table.
@@ -259,27 +243,15 @@ func (t *Table) forEachAggResult(fn func(key uint64, result int64)) {
 	}
 }
 
-// ForEachBag visits every key with its collected bag elements. Elements are
-// produced in reverse insertion order (the chain is walked from its head).
-func (t *Table) ForEachBag(fn func(key uint64, elems []crdt.BagElem)) {
-	var scratch []crdt.BagElem
-	t.idx.forEach(func(key uint64, off int32) {
-		scratch = scratch[:0]
-		for off != noPrev {
-			var e crdt.BagElem
-			crdt.DecodeBagElem(t.valueAt(off), &e)
-			scratch = append(scratch, e)
-			off = t.prevAt(off)
-		}
-		fn(key, scratch)
-	})
-}
-
 // Reset invalidates the table content (§7.2.2 step 4): after its delta has
 // been transferred, a helper fragment restarts empty so RMW operations
 // resume from the CRDT identity.
 func (t *Table) Reset() {
-	t.idx.reset()
+	if t.agg != nil {
+		t.idx.reset()
+	} else {
+		t.bag.reset()
+	}
 	t.log = t.log[:0]
 	t.elem = 0
 }
@@ -295,28 +267,14 @@ func (t *Table) SerializeDelta(maxChunk int, emit func(region []byte) error) err
 	if t.agg != nil {
 		return t.serializeAggDelta(maxChunk, emit)
 	}
-	if maxChunk < entryHeaderSize {
-		return fmt.Errorf("ssb: chunk size %d below entry header", maxChunk)
+	if maxChunk < bagEntrySize {
+		return fmt.Errorf("ssb: bag entry of %d bytes exceeds chunk size %d", bagEntrySize, maxChunk)
 	}
-	start, off := 0, 0
-	for off < len(t.log) {
-		size, err := t.entrySizeAt(off)
-		if err != nil {
+	per := maxChunk / bagEntrySize * bagEntrySize
+	for start := 0; start < len(t.log); start += per {
+		if err := emit(t.log[start:min(start+per, len(t.log))]); err != nil {
 			return err
 		}
-		if size > maxChunk {
-			return fmt.Errorf("ssb: entry of %d bytes exceeds chunk size %d", size, maxChunk)
-		}
-		if off+size-start > maxChunk {
-			if err := emit(t.log[start:off]); err != nil {
-				return err
-			}
-			start = off
-		}
-		off += size
-	}
-	if off > start {
-		return emit(t.log[start:off])
 	}
 	return nil
 }
@@ -439,33 +397,24 @@ func (t *Table) serializeAggDelta(maxChunk int, emit func(region []byte) error) 
 	return err
 }
 
-func (t *Table) entrySizeAt(off int) (int, error) {
-	if off+entryHeaderSize > len(t.log) {
-		return 0, ErrChunkFormat
-	}
-	vlen := int(getU32(t.log[off+12:]))
-	if off+entryHeaderSize+vlen > len(t.log) {
-		return 0, ErrChunkFormat
-	}
-	return entryHeaderSize + vlen, nil
-}
-
 // MergeDelta folds a delta chunk (produced by SerializeDelta, possibly on
 // another node) into this table. Aggregate chunks carry the compact varint
 // encoding and merge with CRDT semantics; bag chunks carry raw log entries
-// that append, re-chained locally (incoming prev fields are ignored: they
-// are only meaningful in the sender's log).
+// and are concatenated (see mergeBagLog).
 func (t *Table) MergeDelta(region []byte) error {
 	if t.agg != nil {
 		return t.mergeAggDelta(region)
 	}
-	return t.mergeRawLog(region)
+	return t.mergeBagLog(region)
 }
 
 // mergeRawLog folds a raw log region of self-describing header entries into
-// the table — the bag chunk format, and the snapshot format for both table
-// kinds (checkpoints store table logs verbatim).
+// the table — the snapshot format for both table kinds (checkpoints store
+// table logs verbatim), which for bags is also the chunk format.
 func (t *Table) mergeRawLog(region []byte) error {
+	if t.agg == nil {
+		return t.mergeBagLog(region)
+	}
 	off := 0
 	for off < len(region) {
 		if off+entryHeaderSize > len(region) {
@@ -476,20 +425,8 @@ func (t *Table) mergeRawLog(region []byte) error {
 		if off+entryHeaderSize+vlen > len(region) {
 			return ErrChunkFormat
 		}
-		value := region[off+entryHeaderSize : off+entryHeaderSize+vlen]
-		if t.agg != nil {
-			if err := t.MergeAggValue(key, value); err != nil {
-				return err
-			}
-		} else {
-			if vlen != crdt.BagElemSize {
-				return fmt.Errorf("%w: bag element of %d bytes", ErrChunkFormat, vlen)
-			}
-			var e crdt.BagElem
-			crdt.DecodeBagElem(value, &e)
-			if err := t.AppendBag(key, &e); err != nil {
-				return err
-			}
+		if err := t.MergeAggValue(key, region[off+entryHeaderSize:off+entryHeaderSize+vlen]); err != nil {
+			return err
 		}
 		off += entryHeaderSize + vlen
 	}
@@ -512,14 +449,9 @@ func (t *Table) mergeAggDelta(region []byte) error {
 		// Worst case every entry is a new key: size the index once and make
 		// room in the log, so the per-entry loop never grows either.
 		t.idx.reserve(n)
-		if need := len(t.log) + n*esize; need <= maxLogSize && need > cap(t.log) {
-			if c := 2 * cap(t.log); c > need {
-				need = c // keep growth geometric across chunks
-			}
-			grown := make([]byte, len(t.log), need)
-			copy(grown, t.log)
-			t.log = grown
-		}
+		// Best effort: if the worst case cannot fit, appendBlank reports the
+		// entry that does not.
+		_ = t.growLog(n * esize)
 	}
 	var prevKey uint64
 	for n := uint64(0); n < total; n++ {
@@ -570,10 +502,11 @@ func (t *Table) mergeAggDelta(region []byte) error {
 		if found {
 			state = t.valueAt(*slot)
 		} else {
-			eoff, value, err := t.appendBlank(key, noPrev, asize)
+			eoff, value, err := t.appendBlank(key, asize)
 			if err != nil {
 				return err
 			}
+			clear(value)
 			*slot = eoff
 			state = value
 			// The fresh entry starts at the merge identity; folding the
@@ -612,18 +545,6 @@ func (t *Table) mergeAggDelta(region []byte) error {
 		return ErrChunkFormat
 	}
 	return nil
-}
-
-// appendRaw appends a pre-encoded log entry (header + value) verbatim and
-// returns its offset.
-func (t *Table) appendRaw(entry []byte) (int32, error) {
-	if len(t.log)+len(entry) > maxLogSize {
-		return 0, ErrLogOverflow
-	}
-	off := int32(len(t.log))
-	t.log = append(t.log, entry...)
-	t.elem++
-	return off, nil
 }
 
 func putU64(b []byte, v uint64) {

@@ -174,7 +174,7 @@ func TestTableKindMismatch(t *testing.T) {
 	}
 }
 
-func TestBagChaining(t *testing.T) {
+func TestBagGrouping(t *testing.T) {
 	tbl := NewBagTable()
 	for i := int64(0); i < 5; i++ {
 		if err := tbl.AppendBag(7, &crdt.BagElem{Time: i, Val: i * 10}); err != nil {
@@ -198,11 +198,13 @@ func TestBagChaining(t *testing.T) {
 			if len(elems) != 5 {
 				t.Fatalf("key 7 has %d elems", len(elems))
 			}
-			// Reverse insertion order.
-			for i, e := range elems {
-				if e.Time != int64(4-i) {
-					t.Fatalf("elem %d time %d", i, e.Time)
+			// A bag is a multiset: every element once, in no promised order.
+			seen := map[int64]bool{}
+			for _, e := range elems {
+				if e.Val != e.Time*10 || e.Time < 0 || e.Time > 4 || seen[e.Time] {
+					t.Fatalf("unexpected elem %+v", e)
 				}
+				seen[e.Time] = true
 			}
 		}
 	})
