@@ -174,6 +174,7 @@ func main() {
 	fmt.Printf("network:          %.1f MB in %d RDMA messages\n", float64(rep.NetTxBytes)/1e6, rep.NetTxMsgs)
 	fmt.Printf("SSB:              %d delta chunks (%.1f MB) merged, %d windows triggered\n",
 		rep.ChunksMerged, float64(rep.BytesMerged)/1e6, rep.WindowsOutput)
+	fmt.Printf("epochs:           %d flushes, %d of them cut early at a window end\n", rep.Flushes, rep.WindowFlushes)
 	fmt.Printf("scheduler:        %d task steps, %d idle rounds\n", rep.Sched.Steps, rep.Sched.IdleRounds)
 	if store != nil {
 		if err := store.Close(); err != nil {

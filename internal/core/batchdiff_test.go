@@ -93,6 +93,70 @@ func TestBatchPathMatchesRecordPathBothEngines(t *testing.T) {
 	}
 }
 
+// TestBatchPathWindowFlushesMatchRecordPath puts the window ends mid-epoch (a
+// window holds about 500 records per flow, an epoch 320), so epochs end for
+// both reasons: the volume bound and the watermark crossing a window end.
+// Both loops share that decision
+// (sourceTask.endStep): they must take the same number of flushes, for the
+// same causes, and merge the same chunks. The band filter drops every record
+// within 50 time units of a window end — whole batches around each crossing —
+// so there the watermark advances through ObserveTime alone and the flush
+// carries nothing but heartbeats.
+func TestBatchPathWindowFlushesMatchRecordPath(t *testing.T) {
+	const nodes, threads, per, winSize = 2, 2, 4000, 500
+	rng := rand.New(rand.NewSource(101))
+	recs, all := genPhase(rng, nodes*threads, per, 48, 0, 8*winSize)
+	win, _ := window.NewTumbling(winSize)
+	band := func(r *stream.Record) bool { m := r.Time % winSize; return m >= 50 && m < winSize-50 }
+
+	for _, tc := range []struct {
+		name   string
+		filter func(*stream.Record) bool
+	}{
+		{"unfiltered", nil},
+		{"crossing-batches-dropped", band},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(recordPath bool, flows [][]Flow) (map[uint64]map[uint64]int64, *Report) {
+				cfg := smallConfig(nodes, threads)
+				cfg.EpochBytes = 10 << 10
+				cfg.BatchRecords = 16
+				cfg.RecordPath = recordPath
+				col := &Collector{}
+				q := &Query{Name: "diff-window", Codec: testCodec, Window: win, Agg: crdt.Sum{}, Filter: tc.filter}
+				rep, err := Run(cfg, q, flows, col)
+				if err != nil {
+					t.Fatalf("run(recordPath=%v): %v", recordPath, err)
+				}
+				return aggMap(t, col), rep
+			}
+			batchAggs, batchRep := run(false, columnarFlowsOf(recs, threads))
+			recAggs, recRep := run(true, sliceFlowsOf(recs, threads))
+			if !reflect.DeepEqual(batchAggs, recAggs) {
+				t.Fatal("batch-path window results diverge from the per-record path")
+			}
+			if !reflect.DeepEqual(batchAggs, oracleAgg(all, win, crdt.Sum{}, tc.filter)) {
+				t.Fatal("results diverge from the sequential oracle")
+			}
+			if batchRep.Flushes != recRep.Flushes || batchRep.WindowFlushes != recRep.WindowFlushes {
+				t.Fatalf("flushes (window-closed): batch=%d (%d) record=%d (%d)",
+					batchRep.Flushes, batchRep.WindowFlushes, recRep.Flushes, recRep.WindowFlushes)
+			}
+			if batchRep.ChunksMerged != recRep.ChunksMerged {
+				t.Fatalf("chunks merged: batch=%d record=%d (flush boundaries diverged)", batchRep.ChunksMerged, recRep.ChunksMerged)
+			}
+			// 8 windows per flow: the 7 inner ends are each crossed once, with
+			// volume flushes in between and one finishing flush per flow.
+			if want := int64(7 * nodes * threads); batchRep.WindowFlushes != want {
+				t.Fatalf("window-closed flushes = %d, want %d", batchRep.WindowFlushes, want)
+			}
+			if batchRep.Flushes <= batchRep.WindowFlushes+nodes*threads {
+				t.Fatalf("flushes = %d with %d window-closed: no volume flush in the mix", batchRep.Flushes, batchRep.WindowFlushes)
+			}
+		})
+	}
+}
+
 // TestBatchPathElasticJoinMatchesRecordPath scales 4 → 8 mid-run on both
 // operator loops: the joiners' flows, the cutover placement, and the window
 // results must not depend on which loop consumed the records.

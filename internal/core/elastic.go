@@ -143,6 +143,7 @@ type Controller struct {
 
 	records atomic.Int64
 	updates atomic.Int64
+	flushes flushCounts
 
 	mSourceStep, mMergeStep *metrics.Histogram
 	mGen, mInflight         *metrics.Gauge
@@ -241,6 +242,9 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		c.mgr = newRecoveryMgr(c)
 	}
 	if reg != nil {
+		for cause, name := range flushCauseNames {
+			c.flushes.m[cause] = reg.Counter(fmt.Sprintf(`core_epoch_flush_total{cause=%q}`, name))
+		}
 		c.mSourceStep = reg.Histogram(`core_step_ns{task="source"}`)
 		c.mMergeStep = reg.Histogram(`core_step_ns{task="merge"}`)
 		c.mGen = reg.Gauge("core_generation")
@@ -493,7 +497,9 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 			recSize: c.q.Codec.Size(),
 			records: &c.records,
 			updates: &c.updates,
+			flushes: &c.flushes,
 			mStep:   c.mSourceStep,
+			nextEnd: stream.NoWatermark,
 		}
 		if !c.cfg.RecordPath {
 			st.bflow = batchFlowFor(nodeFlows[th])
@@ -526,6 +532,7 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 				}
 				rw.Rewind(pr.rewind)
 				st.ts.RestoreProgress(pr.epoch, stream.Watermark(pr.wm), pr.inc)
+				st.armNextEnd()
 				st.plan = append([]planFlush(nil), pr.plan...)
 			}
 		}
@@ -655,16 +662,20 @@ func (c *Controller) Teardown() (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		Query:   c.q.Name,
-		Nodes:   c.cfg.Nodes,
-		Threads: c.cfg.ThreadsPerNode,
-		Records: c.records.Load(),
-		Updates: c.updates.Load(),
-		Elapsed: elapsed,
-		Sched:   c.pool.Stats(),
+		Query:         c.q.Name,
+		Nodes:         c.cfg.Nodes,
+		Threads:       c.cfg.ThreadsPerNode,
+		Records:       c.records.Load(),
+		Updates:       c.updates.Load(),
+		WindowFlushes: c.flushes.n[flushWindow].Load(),
+		Elapsed:       elapsed,
+		Sched:         c.pool.Stats(),
 	}
 	if elapsed > 0 {
 		rep.RecordsPerSec = float64(rep.Records) / elapsed.Seconds()
+	}
+	for cause := range c.flushes.n {
+		rep.Flushes += c.flushes.n[cause].Load()
 	}
 	rep.NetTxBytes += deadTx
 	rep.NetTxMsgs += deadMsgs

@@ -263,6 +263,11 @@ type Report struct {
 	Records int64
 	// Updates is the number of state updates applied.
 	Updates int64
+	// Flushes is the number of epochs the source threads ended, whatever
+	// the cause (EpochBytes reached, window end crossed, end of flow,
+	// reconfiguration barrier, recovery replay boundary); WindowFlushes is
+	// the share cut early because the thread watermark crossed a window end.
+	Flushes, WindowFlushes int64
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
 	// RecordsPerSec is the end-to-end processing throughput.

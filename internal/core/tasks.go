@@ -169,7 +169,14 @@ type sourceTask struct {
 	wins    []uint64
 	records *atomic.Int64
 	updates *atomic.Int64
+	flushes *flushCounts
 	mStep   *metrics.Histogram
+
+	// nextEnd is the earliest window end the thread watermark has not reached
+	// yet: crossing it ends the epoch early (see endStep). It is re-armed
+	// from the watermark after every successful flush; NoWatermark means not
+	// armed yet (a fresh thread that has seen no record).
+	nextEnd stream.Watermark
 
 	// quiesced reports that the task honoured a pause: it flushed every
 	// thread-local fragment under the pre-pause partition-map generation and
@@ -253,7 +260,7 @@ func (t *sourceTask) step() sched.Status {
 		// simply waits the few steps until the plan drains.
 		if !t.quiesced.Load() {
 			if t.ts.Dirty() {
-				if st := t.runFlush(false); st != sched.Ready {
+				if st := t.endEpoch(flushBarrier, false); st != sched.Ready {
 					return st
 				}
 			}
@@ -301,7 +308,7 @@ func (t *sourceTask) stepRecords() sched.Status {
 			if t.mStep != nil {
 				defer t.observe(start)
 			}
-			return t.runFlush(true)
+			return t.endEpoch(flushFinish, true)
 		}
 		t.localRecords++
 		if t.q.Filter != nil && !t.q.Filter(&rec) {
@@ -333,9 +340,7 @@ func (t *sourceTask) stepRecords() sched.Status {
 		if t.mStep != nil {
 			defer t.observe(start)
 		}
-		p := t.plan[0]
-		t.plan = t.plan[1:]
-		return t.runFlush(p.done)
+		return t.replayFlush()
 	}
 	if n == 0 {
 		return sched.Idle
@@ -343,14 +348,7 @@ func (t *sourceTask) stepRecords() sched.Status {
 	if t.mStep != nil {
 		defer t.observe(start)
 	}
-	if t.ts.Ingest(n*t.recSize) && len(t.plan) == 0 {
-		// Epoch boundary: run the synchronization phase (§7.2.2). While a
-		// replay plan is active the journaled boundaries govern instead
-		// (they sit at or before the natural cadence, and every planned
-		// flush resets the epoch-byte accumulator).
-		return t.runFlush(false)
-	}
-	return sched.Ready
+	return t.endStep(n)
 }
 
 // stepBatch is the columnar hot loop: fill one record batch from the flow,
@@ -377,9 +375,7 @@ func (t *sourceTask) stepBatch() sched.Status {
 			if t.mStep != nil {
 				defer t.observe(start)
 			}
-			p := t.plan[0]
-			t.plan = t.plan[1:]
-			return t.runFlush(p.done)
+			return t.replayFlush()
 		}
 		if rem < int64(limit) {
 			limit = int(rem)
@@ -397,7 +393,7 @@ func (t *sourceTask) stepBatch() sched.Status {
 		if t.mStep != nil {
 			defer t.observe(start)
 		}
-		return t.runFlush(true)
+		return t.endEpoch(flushFinish, true)
 	}
 	if t.mStep != nil {
 		defer t.observe(start)
@@ -411,18 +407,85 @@ func (t *sourceTask) stepBatch() sched.Status {
 	// advances are observationally identical to this single one.
 	t.ts.ObserveTime(rb.Times[n-1])
 	if len(t.plan) > 0 && t.localRecords >= t.plan[0].consumed {
-		p := t.plan[0]
-		t.plan = t.plan[1:]
-		return t.runFlush(p.done)
+		return t.replayFlush()
 	}
 	if !more {
-		return t.runFlush(true)
+		return t.endEpoch(flushFinish, true)
 	}
-	if t.ts.Ingest(n*t.recSize) && len(t.plan) == 0 {
-		// Epoch boundary: run the synchronization phase (§7.2.2).
-		return t.runFlush(false)
+	return t.endStep(n)
+}
+
+// endStep is the one place an epoch ends on the engine's own initiative;
+// both operator loops call it at the end of a step that consumed n records.
+// An epoch ends when the thread ingested EpochBytes since its last flush
+// (the volume bound, §8.1.1) or when its watermark crossed a window end (the
+// latency bound, §7.2.2: the leaders learn that the window closed from this
+// flush's heartbeat instead of an epoch later). At most one flush per step.
+//
+// While a replay plan is active neither fires: the journaled boundaries
+// govern (they sit at or before this cadence, and every planned flush resets
+// the byte accumulator and re-arms the window end).
+func (t *sourceTask) endStep(n int) sched.Status {
+	full := t.ts.Ingest(n * t.recSize)
+	if len(t.plan) > 0 {
+		return sched.Ready
+	}
+	switch {
+	case full:
+		return t.endEpoch(flushBytes, false)
+	case t.nextEnd == stream.NoWatermark:
+		// First records of a fresh thread: there is a watermark to arm from.
+		t.armNextEnd()
+	case t.ts.Watermark() >= t.nextEnd:
+		return t.endEpoch(flushWindow, false)
 	}
 	return sched.Ready
+}
+
+// armNextEnd points nextEnd at the earliest window end past the thread
+// watermark. With no watermark yet it stays unarmed.
+func (t *sourceTask) armNextEnd() {
+	if wm := t.ts.Watermark(); wm != stream.NoWatermark {
+		t.nextEnd = window.NextEnd(t.q.Window, wm)
+	}
+}
+
+// replayFlush takes the replay plan's next journaled flush boundary.
+func (t *sourceTask) replayFlush() sched.Status {
+	p := t.plan[0]
+	t.plan = t.plan[1:]
+	return t.endEpoch(flushReplay, p.done)
+}
+
+// flushCause says why an epoch ended.
+type flushCause uint8
+
+const (
+	flushBytes   flushCause = iota // EpochBytes ingested since the last flush
+	flushWindow                    // the thread watermark crossed a window end
+	flushFinish                    // end of flow
+	flushBarrier                   // reconfiguration pause barrier
+	flushReplay                    // journaled boundary of a recovery replay plan
+	nFlushCauses
+)
+
+// flushCauseNames are the cause label values of core_epoch_flush_total.
+var flushCauseNames = [nFlushCauses]string{"bytes", "window", "finish", "barrier", "replay"}
+
+// flushCounts counts one deployment's epoch flushes by cause: n feeds its
+// Report; m (nil handles without a registry) is core_epoch_flush_total, which
+// keeps counting across deployments that share a registry.
+type flushCounts struct {
+	n [nFlushCauses]atomic.Int64
+	m [nFlushCauses]*metrics.Counter
+}
+
+// endEpoch counts a new flush under its cause and runs it. Retries of a
+// parked flush go to runFlush directly and are not counted again.
+func (t *sourceTask) endEpoch(cause flushCause, finish bool) sched.Status {
+	t.flushes.n[cause].Add(1)
+	t.flushes.m[cause].Inc()
+	return t.runFlush(finish)
 }
 
 // processBatch runs the operator pipeline over one filled batch. It returns
@@ -537,6 +600,7 @@ func (t *sourceTask) runFlush(finish bool) sched.Status {
 		t.done.Store(true)
 		return sched.Done
 	}
+	t.armNextEnd()
 	return sched.Ready
 }
 

@@ -27,12 +27,13 @@ type QP struct {
 	cq   *CQ
 	tok  *wireToken
 
-	// mu guards pending, closed, and the conn write — appending the pending
-	// entry and writing its frame under one lock is what keeps the FIFO
-	// ack-matching in sync with the wire order.
+	// mu guards pending, closed, frame, and the conn write — appending the
+	// pending entry and writing its frame under one lock is what keeps the
+	// FIFO ack-matching in sync with the wire order.
 	mu         sync.Mutex
 	cond       *sync.Cond
 	pending    []pendingWR
+	frame      []byte // request assembly buffer, reused across posts
 	closed     bool
 	readerDone bool
 
@@ -96,18 +97,24 @@ func (q *QP) post(op byte, wrID uint64, a uint32, b uint64, n int, payload []byt
 	if f := q.failure.Load(); f != nil {
 		return f
 	}
-	frame := make([]byte, reqHeaderSize+len(payload))
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return rdma.ErrQPClosed
+	}
+	// The frame is assembled in a buffer the QP reuses: conn.Write below
+	// returns only once the bytes left it, still under q.mu.
+	need := reqHeaderSize + len(payload)
+	if cap(q.frame) < need {
+		q.frame = make([]byte, need)
+	}
+	frame := q.frame[:need]
 	frame[0] = op
 	putLEU64(frame[1:], wrID)
 	putLEU32(frame[9:], a)
 	putLEU64(frame[13:], b)
 	putLEU32(frame[21:], uint32(n))
 	copy(frame[reqHeaderSize:], payload)
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return rdma.ErrQPClosed
-	}
 	q.pending = append(q.pending, pwr)
 	// Release edge for the receiving host goroutine (see wireTokens).
 	q.tok.clock.Add(1)

@@ -272,6 +272,45 @@ func TestLinkFlapAbsorbed(t *testing.T) {
 	}
 }
 
+// TestFlapLinkByOps: an op-counted flap costs every period-th request exactly
+// drops attempts and nothing else, on both engines, with no clock involved.
+func TestFlapLinkByOps(t *testing.T) {
+	for _, ec := range engineConfigs {
+		t.Run(ec.name, func(t *testing.T) {
+			fi, _, b, qa, _ := newFaultyPair(t, Config{Throttle: ec.throttle}, QPOptions{})
+			dst := b.MustRegister(8)
+
+			fi.FlapLinkByOps("a", "b", 3, 2) // requests 3, 6, 9 lose 2 attempts each
+			const n = 10
+			for i := uint64(1); i <= n; i++ {
+				if err := qa.PostWrite(i, []byte{byte(i)}, dst.RKey(), 0, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qa.Drain()
+			for i := uint64(1); i <= n; i++ {
+				if c := qa.SendCQ().Wait(); c.Err != nil || c.WRID != i {
+					t.Fatalf("completion %+v, want success WRID %d", c, i)
+				}
+			}
+			if s := fi.Stats(); s.Drops != 6 {
+				t.Fatalf("injector drops = %d, want 6 (3 flapped requests x 2 attempts)", s.Drops)
+			}
+			fi.RestoreLink("a", "b")
+			if err := qa.PostWrite(n+1, []byte{1}, dst.RKey(), 0, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := qa.PostWrite(n+2, []byte{1}, dst.RKey(), 0, true); err != nil {
+				t.Fatal(err)
+			}
+			qa.Drain()
+			if s := fi.Stats(); s.Drops != 6 {
+				t.Fatalf("injector drops = %d after RestoreLink, want still 6", s.Drops)
+			}
+		})
+	}
+}
+
 // TestFailQP kills one QP by id without consuming the retry budget.
 func TestFailQP(t *testing.T) {
 	fi, _, b, qa, qb := newFaultyPair(t, Config{}, QPOptions{})
@@ -462,7 +501,7 @@ func TestSeededInjectorIsDeterministic(t *testing.T) {
 		fi.SetDropRate(0.3)
 		var outcomes []bool
 		for i := 0; i < 64; i++ {
-			act, _ := fi.decide("a", "b", "qp")
+			act, _ := fi.decide("a", "b", "qp", 0)
 			outcomes = append(outcomes, act == faultDrop)
 		}
 		return outcomes

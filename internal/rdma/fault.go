@@ -16,7 +16,7 @@ import (
 // request and nothing else.
 //
 // Faults are either deterministic — DropNext, CutLink, CutLinkAfterOps,
-// FailQP, IsolateNIC target specific ops, links, or endpoints — or
+// FlapLinkByOps, FailQP, IsolateNIC target specific ops, links, or endpoints — or
 // probabilistic via SetDropRate/SetDelay, driven by the seeded RNG so a
 // scenario replays identically for a given seed and op order. All methods
 // are safe for concurrent use and may be called while traffic is flowing
@@ -55,6 +55,14 @@ type linkState struct {
 	down     bool
 	cutAfter int64 // cut once ops reaches this count; 0 = no trigger
 	ops      int64
+
+	// FlapLinkByOps state: every flapPeriod-th work request loses its first
+	// flapDrops attempts; flapQP is the queue pair whose request is being
+	// flapped right now ("" = none).
+	flapPeriod int64
+	flapDrops  int
+	reqs       int64
+	flapQP     string
 }
 
 // faultAction is the injector's verdict for one transmission attempt.
@@ -130,6 +138,21 @@ func (fi *FaultInjector) CutLinkAfterOps(a, b string, n int64) {
 	fi.mu.Unlock()
 }
 
+// FlapLinkByOps flaps the link between a and b on op counts instead of wall
+// time: every period-th work request that traverses it (either direction, any
+// QP) finds the link down for its first drops transmission attempts and gets
+// through on the next. Because the outage is counted in the victim's own
+// attempts, no scheduling delay can stretch it: with drops within the
+// transport retry budget the flap is invisible by construction. period <= 0
+// turns it off; so does RestoreLink.
+func (fi *FaultInjector) FlapLinkByOps(a, b string, period int64, drops int) {
+	fi.mu.Lock()
+	ls := fi.link(a, b)
+	ls.flapPeriod, ls.flapDrops = period, drops
+	ls.reqs, ls.flapQP = 0, ""
+	fi.mu.Unlock()
+}
+
 // RestoreLink heals the link between a and b. Requests still inside their
 // retry budget resume on the next attempt — a cut-plus-restore shorter than
 // the budget is a link flap the transport absorbs.
@@ -138,6 +161,7 @@ func (fi *FaultInjector) RestoreLink(a, b string) {
 	ls := fi.link(a, b)
 	ls.down = false
 	ls.cutAfter = 0
+	ls.flapPeriod, ls.flapQP = 0, ""
 	fi.mu.Unlock()
 }
 
@@ -203,11 +227,12 @@ func (fi *FaultInjector) link(a, b string) *linkState {
 	return ls
 }
 
-// decide rules on one transmission attempt from local to remote on queue
-// pair qpID. Deterministic rules (QP kill, link state) take precedence over
+// decide rules on transmission attempt number attempt (0 = first try) of the
+// work request at the head of queue pair qpID, from local to remote.
+// Deterministic rules (QP kill, link state) take precedence over
 // probabilistic ones so a seeded scenario stays reproducible even with rates
 // configured.
-func (fi *FaultInjector) decide(local, remote, qpID string) (faultAction, time.Duration) {
+func (fi *FaultInjector) decide(local, remote, qpID string, attempt int) (faultAction, time.Duration) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	if fi.failedQPs[qpID] {
@@ -229,6 +254,24 @@ func (fi *FaultInjector) decide(local, remote, qpID string) (faultAction, time.D
 		fi.drops++
 		fi.mDrops.Inc()
 		return faultDrop, 0
+	}
+	if ls.flapPeriod > 0 {
+		// A queue pair retries its head request before anything else, so
+		// the attempts of one request are consecutive decisions on its QP.
+		if attempt == 0 {
+			ls.reqs++
+			if ls.flapQP == "" && ls.reqs%ls.flapPeriod == 0 {
+				ls.flapQP = qpID
+			}
+		}
+		if ls.flapQP == qpID {
+			if attempt < ls.flapDrops {
+				fi.drops++
+				fi.mDrops.Inc()
+				return faultDrop, 0
+			}
+			ls.flapQP = ""
+		}
 	}
 	if fi.dropNext > 0 {
 		fi.dropNext--

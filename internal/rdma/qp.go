@@ -733,7 +733,7 @@ func (qp *QueuePair) completeError(wr workRequest, err error) {
 // QP exactly like real RC transport.
 func (qp *QueuePair) preflight(wr workRequest) error {
 	for attempt := 0; ; attempt++ {
-		act, d := qp.faults.decide(qp.local.name, qp.remoteNICOf(wr).name, qp.id)
+		act, d := qp.faults.decide(qp.local.name, qp.remoteNICOf(wr).name, qp.id, attempt)
 		switch act {
 		case faultNone:
 			return nil

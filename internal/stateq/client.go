@@ -3,6 +3,7 @@ package stateq
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -306,10 +307,18 @@ func (c *Client) Windows() ([]WindowInfo, error) {
 func (c *Client) fetch(node int, win uint64) (SlotInfo, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.retries; attempt++ {
-		if attempt > 0 && !errors.Is(lastErr, errTorn) {
-			// Endpoint churn (fence/restart): give the control plane a
-			// moment to install the replacement. Torn reads retry at once.
-			time.Sleep(20 * time.Microsecond)
+		if attempt > 0 {
+			if errors.Is(lastErr, errTorn) {
+				// The publisher is mid-publication and may have been
+				// preempted there: hand it the core, or with readers on
+				// every core the budget burns down against a slot that
+				// cannot go even.
+				runtime.Gosched()
+			} else {
+				// Endpoint churn (fence/restart): give the control plane a
+				// moment to install the replacement.
+				time.Sleep(20 * time.Microsecond)
+			}
 		}
 		cn, err := c.conn(node)
 		if err != nil {

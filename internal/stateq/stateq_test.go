@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -534,6 +535,53 @@ func TestTornReadTorture(t *testing.T) {
 	}
 	if p.Published() != pubs {
 		t.Fatalf("published %d, want %d", p.Published(), pubs)
+	}
+}
+
+// TestTornReadYieldsToPublisher: a publisher preempted mid-publication (slot
+// version odd) on a box with no spare core must get the core back from a
+// retrying reader. On one P the holder below only ever runs when the reader
+// yields, and it needs fewer turns than the reader's retry budget — so the
+// read succeeds if and only if torn retries yield.
+func TestTornReadYieldsToPublisher(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const holdYields = defaultRetries / 2
+
+	reg, pp := testPlane(t, 1, Options{})
+	p := pp[0]
+	p.PublishState(snap(42, ssb.StateAggSum, mkLog(map[uint64]uint64{7: 70}), false))
+	cl, err := NewClient(reg, "yield")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Lookup(42, 7); err != nil { // dial before the slot goes odd
+		t.Fatal(err)
+	}
+
+	off := slotOffset(p.byWin[42]) + slotVersion
+	even := p.state[p.byWin[42]].version
+	if err := p.dir.AtomicStore(off, even+1); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for i := 0; i < holdYields; i++ {
+			runtime.Gosched()
+		}
+		_ = p.dir.AtomicStore(off, even+2)
+	}()
+	got, err := cl.Lookup(42, 7)
+	<-released
+	if err != nil {
+		t.Fatalf("Lookup across a held-odd slot: %v", err)
+	}
+	if got != 70 {
+		t.Fatalf("Lookup = %d, want 70", got)
+	}
+	if cl.TornReads() == 0 {
+		t.Fatal("reader never saw the odd slot — test exercised nothing")
 	}
 }
 

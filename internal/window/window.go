@@ -24,6 +24,22 @@ type Assigner interface {
 	End(win uint64) stream.Watermark
 }
 
+// NextEnd returns the earliest window end after ts: the end of the oldest
+// window still open once every record before ts has been seen. For tumbling
+// and sliding assigners that is the end of the first window containing ts
+// (sliding windows close once per slide); a session bucket outlives its own
+// slice by one gap, so the bucket before the one containing ts can still be
+// open — hence the walk back while the preceding window ends after ts. It
+// relies on End being non-decreasing in the window id, which every assigner
+// here satisfies.
+func NextEnd(a Assigner, ts int64) stream.Watermark {
+	win := a.Assign(ts, nil)[0]
+	for win > 0 && a.End(win-1) > ts {
+		win--
+	}
+	return a.End(win)
+}
+
 // Tumbling assigns each record to exactly one fixed-size bucket.
 type Tumbling struct {
 	// Size is the window length in event-time microseconds.

@@ -133,3 +133,67 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// TestNextEnd pins the window-end arithmetic the engine arms its early epoch
+// termination with: NextEnd(ts) is the smallest window end strictly greater
+// than ts, for every assigner — so a thread whose watermark reaches it has
+// closed a window, and no window end is ever skipped between two arms.
+func TestNextEnd(t *testing.T) {
+	tumbling, _ := NewTumbling(100)
+	sliding, _ := NewSliding(400, 100) // size/slide = 4: one window closes per slide
+	ragged, _ := NewSliding(10, 4)     // slide does not divide size
+	session, _ := NewSession(50)       // bucket w ends at (w+2)*gap
+	cases := []struct {
+		name string
+		a    Assigner
+		ts   int64
+		want int64
+	}{
+		{"tumbling/start", tumbling, 0, 100},
+		{"tumbling/mid", tumbling, 57, 100},
+		{"tumbling/last", tumbling, 99, 100},
+		{"tumbling/on-end", tumbling, 100, 200},
+		{"tumbling/far", tumbling, 12_345, 12_400},
+		{"tumbling/negative", tumbling, -7, 100},
+
+		{"sliding/ramp-up", sliding, 0, 400},
+		{"sliding/ramp-up-2", sliding, 250, 400},
+		{"sliding/before-first-end", sliding, 399, 400},
+		{"sliding/on-end", sliding, 400, 500},
+		{"sliding/steady", sliding, 1_234, 1_300},
+		{"sliding/steady-last", sliding, 1_299, 1_300},
+		{"sliding/steady-on-end", sliding, 1_300, 1_400},
+
+		{"ragged/9", ragged, 9, 10},
+		{"ragged/10", ragged, 10, 14},
+		{"ragged/13", ragged, 13, 14},
+		{"ragged/14", ragged, 14, 18},
+
+		{"session/first-slice", session, 10, 100},
+		{"session/second-slice", session, 60, 100},
+		{"session/on-end", session, 100, 150},
+		{"session/third-slice", session, 149, 150},
+		{"session/far", session, 1_010, 1_050},
+	}
+	for _, c := range cases {
+		if got := NextEnd(c.a, c.ts); got != c.want {
+			t.Errorf("%s: NextEnd(%d) = %d, want %d", c.name, c.ts, got, c.want)
+		}
+	}
+	// Property behind the table: the result is an end of a real window, is
+	// past ts, and no window ends in between.
+	for _, a := range []Assigner{tumbling, sliding, ragged, session} {
+		for ts := int64(0); ts < 2_000; ts++ {
+			next := NextEnd(a, ts)
+			if next <= ts {
+				t.Fatalf("%s: NextEnd(%d) = %d is not past ts", a.Name(), ts, next)
+			}
+			last := a.Assign(ts, nil)
+			for win := uint64(0); win <= last[len(last)-1]; win++ {
+				if end := a.End(win); end > ts && end < next {
+					t.Fatalf("%s: window %d ends at %d, between ts %d and NextEnd %d", a.Name(), win, end, ts, next)
+				}
+			}
+		}
+	}
+}
