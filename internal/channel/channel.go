@@ -11,9 +11,11 @@
 // data region in place. Credits flow back through a cumulative 8-byte
 // counter in the producer's registered memory: the consumer coalesces up to
 // c/2 releases into one inline WRITE of its running release total (flushing
-// eagerly when the producer nears starvation, on an idle poll, and on
-// Close), and the producer computes available credits from the counter —
-// never involving the consumer's CPU beyond the post.
+// early on an idle poll and on Close), and the producer computes available
+// credits from the counter — never involving the consumer's CPU beyond the
+// post. A producer out of credits spins briefly, then parks on a wake armed
+// at its credit region and send CQ instead of taking the core its consumer
+// needs to return the credit.
 //
 // Protocol invariants (§6.2), enforced and tested here:
 //
@@ -60,7 +62,7 @@ type Config struct {
 	Credits int
 	// SlotSize is the size m of one slot in bytes, including the footer.
 	SlotSize int
-	// CreditWaitTimeout bounds how long Acquire spins waiting for a credit.
+	// CreditWaitTimeout bounds how long Acquire waits for a credit.
 	// Zero (the default) waits forever — correct for healthy fabrics, where
 	// a credit always comes back. With a fault injector in play a dead
 	// consumer or cut link makes credits stop flowing without any completion
@@ -174,6 +176,7 @@ func New(prodNIC, consNIC *rdma.NIC, cfg Config) (*Producer, *Consumer, error) {
 		p.mStallNs = reg.Counter("channel_credit_stall_ns_total" + ch)
 		p.mStalls = reg.Counter("channel_credit_stalls_total" + ch)
 		p.mSpins = reg.Counter("channel_acquire_spins_total" + ch)
+		p.mParks = reg.Counter("channel_credit_parks_total" + ch)
 		p.mPosted = reg.Counter("channel_slots_posted_total" + ch)
 		c.mReleased = reg.Counter("channel_slots_released_total" + ch)
 		c.mCreditWrites = reg.Counter("channel_credit_writes_total" + ch)
@@ -202,6 +205,13 @@ type Producer struct {
 	acquired bool
 	closed   atomic.Bool
 
+	// wake is the one channel a parked Acquire sleeps on. Arming the credit
+	// region and the send CQ hands it out (see arm); Close sends on it too.
+	// Buffered so no waker ever blocks. timer bounds a park by
+	// CreditWaitTimeout; it is made on the first timed park and reused.
+	wake  chan struct{}
+	timer *time.Timer
+
 	// err latches the first fatal endpoint error (async completion failure,
 	// CQ overrun, credit timeout); see stickyErr.
 	err stickyErr
@@ -211,6 +221,7 @@ type Producer struct {
 	mStallNs  *metrics.Counter
 	mStalls   *metrics.Counter
 	mSpins    *metrics.Counter
+	mParks    *metrics.Counter
 	mPosted   *metrics.Counter
 	mEndpErrs *metrics.Counter
 }
@@ -263,21 +274,27 @@ func (p *Producer) TryAcquire() (*SendBuffer, bool) {
 	return b, true
 }
 
-// stallSampleSpins is how many Acquire spins pass between clock samples in
-// the credit-stall loop. Sampling every spin taxed the whole wait with one
-// vDSO clock read per iteration even when no timeout was configured to
-// fire; every 64th spin keeps timeout detection bounded (a Gosched-paced
-// spin is microseconds, so detection lags the deadline by well under a
-// millisecond) at 1/64 the clock cost.
-const stallSampleSpins = 64
+// acquireSpins is how many Gosched rounds Acquire re-checks for a credit
+// before it parks. A credit one merge step away usually lands inside the
+// budget, and catching it there is cheaper than a park and a wake; past it,
+// spinning only takes the core the consumer needs to return the credit. A
+// constant, like the scheduler's idle spin count: too short a budget parks
+// on credits that were about to land, which paced workloads see as latency.
+const acquireSpins = 64
 
-// Acquire spins until a credit is available (step 3 of the transfer phase:
-// wait for credit). It returns nil once the channel is closed, a fatal
-// asynchronous error — including a send-CQ overrun — is observed, or the
-// configured CreditWaitTimeout expires; Err reports which.
+// Acquire waits until a credit is available (step 3 of the transfer phase:
+// wait for credit). It spins acquireSpins rounds, then arms the credit
+// region and the send CQ, re-checks, and parks until one of them is written
+// to, Close is called, or CreditWaitTimeout expires. A wake is only a reason
+// to re-read the credit word, never a credit itself. Acquire returns nil
+// once the channel is closed, a fatal asynchronous error — including a
+// send-CQ overrun — is observed, or the timeout expires; Err reports which.
 func (p *Producer) Acquire() *SendBuffer {
-	var stallStart int64
-	var spins uint
+	var (
+		stallStart, deadline int64
+		spins, parks, wakes  int
+		armed, expired       bool
+	)
 	trackStall := p.mStallNs != nil || p.cfg.CreditWaitTimeout > 0
 	for {
 		// Drain completions before handing out a slot: a credit that never
@@ -297,20 +314,97 @@ func (p *Producer) Acquire() *SendBuffer {
 		if p.closed.Load() {
 			return nil
 		}
-		if trackStall && spins%stallSampleSpins == 0 {
-			now := time.Now().UnixNano()
-			if stallStart == 0 {
-				stallStart = now
-			} else if d := p.cfg.CreditWaitTimeout; d > 0 && now-stallStart > int64(d) {
-				p.fail(fmt.Errorf("%w (waited %v, %d credits outstanding)",
-					ErrCreditTimeout, d, p.cfg.Credits-p.Credits()))
-				return nil
+		if expired {
+			p.fail(p.creditTimeout(parks, wakes))
+			return nil
+		}
+		if trackStall && stallStart == 0 {
+			stallStart = time.Now().UnixNano()
+			if d := p.cfg.CreditWaitTimeout; d > 0 {
+				deadline = stallStart + int64(d)
 			}
 		}
-		spins++
-		p.mSpins.Inc()
-		runtime.Gosched()
+		switch {
+		case spins < acquireSpins:
+			spins++
+			p.mSpins.Inc()
+			runtime.Gosched()
+		case !armed:
+			// Arm, then go round once more: the checks above are the
+			// re-check that catches a credit, failure or Close that landed
+			// before the arm took effect.
+			p.arm()
+			armed = true
+		default:
+			parks++
+			p.mParks.Inc()
+			if p.park(deadline) {
+				wakes++
+			} else {
+				expired = true
+			}
+			armed = false
+		}
 	}
+}
+
+// arm hands p.wake to the credit region, whose next write is a credit
+// flush, and to the send CQ, whose next push is an error completion — the
+// way a latched failure reaches a parked producer. A token still buffered
+// from an earlier arm that fired after its waiter had moved on is dropped
+// first, so it cannot cut the coming park short.
+func (p *Producer) arm() {
+	select {
+	case <-p.wake:
+	default:
+	}
+	p.creditMR.Arm(p.wake)
+	p.cq.Arm(p.wake)
+}
+
+// park sleeps until a token arrives on p.wake or the deadline (unix ns; 0 =
+// none) passes, and reports whether a token woke it.
+func (p *Producer) park(deadline int64) bool {
+	if deadline == 0 {
+		<-p.wake
+		return true
+	}
+	d := time.Duration(deadline - time.Now().UnixNano())
+	if d <= 0 {
+		return false
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	select {
+	case <-p.wake:
+		// go.mod says go 1.22, so the timer keeps pre-1.23 semantics: a
+		// value that fired before Stop stays in the channel and would end
+		// the next park at once. Drain it.
+		if !p.timer.Stop() {
+			select {
+			case <-p.timer.C:
+			default:
+			}
+		}
+		return true
+	case <-p.timer.C:
+		return false
+	}
+}
+
+// creditTimeout builds the ErrCreditTimeout a stalled Acquire latches. It
+// runs only after the post-deadline re-check found no credit, so the
+// timeout is never a lost wake; sent against the credit word says how many
+// credits never came back, and parks against wakes whether any credit
+// WRITE (or error completion) landed while the producer slept.
+func (p *Producer) creditTimeout(parks, wakes int) error {
+	word, _ := p.creditMR.AtomicLoad(0)
+	sent := p.sent.Load()
+	return fmt.Errorf("%w (waited %v, %d credits outstanding: sent %d, credit word %d; %d parks, %d wakes since the stall began)",
+		ErrCreditTimeout, p.cfg.CreditWaitTimeout, sent-word, sent, word, parks, wakes)
 }
 
 // Post transfers the acquired buffer with used payload bytes as a single
@@ -404,9 +498,14 @@ func (p *Producer) Sent() uint64 { return p.sent.Load() }
 // the queue pair are delivered before the connection tears down, so a
 // consumer can drain everything the producer sent. On a dead QP the drain
 // completes with flush semantics instead (nothing more reaches the wire),
-// so Close terminates in bounded time even mid-failure.
+// so Close terminates in bounded time even mid-failure. Safe to call from
+// another goroutine: a parked Acquire wakes and returns nil.
 func (p *Producer) Close() {
 	if p.closed.CompareAndSwap(false, true) {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 		p.qp.Drain()
 		p.qp.Close()
 	}
@@ -429,8 +528,7 @@ type Consumer struct {
 
 	// Credit coalescing state: flushed is the release total last written to
 	// the producer's counter; a flush is due once released-flushed reaches
-	// flushAt (= max(1, c/2)), the producer nears starvation, the poll loop
-	// idles, or the consumer closes. flushMu serializes flushes so the
+	// flushAt (= max(1, c/2)), the poll loop misses, or the consumer closes. flushMu serializes flushes so the
 	// cumulative totals post in nondecreasing order.
 	flushAt      int
 	flushed      atomic.Uint64
@@ -528,10 +626,12 @@ func (c *Consumer) TryPoll() (*RecvBuffer, bool) {
 
 // Release returns one credit to the producer (step 3, invariant 2). Credits
 // are coalesced: the release is counted locally and the cumulative total is
-// written to the producer's credit region once flushAt releases are pending
-// — or immediately when the producer is near starvation, so coalescing can
-// never deadlock the channel. Buffers must be released in FIFO order: the
-// slot only becomes overwritable once the credit is returned.
+// written to the producer's credit region once flushAt releases are pending.
+// Release itself never flushes early. What keeps coalescing from
+// deadlocking the channel is TryPoll: a poll that misses — the state a
+// starved producer leaves its consumer in — flushes whatever is pending,
+// and Close flushes unconditionally. Buffers must be released in FIFO
+// order: the slot only becomes overwritable once the credit is returned.
 func (c *Consumer) Release(b *RecvBuffer) error {
 	if c.closed.Load() {
 		return ErrClosed

@@ -192,6 +192,10 @@ func TestCreditsSurviveConsumerClose(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// Let all three WRITEs land first: on the pipelined engine a
+			// poll that misses a write still in flight flushes the
+			// releases made so far, which is not what this test counts.
+			p.qp.Drain()
 			for i := 0; i < 3; i++ {
 				if err := c.Release(mustRecv(t, c)); err != nil {
 					t.Fatal(err)

@@ -419,6 +419,13 @@ func (s *Sender) Close() {
 	s.closed.Store(true)
 }
 
+// stallSampleSpins is how many Sender.Acquire spins pass between clock
+// samples in the slot-wait loop. Sampling every spin would tax the whole
+// wait with one vDSO clock read per iteration even when no timeout is
+// configured to fire; every 64th spin keeps timeout detection bounded (a
+// Gosched-paced spin is microseconds) at 1/64 the clock cost.
+const stallSampleSpins = 64
+
 // Acquire reserves a staging slot on the channel's lane, spinning until one
 // frees up. It returns nil once the channel closes, the trunk latches a
 // failure, or SendTimeout expires (Err reports which). The spin pumps the

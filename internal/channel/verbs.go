@@ -41,6 +41,9 @@ type CompletionSource interface {
 	TryPoll() (rdma.Completion, bool)
 	// Overrun reports whether the CQ dropped completions (sticky).
 	Overrun() bool
+	// Arm requests one non-blocking token on wake at the CQ's next push,
+	// dropped completions included (see rdma.Notifier).
+	Arm(wake chan<- struct{})
 }
 
 // Memory is the local-memory surface of a registered region: the ring the
@@ -48,11 +51,15 @@ type CompletionSource interface {
 // producer's credit counter. WriteVersion counts published remote writes
 // with release/acquire semantics (a load that observes version v observes
 // every byte of writes 1..v); AtomicLoad is coherent with remote
-// PostWriteU64s into the region.
+// PostWriteU64s into the region. Arm requests one non-blocking token on wake
+// at the region's next published write: the token means the write's bytes
+// are visible, nothing more, so the waiter re-reads them (see
+// rdma.Notifier). Memory no peer writes may implement Arm as a no-op.
 type Memory interface {
 	Bytes() []byte
 	WriteVersion() uint64
 	AtomicLoad(off int) (uint64, error)
+	Arm(wake chan<- struct{})
 }
 
 // The in-process rdma engine satisfies the transport surface natively.
@@ -84,6 +91,7 @@ func NewProducer(cfg Config, qp Verbs, cq CompletionSource, staging, credit Memo
 		ringRKey: ringRKey,
 		creditMR: credit,
 		bufs:     make([]SendBuffer, cfg.Credits),
+		wake:     make(chan struct{}, 1),
 	}
 	// Preallocate one SendBuffer per staging slot: steady-state Acquire
 	// reuses them, so the hot path never touches the heap.

@@ -63,11 +63,12 @@ func (f *cycleFlow) Batch(rb *stream.RecordBatch) bool {
 	return true
 }
 
-// benchSourceStep measures one scheduler step of the source task — the
-// engine's hot loop — against an endless flow, with the epoch length set far
-// out of reach so no step flushes. The record and batch paths run the
-// identical task over the identical data; only Config.RecordPath differs.
-func benchSourceStep(b *testing.B, recordPath bool) {
+// warmSourceStep builds the source task of a one-node, one-thread
+// deployment over an endless flow, with the epoch length set far out of
+// reach so no step flushes, and warms its (window, key) entries so later
+// steps update aggregate state in place instead of inserting. It returns
+// the task's step and the records one step ingests.
+func warmSourceStep(tb testing.TB, recordPath bool) (step func(), per int) {
 	win, _ := window.NewTumbling(1000)
 	cfg := smallConfig(1, 1)
 	cfg.EpochBytes = 1 << 50
@@ -75,25 +76,40 @@ func benchSourceStep(b *testing.B, recordPath bool) {
 	q := &Query{Name: "stepbench", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
 	ctrl, err := NewController(cfg, q, [][]Flow{{newCycleFlow(4096, 512)}}, &Collector{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	st := ctrl.sources[0][0]
-	// Warm the (window, key) entries so the measured loop updates aggregate
-	// state in place instead of inserting.
 	for i := 0; i < 32; i++ {
 		st.Step()
 	}
-	per := cfg.BatchRecords
+	per = cfg.BatchRecords
 	if per == 0 {
 		per = 256
 	}
+	return func() { st.Step() }, per
+}
+
+// benchSourceStep measures one scheduler step of the source task — the
+// engine's hot loop. The record and batch paths run the identical task over
+// the identical data; only Config.RecordPath differs.
+func benchSourceStep(b *testing.B, recordPath bool) {
+	step, per := warmSourceStep(b, recordPath)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Step()
+		step()
 	}
 	b.ReportMetric(float64(b.N)*float64(per)/b.Elapsed().Seconds(), "rec/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(per)), "ns/rec")
+}
+
+// TestSourceStepBatchAllocationFree is the columnar hot loop's floor: a
+// steady-state source step allocates nothing.
+func TestSourceStepBatchAllocationFree(t *testing.T) {
+	step, _ := warmSourceStep(t, false)
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("steady-state source step allocates %.2f times, want 0", allocs)
+	}
 }
 
 // BenchmarkSourceStepRecord is the legacy per-record operator loop:

@@ -25,9 +25,10 @@ const (
 // the rows the sink received for that window — the differential oracle that
 // served state is exactly query output, never a torn or stale intermediate.
 // The experiment reports the read/retry counters and the throughput ratio;
-// the <2% regression gate lives in bench-compare over BENCH_PR9.json. One-
-// sidedness is structural: merge threads have no read-path handler to
-// bypass, so a nonzero read counter is itself the proof.
+// the publication cost under a live reader is measured by the repository
+// benchmark's cm_paced_stateq workload. One-sidedness is structural: merge
+// threads have no read-path handler to bypass, so a nonzero read counter is
+// itself the proof.
 func StateQ(o Options) ([]Row, error) {
 	o = o.fill()
 	fw := ysbWorkload(o)

@@ -118,6 +118,7 @@ func wireFor(client, server net.Addr) *wireToken {
 type CQ struct {
 	ch      chan rdma.Completion
 	overrun atomic.Bool
+	notify  rdma.Notifier
 }
 
 // DefaultCQDepth is the completion queue depth when zero is requested.
@@ -144,13 +145,20 @@ func (c *CQ) TryPoll() (rdma.Completion, bool) {
 // Overrun reports whether a completion was ever dropped (sticky).
 func (c *CQ) Overrun() bool { return c.overrun.Load() }
 
+// push enqueues a completion without blocking (a full CQ drops it and
+// raises Overrun), then wakes an armed waiter either way.
 func (c *CQ) push(comp rdma.Completion) {
 	select {
 	case c.ch <- comp:
 	default:
 		c.overrun.Store(true)
 	}
+	c.notify.Notify()
 }
+
+// Arm requests one token on wake at the CQ's next push, as
+// rdma.CompletionQueue.Arm does.
+func (c *CQ) Arm(wake chan<- struct{}) { c.notify.Arm(wake) }
 
 // Region is remotely writable registered memory owned by a Host. It carries
 // the same local-access contract as *rdma.MemoryRegion: WriteVersion counts
@@ -162,6 +170,8 @@ type Region struct {
 	buf     []byte
 	rkey    uint32
 	version atomic.Uint64
+	// notify wakes a waiter armed on the region at the next applied write.
+	notify rdma.Notifier
 	// mu serializes inline-u64 application against AtomicLoad, mirroring
 	// the in-process region's atomic word.
 	mu sync.Mutex
@@ -187,6 +197,11 @@ func (r *Region) AtomicLoad(off int) (uint64, error) {
 	return leU64(r.buf[off:]), nil
 }
 
+// Arm requests one token on wake at the region's next applied remote write,
+// as rdma.MemoryRegion.Arm does. The token means the bytes are visible; the
+// waiter re-reads them.
+func (r *Region) Arm(wake chan<- struct{}) { r.notify.Arm(wake) }
+
 // storeU64 applies a remote inline write.
 func (r *Region) storeU64(off int, v uint64) rdma.Status {
 	if off%8 != 0 || off < 0 || off+8 > len(r.buf) {
@@ -196,6 +211,7 @@ func (r *Region) storeU64(off int, v uint64) rdma.Status {
 	putLEU64(r.buf[off:], v)
 	r.mu.Unlock()
 	r.version.Add(1)
+	r.notify.Notify()
 	return rdma.StatusSuccess
 }
 
@@ -206,6 +222,7 @@ func (r *Region) storeBytes(off int, p []byte) rdma.Status {
 	}
 	copy(r.buf[off:], p)
 	r.version.Add(1)
+	r.notify.Notify()
 	return rdma.StatusSuccess
 }
 
@@ -223,6 +240,10 @@ func (b *LocalBuffer) Bytes() []byte { return b.buf }
 
 // WriteVersion is always zero: nothing writes a local buffer remotely.
 func (b *LocalBuffer) WriteVersion() uint64 { return 0 }
+
+// Arm is a no-op: nothing writes a local buffer remotely, so there is
+// nothing to wake on.
+func (b *LocalBuffer) Arm(chan<- struct{}) {}
 
 // AtomicLoad reads an aligned local 8-byte word.
 func (b *LocalBuffer) AtomicLoad(off int) (uint64, error) {

@@ -69,6 +69,8 @@ type Completion struct {
 type CompletionQueue struct {
 	ch      chan Completion
 	overrun atomic.Bool
+	// notify wakes a waiter armed on the CQ at the next push.
+	notify Notifier
 
 	// Optional instrumentation, attached by the owning queue pair. Atomic
 	// pointers because a caller-provided CQ can be shared by QPs connecting
@@ -139,7 +141,8 @@ func (cq *CompletionQueue) Overrun() bool { return cq.overrun.Load() }
 // IBV_EVENT_CQ_ERR overrun semantics of real hardware. Blocking here would
 // let a full CQ wedge the QP's deliverer goroutine — and with up to 2×depth
 // requests in flight against a CQ of depth, a producer that only drains its
-// CQ inside Post could deadlock the whole channel.
+// CQ inside Post could deadlock the whole channel. Either way an armed
+// waiter is woken: a dropped completion is news too.
 func (cq *CompletionQueue) push(c Completion) {
 	select {
 	case cq.ch <- c:
@@ -152,7 +155,12 @@ func (cq *CompletionQueue) push(c Completion) {
 			ctr.Inc()
 		}
 	}
+	cq.notify.Notify()
 }
+
+// Arm requests one token on wake at the CQ's next push, including one the
+// queue drops on overrun. The waiter polls the CQ afterwards (see Notifier).
+func (cq *CompletionQueue) Arm(wake chan<- struct{}) { cq.notify.Arm(wake) }
 
 // attachMetrics wires the CQ's depth high-water gauge and dropped-completion
 // counter. The first attachment wins when a CQ is shared across queue pairs.

@@ -10,6 +10,8 @@
 //     with no CPU involvement on the passive side.
 //   - Two-sided verbs (SEND/RECV) that consume posted receive buffers.
 //   - Completion queues with selective signaling.
+//   - One-shot arm/notify on completion queues and memory regions (the
+//     ibv_req_notify_cq idiom), so a waiter can sleep instead of polling.
 //
 // One-sided WRITEs publish data the way the hardware does: payload bytes land
 // in the remote region from lower to higher addresses and only then does the

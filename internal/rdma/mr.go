@@ -44,6 +44,8 @@ type MemoryRegion struct {
 	// version counts completed remote writes into this region. It is
 	// advanced with release semantics after the payload bytes are in place.
 	version atomic.Uint64
+	// notify wakes a waiter armed on the region at the next publish.
+	notify Notifier
 
 	// atomicMu serializes remote atomic verbs (CAS, FETCH_ADD) against each
 	// other. Local code that races with remote atomics must go through
@@ -151,9 +153,17 @@ func (mr *MemoryRegion) NIC() *NIC { return mr.nic }
 // published at or before v visible to the caller.
 func (mr *MemoryRegion) WriteVersion() uint64 { return mr.version.Load() }
 
-// publish advances the write version with release semantics. Called by the
-// QP engine after payload bytes are copied in.
-func (mr *MemoryRegion) publish() { mr.version.Add(1) }
+// publish advances the write version with release semantics, then wakes an
+// armed waiter. Called by the QP engine after payload bytes are copied in.
+func (mr *MemoryRegion) publish() {
+	mr.version.Add(1)
+	mr.notify.Notify()
+}
+
+// Arm requests one token on wake at the region's next published write —
+// remote WRITE, atomic, AtomicStore or Store. The token says only that new
+// bytes are visible; the waiter re-reads the region (see Notifier).
+func (mr *MemoryRegion) Arm(wake chan<- struct{}) { mr.notify.Arm(wake) }
 
 // checkRange validates [off, off+n) against the region bounds. The bound is
 // written as off > len-n rather than off+n > len: with both operands known

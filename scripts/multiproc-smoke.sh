@@ -42,8 +42,10 @@ fail() {
 
 # ---- oracle ---------------------------------------------------------------
 # Phase 1 and phase 2 share one spec (and therefore one oracle dump): small
-# epochs so the chaos kill lands mid-run with journaled progress to restore.
-WL=nb7 NODES=3 THREADS=2 RECORDS=20000 SEED=7 EPOCH=8192
+# epochs so the chaos kill lands mid-run with journaled progress to restore,
+# and enough records that the run outlasts several journal polls (a 3-rank
+# cluster ingests 100k records in about 0.2 s on two cores).
+WL=nb7 NODES=3 THREADS=2 RECORDS=100000 SEED=7 EPOCH=8192
 "$BIN" -workload $WL -nodes $NODES -threads $THREADS -records $RECORDS \
   -seed $SEED -epoch $EPOCH -dump "$WORK/oracle.rows" \
   >"$WORK/oracle.out" 2>"$WORK/oracle.err" || fail "oracle run (see oracle.err)"
@@ -66,11 +68,11 @@ run_cluster() { # run_cluster <phase> <chaos:0|1>
     # path rebuilds state instead of rerunning from scratch.
     local victim=2 size=0 i
     local journal="$WORK/$phase-journal-$victim/node00$victim.journal"
-    for i in $(seq 1 300); do
+    for i in $(seq 1 1500); do
       size=$(stat -c %s "$journal" 2>/dev/null || echo 0)
       [ "$size" -ge 4096 ] && break
       kill -0 "$coord" 2>/dev/null || fail "$phase: coordinator exited before the kill"
-      sleep 0.05
+      sleep 0.01
     done
     [ "$size" -ge 4096 ] || fail "$phase: victim journal never grew ($size bytes)"
     kill -9 "${pids[$victim]}" 2>/dev/null || true
