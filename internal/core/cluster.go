@@ -6,19 +6,18 @@ import (
 	"time"
 )
 
-// This file is the placement-mode half of the recovery plane: the primitives
-// an external control plane (internal/cluster) composes into the same
-// fence → restore → replay → rejoin sequence restartNode runs in-process.
-// Each method is one step, executed by the process that owns the relevant
-// nodes; the coordinator orders the steps across processes:
+// This file is the placement-mode entry to the recovery plane: the steps an
+// external control plane (internal/cluster) composes into the fence →
+// restore → replay sequence restartNode runs in-process. ClusterFence,
+// ClusterRestore and ClusterReplay wrap the same step functions restartNode
+// calls (recover.go); the coordinator orders them across processes:
 //
 //	survivors:  ClusterFreeze(true) → ClusterFence → [relink] → ClusterAdopt
 //	newcomer:   ClusterSetIncarnation* → ClusterRestore
 //	survivors:  ClusterReplay → ClusterFreeze(false)
 //
-// The incarnation bump, the positional dedup, and the committed-epoch
-// horizons work exactly as in-process; only the vote and the ordering moved
-// out of the process.
+// Only the vote, the ordering and the kill (a real process death) live
+// outside this process.
 
 // ErrNotPlacement rejects Cluster* calls on a deployment without a Placement:
 // in-process deployments run the same sequence through RestartNode.
@@ -41,11 +40,12 @@ func (c *Controller) ClusterFreeze(on bool) error {
 	return nil
 }
 
-// ClusterFence severs this member's links to dead node x, installs x's new
-// incarnation, and removes x from the live set. It returns the element-wise
-// minimum of the owned backends' committed-epoch vectors — the member's
-// contribution to the cluster-wide commit horizon the newcomer restores to.
-// The member must be frozen; the rings feeding x are kept for ClusterReplay.
+// ClusterFence is the fence step on a survivor: it severs this member's
+// links to dead node x, installs x's new incarnation, and removes x from the
+// live set. It returns the element-wise minimum of the owned backends'
+// committed-epoch vectors — the member's contribution to the cluster-wide
+// commit horizon the newcomer restores to. The member must be frozen; the
+// rings feeding x are kept for ClusterReplay.
 func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	if c.cfg.Placement == nil {
 		return nil, ErrNotPlacement
@@ -53,55 +53,25 @@ func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	if !c.run.frozen.Load() {
 		return nil, errors.New("core: ClusterFence requires a frozen member")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if x < 0 || x >= c.cfg.MaxNodes {
 		return nil, fmt.Errorf("core: node %d out of range", x)
 	}
-	var committed []uint64
-	for _, m := range c.live {
-		if m == x || c.backends[m] == nil {
-			continue
-		}
-		// Closing the producer unblocks a sender spinning for credit on a
-		// channel whose far end will never poll again; the flush parks and
-		// retries once the unfreeze bumps the retry generation.
+	// Close the send halves toward x ahead of fence, so a step blocked on
+	// x's credit fails and parks instead of holding up the wait for steps
+	// that began before the freeze.
+	c.mu.Lock()
+	for m := range c.producers {
 		if p := c.producers[m][x]; p != nil {
 			p.Close()
 		}
-		c.producers[m][x], c.senders[m][x] = nil, nil
-		// Stage the dead link's removal: the merge task discards its backlog
-		// and closes it before adopting the rebuilt link, so the dead
-		// incarnation's chunks can never interleave with the restart's.
-		kept := c.consumers[m][:0]
-		for _, e := range c.consumers[m] {
-			if e.src == x {
-				c.merges[m].RemoveInbound(e.cons)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		c.consumers[m] = kept
-		v := c.backends[m].CommittedEpochs()
-		if committed == nil {
-			committed = append([]uint64(nil), v...)
-		} else {
-			for i := range committed {
-				if i < len(v) && v[i] < committed[i] {
-					committed[i] = v[i]
-				}
-			}
-		}
 	}
-	c.nodeInc[x] = newInc
-	liveNow := c.live[:0:0]
-	for _, m := range c.live {
-		if m != x {
-			liveNow = append(liveNow, m)
-		}
+	c.mu.Unlock()
+	if err := c.waitSourcesIdle(x); err != nil {
+		return nil, err
 	}
-	c.live = liveNow
-	return committed, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fence(x, newInc), nil
 }
 
 // ClusterSetIncarnation installs node's incarnation as distributed by the
@@ -165,12 +135,11 @@ func (c *Controller) ClusterAdopt(x int) error {
 	return nil
 }
 
-// ClusterRestore rebuilds owned node x from its journal on a respawned
-// member: mesh bring-up, checkpoint and trigger replay (re-emitting journaled
-// sink rows — the member's sink died with its predecessor), and source replay
-// plans cut at the cluster-wide commit horizon. peerCommitted is the
-// element-wise minimum of the survivors' ClusterFence vectors; the restored
-// member's own journaled vector joins the minimum here. Returns the restored
+// ClusterRestore is the restore step on a respawned member: it rebuilds
+// owned node x from its journal (re-emitting journaled sink rows — the
+// member's sink died with its predecessor) with source replay plans cut at
+// the cluster-wide commit horizon. peerCommitted is the element-wise minimum
+// of the survivors' ClusterFence vectors. Returns the restored
 // committed-epoch vector survivors filter their ring replay with.
 func (c *Controller) ClusterRestore(x int, peerCommitted []uint64) ([]uint64, error) {
 	if c.cfg.Placement == nil {
@@ -180,98 +149,40 @@ func (c *Controller) ClusterRestore(x int, peerCommitted []uint64) ([]uint64, er
 		return nil, errors.New("core: recovery is not configured")
 	}
 	start := time.Now()
+	var restored []uint64
+	var err error
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started {
-		return nil, ErrNotRunning
+	switch {
+	case !c.started:
+		err = ErrNotRunning
+	case containsNode(c.live, x):
+		err = fmt.Errorf("core: node %d is already live", x)
+	case !c.cfg.Placement.Owned(x):
+		err = fmt.Errorf("core: node %d is not owned by this member", x)
+	default:
+		// oldDone is nil: the dead process never published its run totals
+		// (publication happens only at FinishStream success), so every
+		// restored thread republishes from its journaled counters.
+		restored, err = c.restore(x, peerCommitted, nil)
 	}
-	if containsNode(c.live, x) {
-		return nil, fmt.Errorf("core: node %d is already live", x)
-	}
-	if !c.cfg.Placement.Owned(x) {
-		return nil, fmt.Errorf("core: node %d is not owned by this member", x)
-	}
-	be, myIn, err := c.buildMesh(x)
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	c.activateNode(x, be)
-	marks, err := c.replayJournal(x, be)
-	if err != nil {
-		return nil, fmt.Errorf("%w: node %d journal replay: %v", ErrUnrecoverable, x, err)
-	}
-	be.FinishRestore()
-	restored := be.CommittedEpochs()
-	// oldDone is nil on purpose: the dead process never published its run
-	// totals (publication happens only at FinishStream success), so every
-	// restored thread republishes from its journaled counters.
-	plans, err := c.buildPlans(x, marks, restored, nil, [][]uint64{peerCommitted})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.makeTasks(x, be, myIn, c.flows[x], plans); err != nil {
-		return nil, err
-	}
-	c.launchNode(x)
-	c.live = append(c.live, x)
-	for _, m := range c.live {
-		if c.backends[m] != nil {
-			c.backends[m].SetPeers(c.live)
-		}
-	}
-	c.restarts++
-	c.recoveries = append(c.recoveries, Recovery{
-		Node:        x,
-		Incarnation: c.nodeInc[x],
-		Duration:    time.Since(start),
-	})
+	c.recordRecovery(x, start, 0)
 	return restored, nil
 }
 
-// ClusterReplay re-delivers this member's retained ring entries above the
-// restored node's commit horizon, in order, through the links ClusterAdopt
-// rebuilt. Horizon check first: an evicted entry above the horizon makes the
-// restored node unrecoverable. Returns the number of chunks replayed.
+// ClusterReplay is the replay step on a survivor: it re-delivers this
+// member's retained ring entries above the restored node's commit horizon,
+// in order, through the links ClusterAdopt rebuilt. Returns the number of
+// chunks replayed. A link failure mid-replay is returned, not voted on
+// locally: the coordinator decides whether the run survives it.
 func (c *Controller) ClusterReplay(x int, restored []uint64) (int, error) {
 	if c.cfg.Placement == nil {
 		return 0, ErrNotPlacement
 	}
-	c.mu.Lock()
-	type replaySrc struct {
-		s *chanSender
-		r *replayRing
-	}
-	var replays []replaySrc
-	for _, m := range c.live {
-		if m == x || c.backends[m] == nil {
-			continue
-		}
-		if s, r := c.senders[m][x], c.rings[m][x]; s != nil && r != nil {
-			replays = append(replays, replaySrc{s, r})
-		}
-	}
-	c.mu.Unlock()
-	for _, rp := range replays {
-		if err := rp.r.horizonErr(restored); err != nil {
-			c.run.fail(err)
-			return 0, err
-		}
-	}
-	replayed := 0
-	for _, rp := range replays {
-		n, err := rp.r.replayTo(rp.s, restored)
-		replayed += n
-		if err != nil {
-			// A nested failure mid-restart: surface it to the coordinator
-			// instead of voting locally — it decides whether to retry the
-			// whole sequence or fail the run.
-			return replayed, fmt.Errorf("core: ring replay to node %d: %w", x, err)
-		}
-	}
-	if c.mReplayed != nil {
-		c.mReplayed.Add(uint64(replayed))
-	}
-	return replayed, nil
+	return c.replay(x, restored)
 }
 
 // ClusterAbort fails the member's run with err: the coordinator observed a

@@ -137,6 +137,7 @@ type Controller struct {
 	mgr        *recoveryMgr
 	recoveries []Recovery
 	restarts   int
+	replayed   int // ring entries this controller re-delivered (Report.ReplayedChunks)
 	// Counters of NICs that died with a restarted incarnation, folded into
 	// the final Report (their live counters vanish with RemoveNIC).
 	deadTx, deadMsgs int64
@@ -224,7 +225,7 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		cfg.State.Fill()
 		c.stateReg = stateq.NewRegistry(c.fabric, c.pmap)
 	}
-	c.run = &runState{pool: c.pool, sink: sink}
+	c.run = newRunState(c.pool, sink)
 	// On failure, closing the producers unblocks any sender spinning for
 	// credit from a consumer that will never poll again.
 	c.run.onFail = func() { c.closeProducers() }
@@ -280,13 +281,13 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 			if pl.Restore {
 				continue
 			}
-			if err := c.buildNode(i, flows[i]); err != nil {
+			if err := c.buildNode(i, flows[i], nil); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		for i := 0; i < cfg.Nodes; i++ {
-			if err := c.buildNode(i, flows[i]); err != nil {
+			if err := c.buildNode(i, flows[i], nil); err != nil {
 				return nil, err
 			}
 		}
@@ -308,18 +309,25 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 }
 
 // buildNode brings up node id's row and column of the channel mesh, its
-// backend, and its tasks (§7.2.2 setup phase, performed online for joiners:
-// NIC registration = MR registration, channel.New = QP bring-up). Callers
-// hold c.mu. Recovery restarts run the same pieces individually, with a
-// journal replay interposed between backend and tasks — see restartNode.
-func (c *Controller) buildNode(id int, nodeFlows []Flow) error {
+// backend, and its tasks, and launches them (§7.2.2 setup phase, performed
+// online for joiners: NIC registration = MR registration, channel.New = QP
+// bring-up). A restart passes restore, which replays the node's journal into
+// the fresh backend and returns the sources' replay plans before any task
+// exists (see Controller.restore). Callers hold c.mu.
+func (c *Controller) buildNode(id int, nodeFlows []Flow, restore func(*ssb.Backend) ([]*threadRestore, error)) error {
 	c.flows[id] = nodeFlows
 	be, myIn, err := c.buildMesh(id)
 	if err != nil {
 		return err
 	}
 	c.activateNode(id, be)
-	if err := c.makeTasks(id, be, myIn, nodeFlows, nil); err != nil {
+	var plans []*threadRestore
+	if restore != nil {
+		if plans, err = restore(be); err != nil {
+			return err
+		}
+	}
+	if err := c.makeTasks(id, be, myIn, nodeFlows, plans); err != nil {
 		return err
 	}
 	c.launchNode(id)
@@ -487,28 +495,25 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 	for th := range sts {
 		gate, _ := nodeFlows[th].(ReadyFlow)
 		st := &sourceTask{
-			run:     c.run,
-			q:       c.q,
-			node:    id,
-			flow:    nodeFlows[th],
-			gate:    gate,
-			ts:      be.Thread(th),
-			batch:   c.cfg.BatchRecords,
-			recSize: c.q.Codec.Size(),
-			records: &c.records,
-			updates: &c.updates,
-			flushes: &c.flushes,
-			mStep:   c.mSourceStep,
-			nextEnd: stream.NoWatermark,
+			run:      c.run,
+			q:        c.q,
+			node:     id,
+			gate:     gate,
+			ts:       be.Thread(th),
+			batch:    c.cfg.BatchRecords,
+			recSize:  c.q.Codec.Size(),
+			records:  &c.records,
+			updates:  &c.updates,
+			flushes:  &c.flushes,
+			mStep:    c.mSourceStep,
+			nextEnd:  stream.NoWatermark,
+			bflow:    batchFlowFor(nodeFlows[th]),
+			rb:       stream.NewRecordBatch(c.cfg.BatchRecords),
+			assign:   window.ForRuns(c.q.Window),
+			selTimes: make([]int64, 0, c.cfg.BatchRecords),
 		}
-		if !c.cfg.RecordPath {
-			st.bflow = batchFlowFor(nodeFlows[th])
-			st.rb = stream.NewRecordBatch(c.cfg.BatchRecords)
-			st.assign = window.ForRuns(c.q.Window)
-			st.selTimes = make([]int64, 0, c.cfg.BatchRecords)
-			if c.q.holistic() {
-				st.sides = make([]uint8, c.cfg.BatchRecords)
-			}
+		if c.q.holistic() {
+			st.sides = make([]uint8, c.cfg.BatchRecords)
 		}
 		if c.mgr != nil {
 			st.mgr = c.mgr
@@ -565,22 +570,35 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 	if c.reg != nil {
 		mt.mBacklog = c.reg.Gauge(fmt.Sprintf(`core_merge_backlog_slots_max{node="%d"}`, id))
 	}
+	if b := c.retiring[id]; b != nil {
+		// The node was draining out of the membership when it died; re-arm
+		// the early exit at its last owned window.
+		mt.retire(c.q.Window.End(b.rec.Cutover - 1))
+	}
 	c.sources[id] = sts
 	c.merges[id] = mt
 	return nil
 }
 
-// launchNode schedules node id's tasks. Workers carry their tasks from
-// birth: AddWorker enqueues before launching, so a worker added to a live
-// pool cannot drain-and-exit before its task arrives. Source threads already
-// finished (restored as done) get no worker. Callers hold c.mu.
+// launchNode schedules node id's tasks under one exit signal. Workers carry
+// their tasks from birth: AddWorker enqueues before launching, so a worker
+// added to a live pool cannot drain-and-exit before its task arrives. Source
+// threads already finished (restored as done) get no worker and are not
+// waited for. Callers hold c.mu.
 func (c *Controller) launchNode(id int) {
+	mt := c.merges[id]
+	var launch []*sourceTask
 	for _, st := range c.sources[id] {
 		if !st.done.Load() {
-			c.pool.AddWorker(st)
+			launch = append(launch, st)
 		}
 	}
-	c.pool.AddWorker(c.merges[id])
+	mt.exits = newExitGroup(len(launch) + 1)
+	for _, st := range launch {
+		st.exits = mt.exits
+		c.pool.AddWorker(st)
+	}
+	c.pool.AddWorker(mt)
 }
 
 // Start launches the deployment. Use Wait for completion; reconfigure with
@@ -645,6 +663,7 @@ func (c *Controller) Teardown() (*Report, error) {
 	backends := append([]*ssb.Backend(nil), c.backends...)
 	deadTx, deadMsgs := c.deadTx, c.deadMsgs
 	recoveries := append([]Recovery(nil), c.recoveries...)
+	replayed := c.replayed
 	c.mu.Unlock()
 	for _, cs := range consumers {
 		for _, e := range cs {
@@ -680,9 +699,7 @@ func (c *Controller) Teardown() (*Report, error) {
 	rep.NetTxBytes += deadTx
 	rep.NetTxMsgs += deadMsgs
 	rep.Recoveries = recoveries
-	for _, r := range recoveries {
-		rep.ReplayedChunks += r.ReplayedChunks
-	}
+	rep.ReplayedChunks = replayed
 	for _, nic := range nics {
 		if nic == nil {
 			continue
@@ -917,7 +934,7 @@ func (c *Controller) AddNodes(flowGroups [][]Flow, cutover uint64) ([]int, error
 	ids := make([]int, k)
 	for i := range ids {
 		ids[i] = c.used + i
-		if err := c.buildNode(ids[i], flowGroups[i]); err != nil {
+		if err := c.buildNode(ids[i], flowGroups[i], nil); err != nil {
 			c.mu.Unlock()
 			c.resume()
 			c.run.fail(err)
@@ -1088,13 +1105,7 @@ func (c *Controller) nodeRetired(node int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	liveNow := c.live[:0:0]
-	for _, m := range c.live {
-		if m != node {
-			liveNow = append(liveNow, m)
-		}
-	}
-	c.live = liveNow
+	c.live = without(c.live, node)
 	for _, row := range c.senders {
 		if s := row[node]; s != nil {
 			s.detach()

@@ -52,12 +52,6 @@ type Config struct {
 	// scheduler step — also the capacity of the columnar record batches the
 	// batch path fills. Defaults to 256.
 	BatchRecords int
-	// RecordPath forces the legacy per-record operator loop instead of the
-	// columnar batch path. The two paths are byte-identical by construction
-	// (same flush boundaries, same fragment log bytes); this knob exists as
-	// the differential oracle for that claim and as an escape hatch for
-	// debugging.
-	RecordPath bool
 	// Metrics, when non-nil, collects engine- and fabric-level metrics for
 	// the run: per-task step latency, merge backlog high-water marks, and —
 	// unless Fabric.Metrics is set separately — all verbs/channel counters.
@@ -68,7 +62,7 @@ type Config struct {
 	// failed node can be fenced, restored, and re-joined mid-run (see
 	// Controller.RestartNode). Nil keeps the engine exactly on its
 	// fault-free fast path: no journaling, no rings, no extra branches in
-	// the per-record loop.
+	// the source loop.
 	Recovery *RecoveryOptions
 	// State, when non-nil, arms the queryable-state plane: every leader
 	// publishes its live and recently-sealed window state into versioned
@@ -284,7 +278,9 @@ type Report struct {
 	// ChunksDeduped counts replayed chunks the leaders' epoch-commit
 	// trackers discarded as already merged (recovery runs only).
 	ChunksDeduped uint64
-	// ReplayedChunks sums ring entries re-delivered across all restarts.
+	// ReplayedChunks sums the ring entries this controller re-delivered to
+	// restored nodes across all restarts. In a multi-process deployment the
+	// survivors replay, so the count lands in their reports.
 	ReplayedChunks int
 	// Recoveries lists every node restart the recovery plane completed.
 	Recoveries []Recovery
@@ -331,9 +327,16 @@ type runState struct {
 	// fenced marks nodes the recovery plane is tearing down; their tasks
 	// exit at the next step instead of touching the dying mesh. Nil when
 	// recovery is off (never fenced).
-	fenced  []atomic.Bool
+	fenced []atomic.Bool
+	// failed closes with the first failure, so waits inside the recovery
+	// plane end as soon as the run died.
+	failed  chan struct{}
 	errOnce sync.Once
 	errVal  atomic.Value
+}
+
+func newRunState(pool *sched.Pool, sink Sink) *runState {
+	return &runState{pool: pool, sink: sink, failed: make(chan struct{})}
 }
 
 // isFenced reports whether node's tasks must exit for a restart.
@@ -344,6 +347,7 @@ func (r *runState) isFenced(node int) bool {
 func (r *runState) fail(err error) {
 	r.errOnce.Do(func() {
 		r.errVal.Store(err)
+		close(r.failed)
 		r.pool.Stop()
 		if r.onFail != nil {
 			r.onFail()

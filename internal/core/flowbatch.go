@@ -16,8 +16,7 @@ type BatchFlow interface {
 	// Batch appends up to rb.Free() records to rb and reports whether the
 	// flow may produce more records later: false means the flow is exhausted
 	// (records already appended remain valid — the batch carrying the final
-	// records and the end-of-flow signal arrive together, exactly like the
-	// per-record path discovering end-of-flow mid-batch). A gated flow
+	// records and the end-of-flow signal arrive together). A gated flow
 	// (ReadyFlow) must stop filling at its fence and return true; timestamps
 	// must be non-decreasing, as for Flow.
 	Batch(rb *stream.RecordBatch) bool
@@ -36,8 +35,7 @@ func batchFlowFor(f Flow) BatchFlow {
 
 // flowBatchAdapter satisfies BatchFlow for legacy per-record flows. The gate
 // is re-checked before every record so a fence landing mid-batch truncates
-// the fill at precisely that record — the same boundary the per-record loop
-// would stop at.
+// the fill at precisely that record.
 type flowBatchAdapter struct {
 	flow Flow
 	gate ReadyFlow
@@ -66,10 +64,10 @@ func (a *flowBatchAdapter) Batch(rb *stream.RecordBatch) bool {
 // datasets into it, §8.2.1). Batch fills are four column copies; Next serves
 // engines that still read record-at-a-time.
 type ColumnarFlow struct {
-	keys      []uint64
-	times     []int64
-	v0, v1    []int64
-	pos       int
+	keys   []uint64
+	times  []int64
+	v0, v1 []int64
+	pos    int
 }
 
 // NewColumnarFlow transposes recs into columns once, at materialize time.

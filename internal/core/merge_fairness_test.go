@@ -47,7 +47,7 @@ func TestMergePollingRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	mt := &mergeTask{
-		run:  &runState{pool: sched.NewPool(1)},
+		run:  newRunState(sched.NewPool(1), nil),
 		be:   be,
 		cons: cons,
 	}

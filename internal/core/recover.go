@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/slash-stream/slash/internal/channel"
@@ -46,7 +47,9 @@ type Recovery struct {
 	// Duration is fence-to-rejoin wall-clock time.
 	Duration time.Duration
 	// ReplayedChunks counts ring entries re-delivered to the restored node
-	// (data chunks and heartbeats above its durable checkpoint horizon).
+	// (data chunks and heartbeats above its durable checkpoint horizon). A
+	// restored cluster member records 0: its survivors replay, and count it
+	// in their own Report.ReplayedChunks.
 	ReplayedChunks int
 }
 
@@ -584,6 +587,11 @@ func (c *Controller) restartNode(x int) error {
 // expect is non-negative and node x's incarnation already moved past it, the
 // restart is a stale request (a concurrent restart handled the failure) and
 // returns nil without touching the node.
+//
+// The sequence is freeze → kill → fence → restore → replay → unfreeze. kill
+// is the in-process stand-in for a member process dying; fence, restore and
+// replay are the steps the cluster coordinator drives through the Cluster*
+// wrappers (cluster.go), fed here from the co-located survivors.
 func (c *Controller) restartNodeExpect(x, expect int) error {
 	ro := c.cfg.Recovery
 	if ro == nil {
@@ -615,80 +623,105 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 		c.run.fail(err)
 		return err
 	}
-	// Fence: the node's tasks exit at their next step. Closing every
-	// producer endpoint touching the node unblocks any sender spinning for
-	// credit on a channel whose far end will never poll again.
+	c.mu.Unlock()
+
+	oldDone, err := c.kill(x)
+	if err != nil {
+		return err
+	}
+	if err := c.waitSourcesIdle(x); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	horizon := c.fence(x, c.nodeInc[x]+1)
+	restored, err := c.restore(x, horizon, oldDone)
+	c.mu.Unlock()
+	var n int
+	if err == nil {
+		n, err = c.replay(x, restored)
+	}
+	if err != nil {
+		c.run.fail(err)
+		return err
+	}
+	c.recordRecovery(x, start, n)
+	// Parked flushes may retry: their links exist again.
+	c.run.retryGen.Add(1)
+	return nil
+}
+
+// exitGroup is one node incarnation's task-exit signal. Every launched task
+// raises it once, when its Step returns Done (the scheduler never steps a
+// task again after that); done closes when the last one did. Tasks restored
+// as done are never launched and are not counted.
+type exitGroup struct {
+	left atomic.Int32
+	done chan struct{}
+}
+
+func newExitGroup(launched int) *exitGroup {
+	g := &exitGroup{done: make(chan struct{})}
+	g.left.Store(int32(launched))
+	if launched == 0 {
+		close(g.done)
+	}
+	return g
+}
+
+// exit records one task's exit. Nil-safe for tasks stepped outside a pool.
+func (g *exitGroup) exit() {
+	if g != nil && g.left.Add(-1) == 0 {
+		close(g.done)
+	}
+}
+
+// kill does to node x's running incarnation what SIGKILL does to a member
+// process: its tasks stop, its endpoints close, and its NIC leaves the
+// fabric. It is the one restart step without a cluster counterpart. It
+// returns which of x's source threads had finished — those already
+// published their run totals.
+func (c *Controller) kill(x int) ([]bool, error) {
+	c.mu.Lock()
+	// The node's tasks exit at their next step. Closing every producer
+	// endpoint touching the node unblocks any sender spinning for credit on a
+	// channel whose far end will never poll again.
 	c.run.fenced[x].Store(true)
-	for m := range c.producers[x] {
-		if p := c.producers[x][m]; p != nil {
-			p.Close()
-		}
-	}
 	for m := range c.producers {
-		if p := c.producers[m][x]; p != nil {
-			p.Close()
+		for _, p := range []channel.SendPort{c.producers[x][m], c.producers[m][x]} {
+			if p != nil {
+				p.Close()
+			}
 		}
 	}
-	oldName := c.nicName(x)
-	sts := c.merges[x]
+	exits := c.merges[x].exits
 	oldSources := c.sources[x]
-	wasRetiring := c.retiring[x]
 	c.mu.Unlock()
 
 	// Wait for the fenced tasks' workers to let go of them.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		exited := sts == nil || sts.exited.Load()
-		for _, st := range oldSources {
-			if !st.exited.Load() && !st.done.Load() {
-				exited = false
-			}
-		}
-		if exited {
-			break
-		}
-		if err := c.run.err(); err != nil {
-			return err // the run died under the restart (e.g. journal failure)
-		}
-		if time.Now().After(deadline) {
-			err := fmt.Errorf("%w: node %d tasks did not exit after fencing", ErrUnrecoverable, x)
-			c.run.fail(err)
-			return err
-		}
-		time.Sleep(50 * time.Microsecond)
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
+	select {
+	case <-exits.done:
+	case <-c.run.failed:
+		return nil, c.run.err() // the run died under the restart (e.g. journal failure)
+	case <-timeout.C:
+		err := fmt.Errorf("%w: node %d tasks did not exit after fencing", ErrUnrecoverable, x)
+		c.run.fail(err)
+		return nil, err
 	}
-
 	oldDone := make([]bool, len(oldSources))
 	for i, st := range oldSources {
 		oldDone[i] = st.done.Load()
 	}
 
 	c.mu.Lock()
-	// Tear down the dead incarnation. Survivor merge tasks discard the old
-	// link's backlog before adopting the rebuilt one (RemoveInbound stages
-	// ahead of AddInbound), so the dead incarnation's chunks can never
-	// interleave with the restart's — the positional dedup depends on it.
-	for _, m := range c.live {
-		if m == x {
-			continue
-		}
-		kept := c.consumers[m][:0]
-		for _, e := range c.consumers[m] {
-			if e.src == x {
-				c.merges[m].RemoveInbound(e.cons)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		c.consumers[m] = kept
-	}
+	defer c.mu.Unlock()
 	for _, e := range c.consumers[x] {
 		e.cons.Close()
 	}
 	c.consumers[x] = nil
-	for m := range c.producers {
+	for m := range c.producers[x] {
 		c.producers[x][m], c.senders[x][m] = nil, nil
-		c.producers[m][x], c.senders[m][x] = nil, nil
 	}
 	// The dead NIC's counters would vanish with it; fold them into the
 	// run-level accumulators the final Report reads.
@@ -705,74 +738,151 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	c.transport.DropNode(x)
 	// Fence the dead incarnation's snapshot directory before its NIC goes:
 	// state readers observe the fence word (or a deregistered region), drop
-	// their cached endpoint, and re-resolve to the incarnation buildMesh is
+	// their cached endpoint, and re-resolve to the incarnation restore is
 	// about to install. They never see pre-crash state as current.
 	if c.stateReg != nil {
 		c.stateReg.Fence(x)
 	}
 	// Fence at the fabric: the old name can never be reconnected, and any
 	// injector fault state keyed on it stays with the dead incarnation.
-	c.fabric.RemoveNIC(oldName)
-	c.nodeInc[x]++
+	c.fabric.RemoveNIC(c.nicName(x))
 	// The node's own outbound rings restart empty: its journaled source
 	// plan re-produces every epoch the receivers have not committed, so
 	// retained entries would only duplicate epochs in the ring.
-	for m := range c.rings[x] {
-		if r := c.rings[x][m]; r != nil {
+	for _, r := range c.rings[x] {
+		if r != nil {
 			r.clear()
 		}
 	}
-	liveNow := c.live[:0:0]
-	for _, m := range c.live {
-		if m != x {
-			liveNow = append(liveNow, m)
-		}
-	}
-	c.live = liveNow
 	// Unfence before the replacement tasks are born.
 	c.run.fenced[x].Store(false)
+	return oldDone, nil
+}
 
-	fail := func(err error) error {
-		c.mu.Unlock()
-		c.run.fail(err)
-		return err
+// waitSourcesIdle waits until no source step of a node other than x is in
+// flight. Freezing gates only the next step; one already running may still
+// be flushing, and a flush that outlived the fence would post its next chunk
+// through the rebuilt link to x ahead of the ring replay — the restored
+// leader would then commit an epoch whose data is still queued in the ring,
+// or skip a live chunk as a replayed one. The caller has closed every send
+// half toward x, so a step blocked on x's credit has already failed and
+// parked.
+func (c *Controller) waitSourcesIdle(x int) error {
+	c.mu.Lock()
+	var sts []*sourceTask
+	for _, m := range c.live {
+		if m != x {
+			sts = append(sts, c.sources[m]...)
+		}
 	}
-	// Rebuild the node's row and column of the mesh under its new
-	// incarnation, restore its backend from the journal, and plan its
-	// sources' replay.
-	be, myIn, err := c.buildMesh(x)
+	c.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, st := range sts {
+		for st.stepping.Load() {
+			if err := c.run.err(); err != nil {
+				return err
+			}
+			if time.Now().After(deadline) {
+				err := fmt.Errorf("%w: source steps still running after the freeze", ErrUnrecoverable)
+				c.run.fail(err)
+				return err
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	return nil
+}
+
+// fence severs every owned survivor's links to dead node x, installs x's new
+// incarnation, and removes x from the live set. Survivor merge tasks discard
+// the old link's backlog before adopting the rebuilt one (RemoveInbound
+// stages ahead of AddInbound), so the dead incarnation's chunks can never
+// interleave with the restart's — the positional dedup depends on it. The
+// rings feeding x are kept for replay. It returns the element-wise minimum
+// of the survivors' committed-epoch vectors: the commit horizon x's sources
+// restore to. Callers hold c.mu.
+func (c *Controller) fence(x, newInc int) []uint64 {
+	var committed []uint64
+	for _, m := range c.live {
+		if m == x || c.backends[m] == nil {
+			continue
+		}
+		// Closing the producer unblocks a sender spinning for credit on a
+		// channel whose far end will never poll again; the flush parks and
+		// retries once the unfreeze bumps the retry generation.
+		if p := c.producers[m][x]; p != nil {
+			p.Close()
+		}
+		c.producers[m][x], c.senders[m][x] = nil, nil
+		kept := c.consumers[m][:0]
+		for _, e := range c.consumers[m] {
+			if e.src == x {
+				c.merges[m].RemoveInbound(e.cons)
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		c.consumers[m] = kept
+		v := c.backends[m].CommittedEpochs()
+		if committed == nil {
+			committed = append([]uint64(nil), v...)
+			continue
+		}
+		for i := range committed {
+			if i < len(v) && v[i] < committed[i] {
+				committed[i] = v[i]
+			}
+		}
+	}
+	c.nodeInc[x] = newInc
+	c.live = without(c.live, x)
+	return committed
+}
+
+// restore rebuilds node x from its journal under its new incarnation. It is
+// buildNode with the journal replay and the sources' replay plans placed
+// before the tasks exist: checkpoints and trigger marks restore the backend,
+// and each thread's plan is cut at the minimum of the restored vector and
+// horizon, the survivors' vector from fence. oldDone marks threads whose
+// predecessor already published its run totals; nil means none did (a dead
+// process publishes nothing). Returns the restored committed-epoch vector
+// the survivors filter their ring replay with. Callers hold c.mu.
+func (c *Controller) restore(x int, horizon []uint64, oldDone []bool) ([]uint64, error) {
+	var restored []uint64
+	err := c.buildNode(x, c.flows[x], func(be *ssb.Backend) ([]*threadRestore, error) {
+		marks, err := c.replayJournal(x, be)
+		if err != nil {
+			return nil, fmt.Errorf("%w: node %d journal replay: %v", ErrUnrecoverable, x, err)
+		}
+		be.FinishRestore()
+		restored = be.CommittedEpochs()
+		return buildPlans(x, c.cfg.ThreadsPerNode, marks, restored, horizon, oldDone), nil
+	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	c.activateNode(x, be)
-	marks, err := c.replayJournal(x, be)
-	if err != nil {
-		return fail(fmt.Errorf("%w: node %d journal replay: %v", ErrUnrecoverable, x, err))
+	for _, m := range c.live {
+		if be := c.backends[m]; be != nil {
+			be.SetPeers(c.live)
+		}
 	}
-	be.FinishRestore()
-	restored := be.CommittedEpochs()
-	plans, err := c.buildPlans(x, marks, restored, oldDone, nil)
-	if err != nil {
-		return fail(err)
-	}
-	if err := c.makeTasks(x, be, myIn, c.flows[x], plans); err != nil {
-		return fail(err)
-	}
-	if wasRetiring != nil {
-		// The node was draining out of the membership when it died; re-arm
-		// the early exit at its last owned window.
-		c.merges[x].retire(c.q.Window.End(wasRetiring.rec.Cutover - 1))
-	}
-	c.launchNode(x)
-	c.live = append(c.live, x)
-	be.SetPeers(c.live)
+	return restored, nil
+}
+
+// replay re-delivers every owned survivor's retained ring entries above
+// restored node x's commit horizon, in order, through the rebuilt links, and
+// adds the count to this controller's Report.ReplayedChunks. Horizon check
+// first: an evicted entry above the horizon makes x unrecoverable and fails
+// the run.
+func (c *Controller) replay(x int, restored []uint64) (int, error) {
 	type replaySrc struct {
 		s *chanSender
 		r *replayRing
 	}
 	var replays []replaySrc
+	c.mu.Lock()
 	for _, m := range c.live {
-		if m == x {
+		if m == x || c.backends[m] == nil {
 			continue
 		}
 		if s, r := c.senders[m][x], c.rings[m][x]; s != nil && r != nil {
@@ -780,53 +890,54 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 		}
 	}
 	c.mu.Unlock()
-
-	// Replay the survivors' rings into the restored node (outside c.mu: the
-	// posts flow against the new merge task's draining). Horizon first: an
-	// evicted entry above the restored checkpoint vector is unrecoverable.
-	replayed := 0
+	// The posts below run outside c.mu: they flow against the restored merge
+	// task's draining.
 	for _, rp := range replays {
 		if err := rp.r.horizonErr(restored); err != nil {
 			c.run.fail(err)
-			return err
+			return 0, err
 		}
 	}
+	replayed := 0
 	for _, rp := range replays {
 		n, err := rp.r.replayTo(rp.s, restored)
 		replayed += n
-		if err != nil {
-			if c.mgr != nil && isLinkError(err) {
-				// The replaying SENDER's link died mid-replay — the usual
-				// cause is that the vote fenced the wrong suspect and the
-				// sender is the genuinely dead node. Its restart clears its
-				// own rings and re-produces every uncommitted epoch from its
-				// journal, so the entries skipped here are re-sent by
-				// construction. Route the report back to the manager instead
-				// of failing the run.
-				c.mgr.reportLink(rp.s.src, rp.s.dst, rp.s.srcInc, rp.s.dstInc, err)
-				continue
-			}
-			err = fmt.Errorf("core: ring replay to node %d: %w", x, err)
-			c.run.fail(err)
-			return err
+		if err == nil {
+			continue
 		}
+		if c.cfg.Placement == nil && isLinkError(err) {
+			// The replaying SENDER's link died mid-replay — the usual cause is
+			// that the vote fenced the wrong suspect and the sender is the
+			// genuinely dead node. Its restart clears its own rings and
+			// re-produces every uncommitted epoch from its journal, so the
+			// entries skipped here are re-sent by construction. Route the
+			// report back to the manager instead of failing the run. (A
+			// placement member returns the error: the coordinator decides.)
+			c.mgr.reportLink(rp.s.src, rp.s.dst, rp.s.srcInc, rp.s.dstInc, err)
+			continue
+		}
+		return replayed, fmt.Errorf("core: ring replay to node %d: %w", x, err)
 	}
-
-	rec := Recovery{Node: x, Incarnation: c.nodeInc[x], Duration: time.Since(start), ReplayedChunks: replayed}
 	c.mu.Lock()
-	c.recoveries = append(c.recoveries, rec)
+	c.replayed += replayed
 	c.mu.Unlock()
 	if c.mReplayed != nil {
 		c.mReplayed.Add(uint64(replayed))
 	}
+	return replayed, nil
+}
+
+// recordRecovery logs one completed restart of node x, begun at start.
+func (c *Controller) recordRecovery(x int, start time.Time, replayed int) {
+	c.mu.Lock()
+	rec := Recovery{Node: x, Incarnation: c.nodeInc[x], Duration: time.Since(start), ReplayedChunks: replayed}
+	c.recoveries = append(c.recoveries, rec)
+	c.mu.Unlock()
 	if c.mRecDur != nil {
 		// The registry is unitless; like every engine histogram this one
 		// observes nanoseconds despite the conventional _seconds suffix.
 		c.mRecDur.ObserveDuration(rec.Duration)
 	}
-	// Parked flushes may retry: their links exist again.
-	c.run.retryGen.Add(1)
-	return nil
 }
 
 // replayJournal replays node x's journal into its fresh backend, in order:
@@ -901,43 +1012,15 @@ func (c *Controller) replayJournal(x int, be *ssb.Backend) ([]sourceMark, error)
 }
 
 // buildPlans turns node x's journaled source marks into per-thread replay
-// plans. The rewind point per thread is the last flush boundary whose epoch
-// is committed at EVERY live backend (the restored one included): epochs at
-// or below it need no re-send, everything above is re-produced by
-// re-ingesting from the boundary and flushing at the journaled boundaries.
-// peerCommitted overrides the survivor horizon for placement deployments,
-// where the other backends live in other processes: the control plane
-// collects their committed vectors at the fence and passes the element-wise
-// view here; nil means read the co-located live backends directly.
-// Callers hold c.mu.
-func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, oldDone []bool, peerCommitted [][]uint64) ([]*threadRestore, error) {
-	tpn := c.cfg.ThreadsPerNode
-	committedMin := func(gtid int) uint64 {
-		eMin := uint64(math.MaxUint64)
-		if gtid < len(restored) {
-			eMin = restored[gtid]
-		}
-		if peerCommitted != nil {
-			for _, v := range peerCommitted {
-				if gtid < len(v) && v[gtid] < eMin {
-					eMin = v[gtid]
-				}
-			}
-		} else {
-			for _, m := range c.live {
-				if m == x {
-					continue
-				}
-				if v := c.backends[m].CommittedEpochs(); gtid < len(v) && v[gtid] < eMin {
-					eMin = v[gtid]
-				}
-			}
-		}
-		if eMin == uint64(math.MaxUint64) {
-			eMin = 0
-		}
-		return eMin
-	}
+// plans (tpn threads per node). The rewind point per thread is the last
+// flush boundary whose epoch is committed everywhere: at the restored
+// backend (restored) and at every survivor (horizon, the fence step's
+// minimum). Epochs at or below it need no re-send; everything above is
+// re-produced by re-ingesting from the boundary and flushing at the
+// journaled boundaries. A horizon lower than the truth only re-sends more,
+// which the leaders' dedup drops. oldDone[th] marks a thread whose
+// predecessor already published its run totals.
+func buildPlans(x, tpn int, marks []sourceMark, restored, horizon []uint64, oldDone []bool) []*threadRestore {
 	plans := make([]*threadRestore, tpn)
 	for th := 0; th < tpn; th++ {
 		gtid := x*tpn + th
@@ -960,7 +1043,16 @@ func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, ol
 		}
 		sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 
-		eMin := committedMin(gtid)
+		eMin := uint64(math.MaxUint64)
+		if gtid < len(restored) {
+			eMin = restored[gtid]
+		}
+		if gtid < len(horizon) && horizon[gtid] < eMin {
+			eMin = horizon[gtid]
+		}
+		if eMin == math.MaxUint64 {
+			eMin = 0
+		}
 		r := &threadRestore{wm: int64(stream.NoWatermark), inc: maxInc + 1}
 		if th < len(oldDone) {
 			r.counted = oldDone[th]
@@ -985,7 +1077,7 @@ func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, ol
 		}
 		plans[th] = r
 	}
-	return plans, nil
+	return plans
 }
 
 // onCheckpoint receives a node's durable commit vector after a periodic
@@ -1009,4 +1101,15 @@ func containsNode(set []int, n int) bool {
 		}
 	}
 	return false
+}
+
+// without returns a fresh copy of set with n removed.
+func without(set []int, n int) []int {
+	out := set[:0:0]
+	for _, m := range set {
+		if m != n {
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -68,11 +68,10 @@ func (f *cycleFlow) Batch(rb *stream.RecordBatch) bool {
 // reach so no step flushes, and warms its (window, key) entries so later
 // steps update aggregate state in place instead of inserting. It returns
 // the task's step and the records one step ingests.
-func warmSourceStep(tb testing.TB, recordPath bool) (step func(), per int) {
+func warmSourceStep(tb testing.TB) (step func(), per int) {
 	win, _ := window.NewTumbling(1000)
 	cfg := smallConfig(1, 1)
 	cfg.EpochBytes = 1 << 50
-	cfg.RecordPath = recordPath
 	q := &Query{Name: "stepbench", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
 	ctrl, err := NewController(cfg, q, [][]Flow{{newCycleFlow(4096, 512)}}, &Collector{})
 	if err != nil {
@@ -89,11 +88,11 @@ func warmSourceStep(tb testing.TB, recordPath bool) (step func(), per int) {
 	return func() { st.Step() }, per
 }
 
-// benchSourceStep measures one scheduler step of the source task — the
-// engine's hot loop. The record and batch paths run the identical task over
-// the identical data; only Config.RecordPath differs.
-func benchSourceStep(b *testing.B, recordPath bool) {
-	step, per := warmSourceStep(b, recordPath)
+// BenchmarkSourceStepBatch measures one scheduler step of the source task —
+// the engine's columnar hot loop: one batch fill, run-length window
+// assignment, and grouped aggregation per step.
+func BenchmarkSourceStepBatch(b *testing.B) {
+	step, per := warmSourceStep(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,17 +105,8 @@ func benchSourceStep(b *testing.B, recordPath bool) {
 // TestSourceStepBatchAllocationFree is the columnar hot loop's floor: a
 // steady-state source step allocates nothing.
 func TestSourceStepBatchAllocationFree(t *testing.T) {
-	step, _ := warmSourceStep(t, false)
+	step, _ := warmSourceStep(t)
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("steady-state source step allocates %.2f times, want 0", allocs)
 	}
 }
-
-// BenchmarkSourceStepRecord is the legacy per-record operator loop:
-// Flow.Next virtual call, closure dispatch, Window.Assign, and a hash probe
-// per record.
-func BenchmarkSourceStepRecord(b *testing.B) { benchSourceStep(b, true) }
-
-// BenchmarkSourceStepBatch is the columnar hot loop: one batch fill, run-
-// length window assignment, and grouped aggregation per step.
-func BenchmarkSourceStepBatch(b *testing.B) { benchSourceStep(b, false) }

@@ -148,17 +148,14 @@ type sourceTask struct {
 	run     *runState
 	q       *Query
 	node    int
-	flow    Flow
-	gate    ReadyFlow // flow, when it implements ReadyFlow; else nil
+	gate    ReadyFlow // the flow, when it implements ReadyFlow; else nil
 	ts      *ssb.ThreadState
 	batch   int
 	recSize int
 
-	// Columnar batch path (the default): bflow fills rb, the compiled batch
-	// operators filter/map/side it, runs holds the run-length window
-	// assignment, selTimes gathers the live timestamp column when a
-	// selection is active. bflow == nil selects the legacy per-record loop
-	// (Config.RecordPath — the differential oracle).
+	// Columnar operator loop: bflow fills rb, the compiled batch operators
+	// filter/map/side it, runs holds the run-length window assignment,
+	// selTimes gathers the live timestamp column when a selection is active.
 	bflow    BatchFlow
 	rb       *stream.RecordBatch
 	runs     window.Runs
@@ -166,7 +163,6 @@ type sourceTask struct {
 	selTimes []int64
 	sides    []uint8
 
-	wins    []uint64
 	records *atomic.Int64
 	updates *atomic.Int64
 	flushes *flushCounts
@@ -186,9 +182,14 @@ type sourceTask struct {
 	// is quiesced or done, so no fragment is held across a cutover.
 	quiesced atomic.Bool
 	done     atomic.Bool
-	// exited flips when Step returned Done for any reason — the recovery
+	// exits is raised when Step returned Done for any reason — the recovery
 	// plane's signal that a fenced node's worker let go of the task.
-	exited atomic.Bool
+	exits *exitGroup
+	// stepping is set for the duration of every Step (recovery mode only). A
+	// step that began before a restart froze the sources may still be
+	// flushing; the restart waits for it to clear (waitSourcesIdle) so that
+	// no live chunk races the ring replay onto a rebuilt link.
+	stepping atomic.Bool
 
 	// Recovery plumbing; all nil/zero when the plane is off. jrn journals a
 	// source-progress intent before every flush; plan replays a restarted
@@ -225,9 +226,17 @@ func (t *sourceTask) Name() string {
 // Step implements sched.Task: process one batch of records, flushing state
 // at epoch boundaries.
 func (t *sourceTask) Step() sched.Status {
+	if t.mgr != nil {
+		// Raised before step reads the freeze flag: a restart that stored the
+		// flag and then saw this clear knows every later step idles.
+		t.stepping.Store(true)
+	}
 	st := t.step()
+	if t.mgr != nil {
+		t.stepping.Store(false)
+	}
 	if st == sched.Done {
-		t.exited.Store(true)
+		t.exits.exit()
 	}
 	return st
 }
@@ -273,10 +282,7 @@ func (t *sourceTask) step() sched.Status {
 		// The flow is fenced (see GatedFlow): park without ending the stream.
 		return sched.Idle
 	}
-	if t.bflow != nil {
-		return t.stepBatch()
-	}
-	return t.stepRecords()
+	return t.stepBatch()
 }
 
 // observe records the step latency. It is called only on steps that did
@@ -286,82 +292,16 @@ func (t *sourceTask) observe(start time.Time) {
 	t.mStep.Observe(time.Since(start).Nanoseconds())
 }
 
-// stepRecords is the legacy per-record operator loop, kept verbatim behind
-// Config.RecordPath as the differential oracle for the batch path.
-func (t *sourceTask) stepRecords() sched.Status {
-	var start time.Time
-	if t.mStep != nil {
-		start = time.Now()
-	}
-	var rec stream.Record
-	n := 0
-	for ; n < t.batch; n++ {
-		if t.gate != nil && !t.gate.Ready() {
-			// The fence can land mid-batch; stop at it, never past it.
-			break
-		}
-		if len(t.plan) > 0 && t.localRecords >= t.plan[0].consumed {
-			// Replayed flush boundary: stop the batch exactly here.
-			break
-		}
-		if !t.flow.Next(&rec) {
-			if t.mStep != nil {
-				defer t.observe(start)
-			}
-			return t.endEpoch(flushFinish, true)
-		}
-		t.localRecords++
-		if t.q.Filter != nil && !t.q.Filter(&rec) {
-			// Dropped records still drive progress tracking.
-			t.ts.ObserveTime(rec.Time)
-			continue
-		}
-		if t.q.Map != nil {
-			t.q.Map(&rec)
-		}
-		t.wins = t.q.Window.Assign(rec.Time, t.wins[:0])
-		for _, win := range t.wins {
-			var err error
-			if t.q.JoinSide != nil {
-				e := crdt.BagFromRecord(&rec, t.q.JoinSide(&rec))
-				err = t.ts.AppendBag(win, rec.Key, &e)
-			} else {
-				err = t.ts.UpdateAgg(win, &rec)
-			}
-			if err != nil {
-				t.run.fail(err)
-				t.done.Store(true)
-				return sched.Done
-			}
-			t.localUpdates++
-		}
-	}
-	if len(t.plan) > 0 && t.localRecords >= t.plan[0].consumed {
-		if t.mStep != nil {
-			defer t.observe(start)
-		}
-		return t.replayFlush()
-	}
-	if n == 0 {
-		return sched.Idle
-	}
-	if t.mStep != nil {
-		defer t.observe(start)
-	}
-	return t.endStep(n)
-}
-
 // stepBatch is the columnar hot loop: fill one record batch from the flow,
 // run the batch-form operators (filter into a selection vector, map in
 // place, run-length window assignment), and apply each (window, run) group
 // to the SSB with per-record routing hoisted out.
 //
-// Every boundary the per-record loop respects lands on the identical record
-// here: a replayed flush boundary truncates the fill via the batch limit, a
-// gate fence stops the producing flow at exactly the fenced record, epoch
-// accounting sees the same per-step record counts, and end-of-flow finishes
-// in the same step that consumed the final record — so flush points, chunk
-// bytes, and therefore window results match the per-record path exactly.
+// Every boundary lands on an exact record: a replayed flush boundary
+// truncates the fill via the batch limit, a gate fence stops the producing
+// flow at exactly the fenced record, and end-of-flow finishes in the same
+// step that consumed the final record — so a replay re-takes the journaled
+// flush points and re-sends byte-identical chunks.
 func (t *sourceTask) stepBatch() sched.Status {
 	var start time.Time
 	if t.mStep != nil {
@@ -403,8 +343,8 @@ func (t *sourceTask) stepBatch() sched.Status {
 		return st
 	}
 	// One watermark advance covers the whole batch: times are non-decreasing
-	// and no flush happens mid-batch, so the per-record path's incremental
-	// advances are observationally identical to this single one.
+	// and no flush happens mid-batch, so per-record advances would be
+	// observationally identical to this single one.
 	t.ts.ObserveTime(rb.Times[n-1])
 	if len(t.plan) > 0 && t.localRecords >= t.plan[0].consumed {
 		return t.replayFlush()
@@ -416,7 +356,7 @@ func (t *sourceTask) stepBatch() sched.Status {
 }
 
 // endStep is the one place an epoch ends on the engine's own initiative;
-// both operator loops call it at the end of a step that consumed n records.
+// the operator loop calls it at the end of a step that consumed n records.
 // An epoch ends when the thread ingested EpochBytes since its last flush
 // (the volume bound, §8.1.1) or when its watermark crossed a window end (the
 // latency bound, §7.2.2: the leaders learn that the window closed from this
@@ -646,12 +586,12 @@ type mergeTask struct {
 	// Recovery plumbing; nil/zero when the plane is off. selfInc stamps
 	// failure reports; ckptEvery is the periodic checkpoint cadence in epoch
 	// commits; onCkpt hands the durable commit vector to the controller for
-	// replay-ring pruning; exited signals a fenced task let go.
+	// replay-ring pruning; exits signals a fenced task let go.
 	mgr       *recoveryMgr
 	selfInc   int
 	ckptEvery int
 	onCkpt    func(node int, committed []uint64)
-	exited    atomic.Bool
+	exits     *exitGroup
 	// jrn buffers sink rows for durable emits (DurableEmits only): every row
 	// of a window is staged before the window's trigger mark is journaled, so
 	// a restored process can re-emit what its dead predecessor's sink lost.
@@ -682,7 +622,7 @@ func (t *mergeTask) Name() string { return fmt.Sprintf("merge(node=%d)", t.node)
 func (t *mergeTask) Step() sched.Status {
 	st := t.step()
 	if st == sched.Done {
-		t.exited.Store(true)
+		t.exits.exit()
 	}
 	return st
 }

@@ -42,8 +42,14 @@ func windowRows(col *Collector, win uint64) map[uint64]int64 {
 
 // TestWindowEndEndsEpoch: with the volume bound out of reach, releasing
 // exactly one batch past a window end must be enough for that window to reach
-// the sink — while the rest of the input is still fenced off.
+// the sink — while the rest of the input is still fenced off. The
+// "recordPath=false" case name is kept from when a per-record loop was a
+// second case.
 func TestWindowEndEndsEpoch(t *testing.T) {
+	t.Run("recordPath=false", testWindowEndEndsEpoch)
+}
+
+func testWindowEndEndsEpoch(t *testing.T) {
 	const (
 		nodes   = 2
 		batch   = 16
@@ -71,54 +77,49 @@ func TestWindowEndEndsEpoch(t *testing.T) {
 	}
 	oracle := oracleAgg(all, win, crdt.Sum{}, nil)
 
-	for _, recordPath := range []bool{false, true} {
-		t.Run(fmt.Sprintf("recordPath=%v", recordPath), func(t *testing.T) {
-			cfg := smallConfig(nodes, 1)
-			cfg.EpochBytes = 1 << 30
-			cfg.BatchRecords = batch
-			cfg.RecordPath = recordPath
-			reg := metrics.NewRegistry()
-			cfg.Metrics = reg
-			gates := make([]*GatedFlow, nodes)
-			flows := make([][]Flow, nodes)
-			for n := range gates {
-				gates[n] = NewGatedFlow(recs[n], fence)
-				flows[n] = []Flow{gates[n]}
-			}
-			col := &Collector{}
-			q := &Query{Name: "window-end", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-			ctrl, err := NewController(cfg, q, flows, col)
-			if err != nil {
-				t.Fatalf("NewController: %v", err)
-			}
-			ctrl.Start()
-			waitFor(t, "window 0 at the sink", func() bool {
-				return reflect.DeepEqual(windowRows(col, 0), oracle[0])
-			})
-			for n, g := range gates {
-				if !g.AtFence(0) || g.pos.Load() != 5*batch {
-					t.Fatalf("flow %d released %d records, want %d and parked", n, g.pos.Load(), 5*batch)
-				}
-			}
-			for _, g := range gates {
-				g.Open()
-			}
-			rep, err := waitReport(t, ctrl)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			checkAggAgainstOracle(t, col, oracle)
-			// Per thread: window ends 1000 and 2000 crossed, then end of flow.
-			if rep.WindowFlushes != 2*nodes || rep.Flushes != 3*nodes {
-				t.Fatalf("flushes = %d (window %d), want %d (window %d)", rep.Flushes, rep.WindowFlushes, 3*nodes, 2*nodes)
-			}
-			for cause, want := range map[string]uint64{"bytes": 0, "window": 2 * nodes, "finish": nodes, "barrier": 0, "replay": 0} {
-				name := fmt.Sprintf(`core_epoch_flush_total{cause=%q}`, cause)
-				if got := reg.Counter(name).Load(); got != want {
-					t.Fatalf("%s = %d, want %d", name, got, want)
-				}
-			}
-		})
+	cfg := smallConfig(nodes, 1)
+	cfg.EpochBytes = 1 << 30
+	cfg.BatchRecords = batch
+	reg := metrics.NewRegistry()
+	cfg.Metrics = reg
+	gates := make([]*GatedFlow, nodes)
+	flows := make([][]Flow, nodes)
+	for n := range gates {
+		gates[n] = NewGatedFlow(recs[n], fence)
+		flows[n] = []Flow{gates[n]}
+	}
+	col := &Collector{}
+	q := &Query{Name: "window-end", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
+	ctrl, err := NewController(cfg, q, flows, col)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	ctrl.Start()
+	waitFor(t, "window 0 at the sink", func() bool {
+		return reflect.DeepEqual(windowRows(col, 0), oracle[0])
+	})
+	for n, g := range gates {
+		if !g.AtFence(0) || g.pos.Load() != 5*batch {
+			t.Fatalf("flow %d released %d records, want %d and parked", n, g.pos.Load(), 5*batch)
+		}
+	}
+	for _, g := range gates {
+		g.Open()
+	}
+	rep, err := waitReport(t, ctrl)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkAggAgainstOracle(t, col, oracle)
+	// Per thread: window ends 1000 and 2000 crossed, then end of flow.
+	if rep.WindowFlushes != 2*nodes || rep.Flushes != 3*nodes {
+		t.Fatalf("flushes = %d (window %d), want %d (window %d)", rep.Flushes, rep.WindowFlushes, 3*nodes, 2*nodes)
+	}
+	for cause, want := range map[string]uint64{"bytes": 0, "window": 2 * nodes, "finish": nodes, "barrier": 0, "replay": 0} {
+		name := fmt.Sprintf(`core_epoch_flush_total{cause=%q}`, cause)
+		if got := reg.Counter(name).Load(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

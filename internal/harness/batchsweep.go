@@ -12,12 +12,11 @@ import (
 var batchSweepSizes = []int{1, 4, 16, 64, 256, 1024, 4096}
 
 // BatchSweep measures the columnar hot loop's sensitivity to batch size:
-// YSB on the Slash engine with Config.BatchRecords swept 1→4096, plus the
-// legacy per-record path (Config.RecordPath) at the default batch as the
-// baseline. The interesting shape is the knee: throughput should climb
-// steeply out of batch=1 as per-batch costs (route lookup, window
-// assignment, scheduler round trip) amortize, then flatten once the batch
-// covers them — results are identical at every point by construction.
+// YSB on the Slash engine with Config.BatchRecords swept 1→4096. The
+// interesting shape is the knee: throughput should climb steeply out of
+// batch=1 as per-batch costs (route lookup, window assignment, scheduler
+// round trip) amortize, then flatten once the batch covers them — results
+// are identical at every point by construction.
 func BatchSweep(o Options) ([]Row, error) {
 	o = o.fill()
 	fw := ysbWorkload(o)
@@ -42,15 +41,6 @@ func BatchSweep(o Options) ([]Row, error) {
 			Metrics:    map[string]float64{"windows": float64(rep.WindowsOutput)},
 		})
 		return nil
-	}
-	if err := run("path=record", core.Config{
-		Nodes:          nodes,
-		ThreadsPerNode: o.Threads,
-		Fabric:         endToEndFabric(),
-		RecordPath:     true,
-		Metrics:        o.Metrics,
-	}); err != nil {
-		return nil, err
 	}
 	for _, batch := range batchSweepSizes {
 		if err := run(fmt.Sprintf("batch=%d", batch), core.Config{

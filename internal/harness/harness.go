@@ -125,7 +125,7 @@ func Experiments() []Experiment {
 		{"elastic", "§7.2/§8: elastic 4->8->4 scale at epoch-aligned cutovers, zero state migration", Elastic},
 		{"recovery", "Failure handling: epoch-aligned checkpoint, node kill, fence-restore-replay", Recovery},
 		{"scale", "§7.2.2 setup cost: QP count and registered memory, trunk vs per-pair mesh", Scale},
-		{"batchsweep", "Columnar batch size sweep 1→4096 on YSB, vs the per-record path", BatchSweep},
+		{"batchsweep", "Columnar batch size sweep 1→4096 on YSB", BatchSweep},
 		{"stateq", "Queryable state: 8 readers over one-sided READs vs a live YSB run, sink byte-match", StateQ},
 		{"multiproc", "Multi-process cluster over TCP-framed verbs vs in-process oracle, byte-identical incl. kill+restart", MultiProc},
 	}

@@ -198,6 +198,10 @@ func multiprocCluster(spec cluster.Spec, chaos bool) (*cluster.Result, time.Dura
 		wg.Wait()
 		return nil, 0, fmt.Errorf("multiproc: coordinator: %w", runErr)
 	}
+	// A kill that landed after the victim reported leaves the respawn waiting
+	// for a welcome that never comes; closing the finished coordinator
+	// releases it, and the restart check below names the miss.
+	co.Close()
 	wg.Wait()
 	if !chaos {
 		for r, e := range workerErrs {
