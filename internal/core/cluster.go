@@ -8,13 +8,15 @@ import (
 
 // This file is the placement-mode entry to the recovery plane: the steps an
 // external control plane (internal/cluster) composes into the fence →
-// restore → replay sequence restartNode runs in-process. ClusterFence,
-// ClusterRestore and ClusterReplay wrap the same step functions restartNode
+// restore → replay sequence RestartNode runs in-process. ClusterFence,
+// ClusterRestore and ClusterReplay wrap the same step functions RestartNode
 // calls (recover.go); the coordinator orders them across processes:
 //
 //	survivors:  ClusterFreeze(true) → ClusterFence → [relink] → ClusterAdopt
 //	newcomer:   ClusterSetIncarnation* → ClusterRestore
 //	survivors:  ClusterReplay → ClusterFreeze(false)
+//
+// ClusterFreeze raises and releases the same hold barrier RestartNode does.
 //
 // Only the vote, the ordering and the kill (a real process death) live
 // outside this process.
@@ -23,8 +25,8 @@ import (
 // in-process deployments run the same sequence through RestartNode.
 var ErrNotPlacement = errors.New("core: not a placement deployment")
 
-// ClusterFreeze gates (on=true) or releases (on=false) the member's source
-// tasks. Frozen sources idle without flushing, so no flush targets a link
+// ClusterFreeze raises (on=true) or releases (on=false) the member's restart
+// hold. Held sources answer without flushing, so no flush targets a link
 // mid-teardown; releasing bumps the retry generation so flushes parked on a
 // dead link retry against the rebuilt mesh.
 func (c *Controller) ClusterFreeze(on bool) error {
@@ -32,11 +34,12 @@ func (c *Controller) ClusterFreeze(on bool) error {
 		return ErrNotPlacement
 	}
 	if on {
-		c.run.frozen.Store(true)
-		return nil
+		_, err := c.run.raise(barrierHold)
+		return err
 	}
-	c.run.frozen.Store(false)
-	c.run.retryGen.Add(1)
+	if b := c.run.barrier.Load(); b != nil {
+		c.run.release(b)
+	}
 	return nil
 }
 
@@ -44,21 +47,21 @@ func (c *Controller) ClusterFreeze(on bool) error {
 // links to dead node x, installs x's new incarnation, and removes x from the
 // live set. It returns the element-wise minimum of the owned backends'
 // committed-epoch vectors — the member's contribution to the cluster-wide
-// commit horizon the newcomer restores to. The member must be frozen; the
-// rings feeding x are kept for ClusterReplay.
+// commit horizon the newcomer restores to. The member must be held
+// (ClusterFreeze); the rings feeding x are kept for ClusterReplay.
 func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	if c.cfg.Placement == nil {
 		return nil, ErrNotPlacement
 	}
-	if !c.run.frozen.Load() {
-		return nil, errors.New("core: ClusterFence requires a frozen member")
+	hold := c.run.barrier.Load()
+	if hold == nil || hold.mode != barrierHold {
+		return nil, errors.New("core: ClusterFence requires a held member")
 	}
 	if x < 0 || x >= c.cfg.MaxNodes {
 		return nil, fmt.Errorf("core: node %d out of range", x)
 	}
-	// Close the send halves toward x ahead of fence, so a step blocked on
-	// x's credit fails and parks instead of holding up the wait for steps
-	// that began before the freeze.
+	// Close the send halves toward x ahead of the wait, so a step blocked on
+	// x's credit fails and parks instead of holding up the hold's answers.
 	c.mu.Lock()
 	for m := range c.producers {
 		if p := c.producers[m][x]; p != nil {
@@ -66,7 +69,7 @@ func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 		}
 	}
 	c.mu.Unlock()
-	if err := c.waitSourcesIdle(x); err != nil {
+	if err := c.run.await(hold, c.liveSources(x)); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -102,7 +105,6 @@ func (c *Controller) ClusterAdopt(x int) error {
 	if c.cfg.Placement == nil {
 		return ErrNotPlacement
 	}
-	pl := c.cfg.Placement
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if containsNode(c.live, x) {
@@ -112,26 +114,12 @@ func (c *Controller) ClusterAdopt(x int) error {
 		if c.backends[m] == nil {
 			continue
 		}
-		s, _, err := pl.Link(m, x)
-		if err != nil {
-			return fmt.Errorf("core: channel %d->%d: %w", m, x, err)
+		if _, err := c.wirePair(x, m); err != nil {
+			return err
 		}
-		c.producers[m][x] = s
-		c.senders[m][x] = c.newSender(m, x, s)
-		c.backends[m].SetSender(x, c.senders[m][x])
-		_, r, err := pl.Link(x, m)
-		if err != nil {
-			return fmt.Errorf("core: channel %d->%d: %w", x, m, err)
-		}
-		c.consumers[m] = append(c.consumers[m], consEntry{src: x, cons: r})
-		c.merges[m].AddInbound(inbound{src: x, inc: c.nodeInc[x], cons: r})
 	}
 	c.live = append(c.live, x)
-	for _, m := range c.live {
-		if c.backends[m] != nil {
-			c.backends[m].SetPeers(c.live)
-		}
-	}
+	c.setPeers()
 	return nil
 }
 

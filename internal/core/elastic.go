@@ -47,7 +47,7 @@ var (
 
 // AutoCutover, passed as the cutover window of AddNodes or RemoveNodes,
 // selects the earliest window no source thread has ingested state into —
-// resolved at the quiesce barrier, once every thread flushed and parked. It
+// resolved at the flush barrier, once every thread flushed and answered. It
 // is the tightest cutover the epoch-aligned activation rule permits, chosen
 // without coordinating with the input flows; the resolved window is reported
 // in the Reconfig record.
@@ -110,9 +110,15 @@ type Controller struct {
 	run       *runState
 	stateReg  *stateq.Registry // nil unless Config.State is set
 
+	// link brings up (or, in placement mode, looks up) the locally-held
+	// halves of one directed link: Placement.Link or transport.Link.
+	link func(src, dst int) (channel.SendPort, channel.RecvPort, error)
+
 	// reconfigMu serializes AddNodes/RemoveNodes end to end: each call is
-	// one barrier, one generation.
+	// one barrier, one generation. restartMu serializes restarts, so at most
+	// one hold is raised at a time; it is taken before reconfigMu.
 	reconfigMu sync.Mutex
+	restartMu  sync.Mutex
 
 	mu        sync.Mutex
 	nics      []*rdma.NIC
@@ -220,6 +226,10 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		c.transport = newTrunkTransport(c.fabric, *cfg.Trunk, cfg.MaxNodes)
 	} else {
 		c.transport = newPairTransport(c.fabric, cfg.Channel, cfg.MaxNodes)
+	}
+	c.link = c.transport.Link
+	if cfg.Placement != nil {
+		c.link = cfg.Placement.Link
 	}
 	if cfg.State != nil {
 		cfg.State.Fill()
@@ -358,6 +368,39 @@ func (c *Controller) newSender(src, dst int, p channel.SendPort) *chanSender {
 	return s
 }
 
+// wirePair brings up both directed links between node x, (re)joining, and
+// live node m, and hands each locally-held half to its owner: m's backend
+// sends to x and m's merge task receives from x, while x's send half is
+// recorded in c.senders[x][m] and its inbound half returned, for x's backend
+// and merge task to pick up once they exist. A half held by a peer process
+// (placement mode) is nil and skipped. Callers hold c.mu.
+func (c *Controller) wirePair(x, m int) (inbound, error) {
+	toM, fromX, err := c.link(x, m)
+	if err != nil {
+		return inbound{}, fmt.Errorf("core: channel %d->%d: %w", x, m, err)
+	}
+	toX, fromM, err := c.link(m, x)
+	if err != nil {
+		return inbound{}, fmt.Errorf("core: channel %d->%d: %w", m, x, err)
+	}
+	if toM != nil {
+		c.producers[x][m], c.senders[x][m] = toM, c.newSender(x, m, toM)
+	}
+	if fromX != nil {
+		c.consumers[m] = append(c.consumers[m], consEntry{src: x, cons: fromX})
+		c.merges[m].AddInbound(inbound{src: x, inc: c.nodeInc[x], cons: fromX})
+	}
+	if toX != nil {
+		c.producers[m][x], c.senders[m][x] = toX, c.newSender(m, x, toX)
+		c.backends[m].SetSender(x, c.senders[m][x])
+	}
+	in := inbound{src: m, inc: c.nodeInc[m], cons: fromM}
+	if fromM != nil {
+		c.consumers[x] = append(c.consumers[x], consEntry{src: m, cons: fromM})
+	}
+	return in, nil
+}
+
 // buildMesh brings up node id's NIC, its row and column of the channel mesh,
 // and its backend. Callers hold c.mu.
 func (c *Controller) buildMesh(id int) (*ssb.Backend, []inbound, error) {
@@ -367,55 +410,12 @@ func (c *Controller) buildMesh(id int) (*ssb.Backend, []inbound, error) {
 	}
 	c.nics[id] = nic
 	var myIn []inbound
-	if pl := c.cfg.Placement; pl != nil {
-		// Placement mode: the external control plane already brought the
-		// cross-process endpoints up; Link is a lookup of the locally-held
-		// halves. A nil recv half means the peer owns the consumer side; a
-		// nil send half means the peer owns the producer side.
-		for _, m := range c.live {
-			s, r, err := pl.Link(id, m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", id, m, err)
-			}
-			c.producers[id][m] = s
-			c.senders[id][m] = c.newSender(id, m, s)
-			if r != nil { // m is owned by this process too: both halves local
-				c.consumers[m] = append(c.consumers[m], consEntry{src: id, cons: r})
-				c.merges[m].AddInbound(inbound{src: id, inc: c.nodeInc[id], cons: r})
-			}
-			s2, r2, err := pl.Link(m, id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", m, id, err)
-			}
-			c.consumers[id] = append(c.consumers[id], consEntry{src: m, cons: r2})
-			myIn = append(myIn, inbound{src: m, inc: c.nodeInc[m], cons: r2})
-			if s2 != nil {
-				c.producers[m][id] = s2
-				c.senders[m][id] = c.newSender(m, id, s2)
-				c.backends[m].SetSender(id, c.senders[m][id])
-			}
+	for _, m := range c.live {
+		in, err := c.wirePair(id, m)
+		if err != nil {
+			return nil, nil, err
 		}
-	} else {
-		for _, m := range c.live {
-			p, cons, err := c.transport.Link(id, m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", id, m, err)
-			}
-			c.producers[id][m] = p
-			c.senders[id][m] = c.newSender(id, m, p)
-			c.consumers[m] = append(c.consumers[m], consEntry{src: id, cons: cons})
-			c.merges[m].AddInbound(inbound{src: id, inc: c.nodeInc[id], cons: cons})
-
-			p2, cons2, err := c.transport.Link(m, id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", m, id, err)
-			}
-			c.producers[m][id] = p2
-			c.senders[m][id] = c.newSender(m, id, p2)
-			c.consumers[id] = append(c.consumers[id], consEntry{src: m, cons: cons2})
-			myIn = append(myIn, inbound{src: m, inc: c.nodeInc[m], cons: cons2})
-			c.backends[m].SetSender(id, c.senders[m][id])
-		}
+		myIn = append(myIn, in)
 	}
 
 	sbs := make([]ssb.Sender, c.cfg.MaxNodes)
@@ -780,54 +780,25 @@ func sourcesDone(sts []*sourceTask) bool {
 	return true
 }
 
-// Quiesced reports whether every source task is paused with no unflushed
-// fragment (or finished) — the epoch-aligned barrier condition.
-func (c *Controller) Quiesced() bool {
+// liveSources returns the source tasks of every live node but except (-1
+// names none) — the tasks a barrier waits for.
+func (c *Controller) liveSources(except int) []*sourceTask {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, sts := range c.sources {
-		for _, st := range sts {
-			if !st.done.Load() && !st.quiesced.Load() {
-				return false
-			}
+	var sts []*sourceTask
+	for _, m := range c.live {
+		if m != except {
+			sts = append(sts, c.sources[m]...)
 		}
 	}
-	return true
+	return sts
 }
-
-// pause gates every source task and waits until each one flushed its
-// fragments under the current generation and went idle. The deployment's
-// merge tasks keep running: in-flight chunks keep draining through the
-// ordinary late-merge path while sources hold.
-func (c *Controller) pause() error {
-	if c.run.frozen.Load() {
-		// A node restart is tearing the mesh down; frozen sources cannot
-		// quiesce (they must not flush), so the spin below would deadlock
-		// against the restart waiting for reconfigMu.
-		return ErrRecovering
-	}
-	c.run.paused.Store(true)
-	for !c.Quiesced() {
-		if err := c.run.err(); err != nil {
-			c.resume()
-			return err
-		}
-		if c.run.frozen.Load() {
-			c.resume()
-			return ErrRecovering
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	return nil
-}
-
-func (c *Controller) resume() { c.run.paused.Store(false) }
 
 // resolveCutover maps AutoCutover to one past the highest window any source
 // thread created state for (at least 1, and never below the current
-// generation's cutover). Must run at the barrier — sources quiesced or done,
-// so every thread's window high-water mark is stable and published. Callers
-// hold c.mu.
+// generation's cutover). Must run at the flush barrier — every source
+// answered or finished, so every thread's window high-water mark is stable
+// and published. Callers hold c.mu.
 func (c *Controller) resolveCutover(cutover uint64) uint64 {
 	if cutover != AutoCutover {
 		return cutover
@@ -847,8 +818,8 @@ func (c *Controller) resolveCutover(cutover uint64) uint64 {
 }
 
 // checkCutover verifies no live leader already triggered or merged state for
-// a window the new generation would re-route. Called while quiesced, so the
-// set of windows with state is stable. Callers hold c.mu.
+// a window the new generation would re-route. Called at the flush barrier,
+// so the set of windows with state is stable. Callers hold c.mu.
 func (c *Controller) checkCutover(cutover uint64) error {
 	for _, m := range c.live {
 		be := c.backends[m]
@@ -870,18 +841,9 @@ func (c *Controller) inflightChunks() int {
 	return total
 }
 
-// AddNode joins one node; see AddNodes.
-func (c *Controller) AddNode(flows []Flow, cutover uint64) (int, error) {
-	ids, err := c.AddNodes([][]Flow{flows}, cutover)
-	if err != nil {
-		return -1, err
-	}
-	return ids[0], nil
-}
-
 // AddNodes joins len(flowGroups) nodes in one reconfiguration: one barrier,
 // one partition-map generation taking effect at window id cutover. Joining
-// is fully online — running sources pause only for the flush barrier, and
+// is fully online — running sources hold only for the flush barrier, and
 // the returned node ids ingest their flows as soon as the barrier lifts. The
 // cutover must be a window no leader has state for yet (pass AutoCutover to
 // pick the earliest such window at the barrier): the join redistributes only
@@ -889,99 +851,57 @@ func (c *Controller) AddNode(flows []Flow, cutover uint64) (int, error) {
 // records for windows at or after the cutover — earlier windows may already
 // have fired and would reject the late data.
 func (c *Controller) AddNodes(flowGroups [][]Flow, cutover uint64) ([]int, error) {
-	c.reconfigMu.Lock()
-	defer c.reconfigMu.Unlock()
-
-	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return nil, ErrNotRunning
-	}
-	if c.cfg.Placement != nil {
-		c.mu.Unlock()
-		return nil, ErrPlacementMembership
-	}
 	k := len(flowGroups)
-	if k == 0 {
-		c.mu.Unlock()
-		return nil, errors.New("core: no nodes to add")
-	}
-	for i, fs := range flowGroups {
-		if len(fs) != c.cfg.ThreadsPerNode {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("core: joining node %d has %d flows, want %d", i, len(fs), c.cfg.ThreadsPerNode)
+	var ids []int
+	err := c.reconfigure("add", cutover, func() error {
+		if k == 0 {
+			return errors.New("core: no nodes to add")
 		}
-	}
-	if c.used+k > c.cfg.MaxNodes {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d nodes joined of %d capacity, %d more requested",
-			ErrCapacity, c.used, c.cfg.MaxNodes, k)
-	}
-	c.mu.Unlock()
-
-	start := time.Now()
-	if err := c.pause(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	cutover = c.resolveCutover(cutover)
-	if err := c.checkCutover(cutover); err != nil {
-		c.mu.Unlock()
-		c.resume()
-		return nil, err
-	}
-	inflight := c.inflightChunks()
-	ids := make([]int, k)
-	for i := range ids {
-		ids[i] = c.used + i
-		if err := c.buildNode(ids[i], flowGroups[i], nil); err != nil {
-			c.mu.Unlock()
-			c.resume()
-			c.run.fail(err)
-			return nil, err
-		}
-	}
-	c.used += k
-	// Activate clock entries before the install and before any new source
-	// ingests: a window the joiners can still contribute to must not
-	// trigger without them (P1 across membership changes). Existing nodes'
-	// live threads are (re-)activated on the new backends; threads that
-	// already finished stay retired everywhere — their +inf watermarks
-	// were final.
-	for _, be := range c.backends {
-		if be == nil {
-			continue
-		}
-		for _, m := range c.live {
-			for th := 0; th < c.cfg.ThreadsPerNode; th++ {
-				isNew := m >= c.used-k
-				if isNew || !c.sources[m][th].done.Load() {
-					be.Clock().Activate(m*c.cfg.ThreadsPerNode + th)
-				}
+		for i, fs := range flowGroups {
+			if len(fs) != c.cfg.ThreadsPerNode {
+				return fmt.Errorf("core: joining node %d has %d flows, want %d", i, len(fs), c.cfg.ThreadsPerNode)
 			}
 		}
-		be.SetPeers(c.live)
-	}
-	active := append(c.pmap.Current().Active, ids...)
-	gen := c.pmap.CurrentGen() + 1
-	if err := c.pmap.Install(ssb.Generation{Gen: gen, FromWindow: cutover, Active: active}); err != nil {
-		c.mu.Unlock()
-		c.resume()
-		c.run.fail(err)
+		if c.used+k > c.cfg.MaxNodes {
+			return fmt.Errorf("%w: %d nodes joined of %d capacity, %d more requested",
+				ErrCapacity, c.used, c.cfg.MaxNodes, k)
+		}
+		return nil
+	}, func() ([]int, []int, error) {
+		ids = make([]int, k)
+		for i := range ids {
+			ids[i] = c.used + i
+			if err := c.buildNode(ids[i], flowGroups[i], nil); err != nil {
+				return nil, nil, err
+			}
+		}
+		c.used += k
+		// Activate clock entries before the install and before any new
+		// source ingests: a window the joiners can still contribute to must
+		// not trigger without them (P1 across membership changes). Existing
+		// nodes' live threads are (re-)activated on the new backends;
+		// threads that already finished stay retired everywhere — their +inf
+		// watermarks were final.
+		for _, be := range c.backends {
+			if be == nil {
+				continue
+			}
+			for _, m := range c.live {
+				for th := 0; th < c.cfg.ThreadsPerNode; th++ {
+					isNew := m >= c.used-k
+					if isNew || !c.sources[m][th].done.Load() {
+						be.Clock().Activate(m*c.cfg.ThreadsPerNode + th)
+					}
+				}
+			}
+			be.SetPeers(c.live)
+		}
+		return ids, append(c.pmap.Current().Active, ids...), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	rec := &Reconfig{Kind: "add", Gen: gen, Cutover: cutover, Nodes: ids,
-		Duration: time.Since(start), InflightChunks: inflight}
-	c.reconfigs = append(c.reconfigs, rec)
-	c.observeReconfig(rec)
-	c.mu.Unlock()
-	c.resume()
 	return ids, nil
-}
-
-// RemoveNode removes one node; see RemoveNodes.
-func (c *Controller) RemoveNode(id int, cutover uint64) error {
-	return c.RemoveNodes([]int{id}, cutover)
 }
 
 // RemoveNodes retires the given nodes in one reconfiguration: windows from
@@ -992,102 +912,112 @@ func (c *Controller) RemoveNode(id int, cutover uint64) error {
 // flows (drain-then-leave); each leaving leader detaches from the mesh the
 // moment its last window fires.
 func (c *Controller) RemoveNodes(ids []int, cutover uint64) error {
+	var remaining []int
+	return c.reconfigure("remove", cutover, func() error {
+		if len(ids) == 0 {
+			return errors.New("core: no nodes to remove")
+		}
+		if cutover == 0 {
+			return fmt.Errorf("%w: cutover window 0", ErrCutoverInPast)
+		}
+		cur := c.pmap.Current()
+		leaving := map[int]bool{}
+		for _, id := range ids {
+			if leaving[id] {
+				return fmt.Errorf("core: node %d listed twice", id)
+			}
+			leaving[id] = true
+			if !cur.Contains(id) {
+				return fmt.Errorf("core: node %d is not in the active set", id)
+			}
+			if !sourcesDone(c.sources[id]) {
+				return fmt.Errorf("%w: node %d", ErrSourcesActive, id)
+			}
+		}
+		for _, n := range cur.Active {
+			if !leaving[n] {
+				remaining = append(remaining, n)
+			}
+		}
+		if len(remaining) == 0 {
+			return errors.New("core: cannot remove every node")
+		}
+		return nil
+	}, func() ([]int, []int, error) {
+		return append([]int(nil), ids...), remaining, nil
+	})
+}
+
+// reconfigure is the one driver of a membership change. check validates the
+// request under c.mu; then, at the flush barrier, the cutover is resolved and
+// checked, the in-flight chunks are counted, apply changes the membership
+// and returns the nodes that joined or left and the new generation's active
+// set, and the generation is installed and recorded before the barrier is
+// released. A join is complete at install; a leave arms its leaders'
+// retirement and completes when the last one drained (nodeRetired).
+func (c *Controller) reconfigure(kind string, cutover uint64, check func() error, apply func() (nodes, active []int, err error)) error {
 	c.reconfigMu.Lock()
 	defer c.reconfigMu.Unlock()
-
 	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return ErrNotRunning
-	}
-	if c.cfg.Placement != nil {
-		c.mu.Unlock()
-		return ErrPlacementMembership
-	}
-	if len(ids) == 0 {
-		c.mu.Unlock()
-		return errors.New("core: no nodes to remove")
-	}
-	if cutover == 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: cutover window 0", ErrCutoverInPast)
-	}
-	cur := c.pmap.Current()
-	leaving := map[int]bool{}
-	for _, id := range ids {
-		if leaving[id] {
-			c.mu.Unlock()
-			return fmt.Errorf("core: node %d listed twice", id)
-		}
-		leaving[id] = true
-		if !cur.Contains(id) {
-			c.mu.Unlock()
-			return fmt.Errorf("core: node %d is not in the active set", id)
-		}
-		if !sourcesDone(c.sources[id]) {
-			c.mu.Unlock()
-			return fmt.Errorf("%w: node %d", ErrSourcesActive, id)
-		}
-	}
-	var remaining []int
-	for _, n := range cur.Active {
-		if !leaving[n] {
-			remaining = append(remaining, n)
-		}
-	}
-	if len(remaining) == 0 {
-		c.mu.Unlock()
-		return errors.New("core: cannot remove every node")
+	var err error
+	switch {
+	case !c.started:
+		err = ErrNotRunning
+	case c.cfg.Placement != nil:
+		err = ErrPlacementMembership
+	default:
+		err = check()
 	}
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	start := time.Now()
-	if err := c.pause(); err != nil {
+	b, err := c.run.raise(barrierFlush)
+	if err != nil {
+		return err
+	}
+	defer c.run.release(b)
+	if err := c.run.await(b, c.liveSources(-1)); err != nil {
 		return err
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	cutover = c.resolveCutover(cutover)
 	if err := c.checkCutover(cutover); err != nil {
-		c.mu.Unlock()
-		c.resume()
 		return err
 	}
 	inflight := c.inflightChunks()
-	gen := c.pmap.CurrentGen() + 1
-	if err := c.pmap.Install(ssb.Generation{Gen: gen, FromWindow: cutover, Active: remaining}); err != nil {
-		c.mu.Unlock()
-		c.resume()
+	nodes, active, err := apply()
+	if err == nil {
+		err = c.pmap.Install(ssb.Generation{Gen: c.pmap.CurrentGen() + 1, FromWindow: cutover, Active: active})
+	}
+	if err != nil {
 		c.run.fail(err)
 		return err
 	}
-	rec := &Reconfig{Kind: "remove", Gen: gen, Cutover: cutover,
-		Nodes: append([]int(nil), ids...), InflightChunks: inflight}
+	rec := &Reconfig{Kind: kind, Gen: c.pmap.CurrentGen(), Cutover: cutover, Nodes: nodes, InflightChunks: inflight}
 	c.reconfigs = append(c.reconfigs, rec)
-	batch := &retireBatch{rec: rec, remaining: len(ids), start: start}
+	c.mGen.Set(int64(rec.Gen))
+	c.mInflight.SetMax(int64(inflight))
+	if kind == "add" {
+		rec.Duration = time.Since(start)
+		c.observeReconfig(rec)
+		return nil
+	}
+	batch := &retireBatch{rec: rec, remaining: len(nodes), start: start}
 	retireEnd := c.q.Window.End(cutover - 1)
-	for _, id := range ids {
+	for _, id := range nodes {
 		c.retiring[id] = batch
 		c.merges[id].retire(retireEnd)
 	}
-	if c.mGen != nil {
-		c.mGen.Set(int64(gen))
-	}
-	if c.mInflight != nil {
-		c.mInflight.SetMax(int64(inflight))
-	}
-	c.mu.Unlock()
-	c.resume()
 	return nil
 }
 
-// observeReconfig updates the reconfiguration metrics. Callers hold c.mu.
+// observeReconfig counts one completed membership change (the generation
+// and in-flight gauges were set at its install). Callers hold c.mu.
 func (c *Controller) observeReconfig(rec *Reconfig) {
-	if c.mGen != nil {
-		c.mGen.Set(int64(rec.Gen))
-	}
-	if c.mInflight != nil {
-		c.mInflight.SetMax(int64(rec.InflightChunks))
-	}
 	if c.reg != nil {
 		c.reg.Counter(fmt.Sprintf(`core_reconfigs_total{kind=%q}`, rec.Kind)).Inc()
 		c.reg.Histogram(fmt.Sprintf(`core_reconfig_duration_ns{kind=%q}`, rec.Kind)).ObserveDuration(rec.Duration)
@@ -1116,15 +1046,23 @@ func (c *Controller) nodeRetired(node int) {
 			s.detach()
 		}
 	}
-	for _, m := range c.live {
-		c.backends[m].SetPeers(c.live)
-	}
+	c.setPeers()
 	if batch := c.retiring[node]; batch != nil {
 		delete(c.retiring, node)
 		batch.remaining--
 		if batch.remaining == 0 {
 			batch.rec.Duration = time.Since(batch.start)
 			c.observeReconfig(batch.rec)
+		}
+	}
+}
+
+// setPeers hands the live set to every owned live backend as its heartbeat
+// peer set. Callers hold c.mu.
+func (c *Controller) setPeers() {
+	for _, m := range c.live {
+		if be := c.backends[m]; be != nil {
+			be.SetPeers(c.live)
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/slash-stream/slash/internal/channel"
 	"github.com/slash-stream/slash/internal/crdt"
+	"github.com/slash-stream/slash/internal/ssb"
 	"github.com/slash-stream/slash/internal/stream"
 	"github.com/slash-stream/slash/internal/window"
 )
@@ -286,4 +288,39 @@ func TestReconfigErrors(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 	checkAggAgainstOracle(t, col, oracleAgg(append(append([]stream.Record(nil), allA...), allB...), win, crdt.Sum{}, nil))
+}
+
+// detachOnPost is a send port that loses the race with a scale-in detach:
+// the detach closes it after Acquire succeeded, so Post fails.
+type detachOnPost struct {
+	s   *chanSender
+	buf channel.SendBuffer
+}
+
+func (p *detachOnPost) Acquire() *channel.SendBuffer {
+	p.buf.Data = make([]byte, 256)
+	return &p.buf
+}
+
+func (p *detachOnPost) Post(*channel.SendBuffer, int) error {
+	p.s.detach()
+	return channel.ErrClosed
+}
+
+func (p *detachOnPost) DataSize() int { return 256 }
+func (p *detachOnPost) Err() error    { return nil }
+func (p *detachOnPost) Close()        {}
+
+// TestSendDropsHeartbeatRacingDetach: a heartbeat whose post fails because
+// its destination retired mid-send is dropped, like one that finds the
+// sender already detached; a data chunk there is still a failure.
+func TestSendDropsHeartbeatRacingDetach(t *testing.T) {
+	for _, kind := range []ssb.ChunkKind{ssb.ChunkHeartbeat, ssb.ChunkData} {
+		s := &chanSender{src: 0, dst: 1}
+		s.prod = &detachOnPost{s: s}
+		err := s.Send(&ssb.Chunk{Kind: kind})
+		if wantErr := kind == ssb.ChunkData; (err != nil) != wantErr {
+			t.Fatalf("chunk kind %d: Send = %v, want error %v", kind, err, wantErr)
+		}
+	}
 }

@@ -236,9 +236,10 @@ func ChannelSlotSize(chunkSize int) int {
 
 // Errors surfaced by the recovery plane.
 var (
-	// ErrRecovering rejects a reconfiguration barrier while a node restart
-	// is in progress: sources are frozen, so the quiesce spin could never
-	// complete. Callers retry once the restart finished.
+	// ErrRecovering rejects a reconfiguration while a node restart is in
+	// progress: the restart's hold pre-empts the join or leave's flush
+	// barrier, since held sources never flush. Callers retry once the
+	// restart finished.
 	ErrRecovering = errors.New("core: node restart in progress")
 	// ErrUnrecoverable marks a failure the recovery plane cannot mask: the
 	// replay horizon was exhausted (a ring evicted un-checkpointed chunks),
@@ -310,17 +311,10 @@ type runState struct {
 	pool   *sched.Pool
 	sink   Sink
 	onFail func()
-	// paused gates every source task for the epoch-aligned reconfiguration
-	// barrier (§7.2): while set, sources flush their fragments under the
-	// pre-barrier partition-map generation and idle; merge tasks keep
-	// draining. See Controller.pause.
-	paused atomic.Bool
-	// frozen gates sources harder than paused: during a node restart they
-	// idle WITHOUT flushing (a flush would hit links that are being torn
-	// down), while merge tasks keep draining so the restored node's replayed
-	// traffic lands. Set only by the recovery plane.
-	frozen atomic.Bool
-	// retryGen counts completed node restarts. A source task that parks on a
+	// barrier is the source barrier in force, nil while sources run
+	// freely: a join or leave's flush barrier, or a restart's hold.
+	barrier atomic.Pointer[barrier]
+	// retryGen counts released restart holds. A source task that parks on a
 	// failed flush records the generation it saw and retries the flush once
 	// the generation advanced (the failed link was rebuilt by then).
 	retryGen atomic.Uint64

@@ -459,10 +459,8 @@ func (m *recoveryMgr) stale(r linkReport) bool {
 
 // handle fences and restarts the node the report burst votes for.
 func (m *recoveryMgr) handle(first linkReport) {
-	c := m.c
-	ro := c.cfg.Recovery
 	burst := []linkReport{first}
-	deadline := time.After(ro.FenceDelay)
+	deadline := time.After(m.c.cfg.Recovery.FenceDelay)
 collect:
 	for {
 		select {
@@ -476,18 +474,34 @@ collect:
 	}
 	// A restart in progress (manual, or racing from a previous burst) tears
 	// links down on purpose; its reports look exactly like a failure until
-	// the incarnation bump marks them stale. Judge only once no restart is
-	// in flight.
-	for c.run.frozen.Load() {
-		if c.run.err() != nil {
-			return
-		}
+	// the incarnation bump marks them stale. restartMu spans every restart,
+	// so judging under it waits one out without polling, and no manual
+	// restart slips in between the vote and the restart it triggers.
+	m.c.restartMu.Lock()
+	restarted := m.judge(burst)
+	m.c.restartMu.Unlock()
+	if !restarted {
+		return
+	}
+	// Discard reports that raced the restart; a fresh one means a new
+	// failure and is handled immediately.
+	for {
 		select {
-		case <-m.stopCh:
+		case r := <-m.reports:
+			if !m.stale(r) {
+				m.handle(r)
+				return
+			}
+		default:
 			return
-		case <-time.After(100 * time.Microsecond):
 		}
 	}
+}
+
+// judge votes on a report burst and restarts the suspect, reporting whether
+// it did. Callers hold c.restartMu.
+func (m *recoveryMgr) judge(burst []linkReport) bool {
+	c := m.c
 	votes := map[int]int{}
 	incOf := map[int]int{}
 	var cause error
@@ -520,39 +534,33 @@ collect:
 		}
 	}
 	if suspect < 0 {
-		return // every report was stale
+		return false // every report was stale
 	}
 	m.last = suspect
-	if !ro.AutoRestart {
+	if !c.cfg.Recovery.AutoRestart {
 		c.run.fail(cause)
-		return
+		return false
 	}
 	// Condition the restart on the incarnation the reports accused: if a
 	// concurrent (manual) restart already replaced it, the failure is gone
-	// and restarting the fresh incarnation would only lose time.
-	if err := c.restartNodeExpect(suspect, incOf[suspect]); err != nil {
-		return // fatal errors already failed the run inside restartNode
-	}
-	// Discard reports that raced the restart; a fresh one means a new
-	// failure and is handled immediately.
-	for {
-		select {
-		case r := <-m.reports:
-			if !m.stale(r) {
-				m.handle(r)
-				return
-			}
-		default:
-			return
-		}
-	}
+	// and restarting the fresh incarnation would only lose time. Fatal
+	// errors already failed the run inside the restart.
+	return c.restartLocked(suspect, incOf[suspect]) == nil
 }
 
 // RestartNode fences node id, restores it from its journal, replays the
 // survivors' rings to it, and rejoins it to the mesh — the manual entry
 // point of the same sequence the failure manager runs automatically.
+// Serialized with other restarts via restartMu and with reconfigurations via
+// reconfigMu; sources are held throughout (merge tasks keep draining so
+// restored traffic lands).
 func (c *Controller) RestartNode(id int) error {
-	return c.restartNode(id)
+	if c.cfg.Recovery == nil {
+		return fmt.Errorf("core: recovery is not configured")
+	}
+	c.restartMu.Lock()
+	defer c.restartMu.Unlock()
+	return c.restartLocked(id, -1)
 }
 
 // Recoveries returns a snapshot of every completed node restart.
@@ -576,33 +584,17 @@ type threadRestore struct {
 	plan    []planFlush
 }
 
-// restartNode runs the full recovery sequence for node x. Serialized with
-// reconfigurations via reconfigMu; sources are frozen throughout (merge
-// tasks keep draining so restored traffic lands).
-func (c *Controller) restartNode(x int) error {
-	return c.restartNodeExpect(x, -1)
-}
-
-// restartNodeExpect is restartNode conditioned on an incarnation: when
-// expect is non-negative and node x's incarnation already moved past it, the
-// restart is a stale request (a concurrent restart handled the failure) and
-// returns nil without touching the node.
+// restartLocked is RestartNode conditioned on an incarnation: when expect is
+// non-negative and node x's incarnation already moved past it, the restart
+// is a stale request (a concurrent restart handled the failure) and returns
+// nil without touching the node. Callers hold c.restartMu.
 //
-// The sequence is freeze → kill → fence → restore → replay → unfreeze. kill
-// is the in-process stand-in for a member process dying; fence, restore and
-// replay are the steps the cluster coordinator drives through the Cluster*
-// wrappers (cluster.go), fed here from the co-located survivors.
-func (c *Controller) restartNodeExpect(x, expect int) error {
-	ro := c.cfg.Recovery
-	if ro == nil {
-		return fmt.Errorf("core: recovery is not configured")
-	}
-	c.run.frozen.Store(true)
-	defer c.run.frozen.Store(false)
-	c.reconfigMu.Lock()
-	defer c.reconfigMu.Unlock()
-	start := time.Now()
-
+// The sequence is hold → kill → fence → restore → replay → release. kill is
+// the in-process stand-in for a member process dying; the hold and its
+// release, fence, restore and replay are the steps the cluster coordinator
+// drives through the Cluster* wrappers (cluster.go), fed here from the
+// co-located survivors.
+func (c *Controller) restartLocked(x, expect int) error {
 	c.mu.Lock()
 	if !c.started {
 		c.mu.Unlock()
@@ -617,19 +609,33 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 		return fmt.Errorf("core: node %d is not live", x)
 	}
 	c.restarts++
-	if c.restarts > ro.MaxRestarts {
+	if budget := c.cfg.Recovery.MaxRestarts; c.restarts > budget {
 		c.mu.Unlock()
-		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, ro.MaxRestarts)
+		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, budget)
 		c.run.fail(err)
 		return err
 	}
 	c.mu.Unlock()
 
+	// Raised ahead of reconfigMu: the hold pre-empts a join or leave waiting
+	// at its flush barrier, which returns ErrRecovering and lets go.
+	hold, _ := c.run.raise(barrierHold)
+	defer c.run.release(hold)
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
+	start := time.Now()
 	oldDone, err := c.kill(x)
 	if err != nil {
 		return err
 	}
-	if err := c.waitSourcesIdle(x); err != nil {
+	// The hold gates only each source's next step; one already running may
+	// still be flushing, and a flush that outlived the fence would post its
+	// next chunk through the rebuilt link to x ahead of the ring replay — the
+	// restored leader would then commit an epoch whose data is still queued
+	// in the ring, or skip a live chunk as a replayed one. kill closed every
+	// send half toward x, so a step blocked on x's credit has already failed
+	// and parked.
+	if err := c.run.await(hold, c.liveSources(x)); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -645,8 +651,6 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 		return err
 	}
 	c.recordRecovery(x, start, n)
-	// Parked flushes may retry: their links exist again.
-	c.run.retryGen.Add(1)
 	return nil
 }
 
@@ -759,40 +763,6 @@ func (c *Controller) kill(x int) ([]bool, error) {
 	return oldDone, nil
 }
 
-// waitSourcesIdle waits until no source step of a node other than x is in
-// flight. Freezing gates only the next step; one already running may still
-// be flushing, and a flush that outlived the fence would post its next chunk
-// through the rebuilt link to x ahead of the ring replay — the restored
-// leader would then commit an epoch whose data is still queued in the ring,
-// or skip a live chunk as a replayed one. The caller has closed every send
-// half toward x, so a step blocked on x's credit has already failed and
-// parked.
-func (c *Controller) waitSourcesIdle(x int) error {
-	c.mu.Lock()
-	var sts []*sourceTask
-	for _, m := range c.live {
-		if m != x {
-			sts = append(sts, c.sources[m]...)
-		}
-	}
-	c.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, st := range sts {
-		for st.stepping.Load() {
-			if err := c.run.err(); err != nil {
-				return err
-			}
-			if time.Now().After(deadline) {
-				err := fmt.Errorf("%w: source steps still running after the freeze", ErrUnrecoverable)
-				c.run.fail(err)
-				return err
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	return nil
-}
-
 // fence severs every owned survivor's links to dead node x, installs x's new
 // incarnation, and removes x from the live set. Survivor merge tasks discard
 // the old link's backlog before adopting the rebuilt one (RemoveInbound
@@ -809,7 +779,7 @@ func (c *Controller) fence(x, newInc int) []uint64 {
 		}
 		// Closing the producer unblocks a sender spinning for credit on a
 		// channel whose far end will never poll again; the flush parks and
-		// retries once the unfreeze bumps the retry generation.
+		// retries once the hold's release bumps the retry generation.
 		if p := c.producers[m][x]; p != nil {
 			p.Close()
 		}
@@ -861,11 +831,7 @@ func (c *Controller) restore(x int, horizon []uint64, oldDone []bool) ([]uint64,
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range c.live {
-		if be := c.backends[m]; be != nil {
-			be.SetPeers(c.live)
-		}
-	}
+	c.setPeers()
 	return restored, nil
 }
 
@@ -921,9 +887,7 @@ func (c *Controller) replay(x int, restored []uint64) (int, error) {
 	c.mu.Lock()
 	c.replayed += replayed
 	c.mu.Unlock()
-	if c.mReplayed != nil {
-		c.mReplayed.Add(uint64(replayed))
-	}
+	c.mReplayed.Add(uint64(replayed))
 	return replayed, nil
 }
 
@@ -933,11 +897,9 @@ func (c *Controller) recordRecovery(x int, start time.Time, replayed int) {
 	rec := Recovery{Node: x, Incarnation: c.nodeInc[x], Duration: time.Since(start), ReplayedChunks: replayed}
 	c.recoveries = append(c.recoveries, rec)
 	c.mu.Unlock()
-	if c.mRecDur != nil {
-		// The registry is unitless; like every engine histogram this one
-		// observes nanoseconds despite the conventional _seconds suffix.
-		c.mRecDur.ObserveDuration(rec.Duration)
-	}
+	// The registry is unitless; like every engine histogram this one
+	// observes nanoseconds despite the conventional _seconds suffix.
+	c.mRecDur.ObserveDuration(rec.Duration)
 }
 
 // replayJournal replays node x's journal into its fresh backend, in order:
@@ -1089,9 +1051,7 @@ func (c *Controller) onCheckpoint(node int, committed []uint64) {
 			r.prune(committed)
 		}
 	}
-	if c.mCkpts != nil {
-		c.mCkpts.Inc()
-	}
+	c.mCkpts.Inc()
 }
 
 func containsNode(set []int, n int) bool {

@@ -63,18 +63,13 @@ func (s *chanSender) Send(c *ssb.Chunk) error {
 	}
 	sb := s.prod.Acquire()
 	if sb == nil {
-		// A detach that raced this send closed the producer under us; a
-		// heartbeat to the newly-retired node is droppable (see detach).
-		if s.detached.Load() && c.Kind == ssb.ChunkHeartbeat {
-			return nil
-		}
 		// Acquire returns nil both on a graceful close and on asynchronous
 		// transfer failures (bad rkey, CQ overrun, retry exhaustion, credit
 		// timeout); prefer the real cause.
 		if err := s.prod.Err(); err != nil {
-			return s.report(s.wrap(err))
+			return s.failed(c, err)
 		}
-		return s.report(s.wrap(channel.ErrClosed))
+		return s.failed(c, channel.ErrClosed)
 	}
 	// Tag the buffer with the chunk's sender thread and epoch: the trunk
 	// transport carries both in its frame header (per-pair channels ignore
@@ -89,9 +84,19 @@ func (s *chanSender) Send(c *ssb.Chunk) error {
 		s.ring.push(c.Thread, c.Epoch, sb.Data[:n])
 	}
 	if err := s.prod.Post(sb, n); err != nil {
-		return s.report(s.wrap(err))
+		return s.failed(c, err)
 	}
 	return nil
+}
+
+// failed handles a send whose acquire or post failed. A detach that raced
+// the send closed the producer under it, and a heartbeat to the newly
+// retired node is droppable (see detach); anything else is a link failure.
+func (s *chanSender) failed(c *ssb.Chunk, err error) error {
+	if s.detached.Load() && c.Kind == ssb.ChunkHeartbeat {
+		return nil
+	}
+	return s.report(s.wrap(err))
 }
 
 // sendEncoded posts pre-encoded chunk bytes — the ring-replay path of a node
@@ -174,22 +179,16 @@ type sourceTask struct {
 	// armed yet (a fresh thread that has seen no record).
 	nextEnd stream.Watermark
 
-	// quiesced reports that the task honoured a pause: it flushed every
-	// thread-local fragment under the pre-pause partition-map generation and
-	// is idling. done reports the flow finished (FinishStream completed).
-	// Together they form the epoch-aligned reconfiguration barrier (§7.2):
-	// the controller installs a new generation only once every source task
-	// is quiesced or done, so no fragment is held across a cutover.
-	quiesced atomic.Bool
-	done     atomic.Bool
+	// done reports the flow finished (FinishStream completed).
+	done atomic.Bool
 	// exits is raised when Step returned Done for any reason — the recovery
 	// plane's signal that a fenced node's worker let go of the task.
 	exits *exitGroup
-	// stepping is set for the duration of every Step (recovery mode only). A
-	// step that began before a restart froze the sources may still be
-	// flushing; the restart waits for it to clear (waitSourcesIdle) so that
-	// no live chunk races the ring replay onto a rebuilt link.
-	stepping atomic.Bool
+	// answered is the last barrier the task answered; exited is set once
+	// Step returned Done. A barrier's waiter counts a task that is done,
+	// exited, or answered its barrier (see barrier).
+	answered atomic.Pointer[barrier]
+	exited   atomic.Bool
 
 	// Recovery plumbing; all nil/zero when the plane is off. jrn journals a
 	// source-progress intent before every flush; plan replays a restarted
@@ -226,21 +225,19 @@ func (t *sourceTask) Name() string {
 // Step implements sched.Task: process one batch of records, flushing state
 // at epoch boundaries.
 func (t *sourceTask) Step() sched.Status {
-	if t.mgr != nil {
-		// Raised before step reads the freeze flag: a restart that stored the
-		// flag and then saw this clear knows every later step idles.
-		t.stepping.Store(true)
-	}
 	st := t.step()
-	if t.mgr != nil {
-		t.stepping.Store(false)
-	}
 	if st == sched.Done {
+		t.exited.Store(true)
+		if b := t.run.barrier.Load(); b != nil {
+			b.poke()
+		}
 		t.exits.exit()
 	}
 	return st
 }
 
+// step checks, in order: fenced, a restart's hold, a parked flush, a join or
+// leave's flush barrier, the flow gate — and only then runs the operators.
 func (t *sourceTask) step() sched.Status {
 	if t.run.isFenced(t.node) {
 		// The recovery plane is tearing this node down; a replacement task
@@ -248,10 +245,11 @@ func (t *sourceTask) step() sched.Status {
 		// republishes counts from its journaled rewind point.
 		return sched.Done
 	}
-	if t.run.frozen.Load() {
-		// A restart is rebuilding part of the mesh: idle WITHOUT flushing
+	b := t.run.barrier.Load()
+	if b != nil && b.mode == barrierHold {
+		// A restart is rebuilding part of the mesh: answer WITHOUT flushing
 		// (the flush could target a link mid-teardown).
-		return sched.Idle
+		return t.answer(b)
 	}
 	if t.flushPend {
 		// A flush died on a failed link. Retry only after a completed
@@ -262,22 +260,19 @@ func (t *sourceTask) step() sched.Status {
 		}
 		return t.runFlush(t.finishPend)
 	}
-	if t.run.paused.Load() && len(t.plan) == 0 {
-		// An active replay plan overrides the barrier: planned flush
+	if b != nil && len(t.plan) == 0 {
+		// Flush barrier: end the epoch under the pre-barrier generation,
+		// then answer. An active replay plan overrides it — planned flush
 		// boundaries must land exactly where the pre-failure run put them,
-		// and a barrier flush here would split an epoch early. The barrier
-		// simply waits the few steps until the plan drains.
-		if !t.quiesced.Load() {
-			if t.ts.Dirty() {
-				if st := t.endEpoch(flushBarrier, false); st != sched.Ready {
-					return st
-				}
+		// and a barrier flush here would split an epoch early — so the
+		// barrier waits the few steps until the plan drains.
+		if t.answered.Load() != b && t.ts.Dirty() {
+			if st := t.endEpoch(flushBarrier, false); st != sched.Ready {
+				return st
 			}
-			t.quiesced.Store(true)
 		}
-		return sched.Idle
+		return t.answer(b)
 	}
-	t.quiesced.Store(false)
 	if t.gate != nil && !t.gate.Ready() {
 		// The flow is fenced (see GatedFlow): park without ending the stream.
 		return sched.Idle
@@ -404,7 +399,7 @@ const (
 	flushBytes   flushCause = iota // EpochBytes ingested since the last flush
 	flushWindow                    // the thread watermark crossed a window end
 	flushFinish                    // end of flow
-	flushBarrier                   // reconfiguration pause barrier
+	flushBarrier                   // join or leave flush barrier
 	flushReplay                    // journaled boundary of a recovery replay plan
 	nFlushCauses
 )

@@ -603,9 +603,9 @@ type ThreadState struct {
 	flushKeys []tableKey
 
 	// maxWin is the highest window id this thread ever created state for
-	// (hasWin guards window 0). The controller reads it at the quiesce
-	// barrier to resolve an automatic reconfiguration cutover; the
-	// quiesced/done atomics on the source task publish it across goroutines.
+	// (hasWin guards window 0). The controller reads it at the flush
+	// barrier to resolve an automatic reconfiguration cutover; the source
+	// task's barrier answer (or its done flag) publishes it across goroutines.
 	maxWin uint64
 	hasWin bool
 
@@ -858,14 +858,15 @@ func (ts *ThreadState) Flush() error {
 }
 
 // MaxWindow returns the highest window id this thread ingested state into
-// and whether any window was touched at all. Only meaningful while the
-// owning source task is quiesced or done (the controller's reconfiguration
-// barrier) — those atomics order the cross-goroutine read.
+// and whether any window was touched at all. Only meaningful once the owning
+// source task answered the controller's flush barrier or finished — those
+// atomics order the cross-goroutine read.
 func (ts *ThreadState) MaxWindow() (uint64, bool) { return ts.maxWin, ts.hasWin }
 
 // Dirty reports whether the thread holds unflushed fragments or unaccounted
-// epoch bytes — the controller's quiescence check before a reconfiguration
-// cutover (a dirty thread could stamp a stale generation on a later flush).
+// epoch bytes — a dirty source flushes before it answers the controller's
+// flush barrier (a dirty thread could stamp a stale generation on a later
+// flush).
 func (ts *ThreadState) Dirty() bool {
 	return len(ts.tables) > 0 || ts.pend > 0
 }

@@ -109,7 +109,8 @@ var (
 // previous cutover (several membership changes may share one cutover). The
 // caller is responsible for the epoch-aligned activation barrier: no sender
 // may still hold unflushed fragments for windows >= g.FromWindow routed
-// under the previous generation (see core.Controller.Quiesced).
+// under the previous generation (see the flush barrier in core's
+// Controller.AddNodes and RemoveNodes).
 func (m *PartitionMap) Install(g Generation) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
