@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"github.com/slash-stream/slash/internal/crdt"
 )
 
 // Sink receives triggered window results — the output side of the P1
@@ -105,16 +103,4 @@ func (s *CountingSink) EmitJoin(_ int, _, key uint64, left, right int) {
 	s.JoinRows.Add(1)
 	s.Pairs.Add(int64(left) * int64(right))
 	s.Checksum.Add(int64(key))
-}
-
-// splitBag counts bag elements per join side.
-func splitBag(elems []crdt.BagElem) (left, right int) {
-	for i := range elems {
-		if elems[i].Side == 0 {
-			left++
-		} else {
-			right++
-		}
-	}
-	return left, right
 }

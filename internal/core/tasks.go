@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/slash-stream/slash/internal/channel"
-	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/metrics"
 	"github.com/slash-stream/slash/internal/sched"
 	"github.com/slash-stream/slash/internal/ssb"
@@ -699,12 +698,12 @@ func (t *mergeTask) step() sched.Status {
 	if len(t.cons) > 0 {
 		t.rr = (t.rr + 1) % len(t.cons)
 	}
-	if n := t.be.TriggerReady(t.emitAgg, t.emitBag); n > 0 {
+	if n := t.be.TriggerSides(t.emitAgg, t.emitJoin); n > 0 {
 		progress = true
 	}
 	// Republish live window snapshots touched by this step's merges (no-op
 	// unless the queryable-state plane is armed; sealed windows published
-	// inside TriggerReady).
+	// inside TriggerSides).
 	t.be.PublishDirty()
 	if t.ckptEvery > 0 {
 		// A journal that fell behind voids the recovery contract: fail loudly
@@ -795,7 +794,7 @@ func (t *mergeTask) wrap(in inbound, err error) error {
 
 func (t *mergeTask) emitAgg(win, key uint64, value int64) {
 	if t.jrn != nil {
-		// Buffered ahead of the sink emit: TriggerReady emits every row of
+		// Buffered ahead of the sink emit: TriggerSides emits every row of
 		// the window and then journals its trigger mark within the same
 		// single-threaded call, so the KindEmit flush sees the full set.
 		t.jrn.bufferEmit(win, emitRec{tag: 0, key: key, a: value})
@@ -803,8 +802,7 @@ func (t *mergeTask) emitAgg(win, key uint64, value int64) {
 	t.run.sink.EmitAgg(t.node, win, key, value)
 }
 
-func (t *mergeTask) emitBag(win, key uint64, elems []crdt.BagElem) {
-	left, right := splitBag(elems)
+func (t *mergeTask) emitJoin(win, key uint64, left, right int) {
 	if t.jrn != nil {
 		t.jrn.bufferEmit(win, emitRec{tag: 1, key: key, a: int64(left), b: int64(right)})
 	}

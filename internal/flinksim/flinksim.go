@@ -542,9 +542,8 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 					sink.EmitAgg(cid, win, key, agg.Result(st))
 				})
 			} else {
-				tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
-					l, r := splitBag(elems)
-					sink.EmitJoin(cid, win, key, l, r)
+				tbl.ForEachSides(func(key uint64, left, right int) {
+					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}
 			delete(state, win)
@@ -607,17 +606,6 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 	}
 	trigger(stream.Watermark(1<<63 - 1))
 	updates.Add(local)
-}
-
-func splitBag(elems []crdt.BagElem) (left, right int) {
-	for i := range elems {
-		if elems[i].Side == 0 {
-			left++
-		} else {
-			right++
-		}
-	}
-	return
 }
 
 func hash64(x uint64) uint64 {

@@ -220,7 +220,7 @@ type Backend struct {
 	// Recovery state (nil / empty unless Config.Recoverable): the
 	// epoch-commit tracker, the pending incremental-checkpoint log (inbound
 	// deltas merged since the last checkpoint record), and the first journal
-	// error, latched because TriggerReady cannot return it.
+	// error, latched because a trigger cannot return it.
 	tracker *epochTracker
 	ckptLog []byte
 	jErr    error
@@ -472,12 +472,44 @@ type EmitAgg func(win uint64, key uint64, result int64)
 // EmitBag receives one key's merged bag of a triggered window.
 type EmitBag func(win uint64, key uint64, elems []crdt.BagElem)
 
-// TriggerReady fires every pending window whose end timestamp the vector
+// EmitJoin receives one key of a triggered bag window: how many of its
+// elements are on each join side (see Table.ForEachSides).
+type EmitJoin func(win uint64, key uint64, left, right int)
+
+// TriggerReady fires ready windows like TriggerSides, but hands each bag to
+// emitBag as decoded elements (Table.ForEachBag). The engine triggers through
+// TriggerSides; this entry point stays, with EmitBag, for tests and for the
+// frozen bench mirror (bench/layertrace.go), which still calls it.
+func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
+	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
+		if emitBag != nil {
+			tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
+				emitBag(win, key, elems)
+			})
+		}
+	})
+}
+
+// TriggerSides fires every pending window whose end timestamp the vector
 // clock covers (property P1: no result at timestamp t may be computed from
 // records with timestamps greater than t — covered means every thread in
-// the cluster has moved past the window end). Triggered windows are
-// discarded; the number of windows fired is returned.
-func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
+// the cluster has moved past the window end). An aggregate window goes to
+// emitAgg one group at a time, a bag window to emitJoin one key and its side
+// counts at a time. Triggered windows are discarded; the number of windows
+// fired is returned.
+func (b *Backend) TriggerSides(emitAgg EmitAgg, emitJoin EmitJoin) int {
+	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
+		if emitJoin != nil {
+			tbl.ForEachSides(func(key uint64, left, right int) {
+				emitJoin(win, key, left, right)
+			})
+		}
+	})
+}
+
+// trigger is the one trigger loop behind TriggerReady and TriggerSides;
+// emitBags reads a ready bag window's table.
+func (b *Backend) trigger(emitAgg EmitAgg, emitBags func(win uint64, tbl *Table)) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var ready []uint64
@@ -497,15 +529,11 @@ func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
 	}
 	for _, win := range ready {
 		tbl := b.primary[win]
-		if b.cfg.Agg != nil {
-			if emitAgg != nil {
-				tbl.forEachAggResult(func(key uint64, result int64) {
-					emitAgg(win, key, result)
-				})
-			}
-		} else if emitBag != nil {
-			tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
-				emitBag(win, key, elems)
+		if b.cfg.Agg == nil {
+			emitBags(win, tbl)
+		} else if emitAgg != nil {
+			tbl.forEachAggResult(func(key uint64, result int64) {
+				emitAgg(win, key, result)
 			})
 		}
 		// Publish the final image before the table is recycled: sealed

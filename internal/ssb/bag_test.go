@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -187,6 +188,34 @@ func sameBags(t *testing.T, what string, got, want map[uint64][]crdt.BagElem) {
 	}
 }
 
+// sidesOf counts es per join side the way a join sink reads a bag: left is
+// Side == 0, right every other Side.
+func sidesOf(es []crdt.BagElem) (left, right int) {
+	for i := range es {
+		if es[i].Side == 0 {
+			left++
+		} else {
+			right++
+		}
+	}
+	return left, right
+}
+
+// sameSides requires got to hold exactly want's keys, each with want's side
+// counts.
+func sameSides(t *testing.T, what string, got map[uint64][2]int, want map[uint64][]crdt.BagElem) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, want %d", what, len(got), len(want))
+	}
+	for key, es := range want {
+		l, r := sidesOf(es)
+		if g, ok := got[key]; !ok || g != [2]int{l, r} {
+			t.Fatalf("%s: key %d has sides %v (present %v), want [%d %d]", what, key, g, ok, l, r)
+		}
+	}
+}
+
 // bagHarness drives one recoverable bag leader the way a deployment does:
 // thread 0 is local (helper fragments, loopback flush), thread 1 is a remote
 // sender whose serialized fragments arrive as chunks.
@@ -202,8 +231,9 @@ type bagHarness struct {
 	rb          *stream.RecordBatch
 	sides       []uint8
 
-	pending bagRef // appended on thread 0, not yet flushed
-	merged  bagRef // at the leader
+	pending  bagRef // appended on thread 0, not yet flushed
+	merged   bagRef // at the leader
+	triggers int    // windows closed so far; the parity picks the trigger view
 }
 
 func (h *bagHarness) newBackend() *Backend {
@@ -222,10 +252,14 @@ func (h *bagHarness) elem(win uint64) (uint64, crdt.BagElem) {
 	if h.rng.Intn(4) == 0 {
 		key = uint64(h.rng.Intn(1 << 20)) // a long tail beside the hot keys
 	}
+	side := uint8(h.rng.Intn(2))
+	if h.rng.Intn(16) == 0 {
+		side = uint8(2 + h.rng.Intn(254)) // any non-zero Side is the right side
+	}
 	return key, crdt.BagElem{
 		Time: int64(win)*1000 + int64(h.rng.Intn(1000)),
 		Val:  h.rng.Int63n(1000),
-		Side: uint8(h.rng.Intn(2)),
+		Side: side,
 	}
 }
 
@@ -337,6 +371,11 @@ func (h *bagHarness) check(full bool) {
 				got[key] = append([]crdt.BagElem(nil), elems...)
 			})
 			sameBags(h.t, "live window", got, want)
+			// The count pass empties the grouped view; the next read of this
+			// table regroups it from the first entry.
+			sides := map[uint64][2]int{}
+			tbl.ForEachSides(func(key uint64, left, right int) { sides[key] = [2]int{left, right} })
+			sameSides(h.t, "live window", sides, want)
 		}
 	}
 }
@@ -378,23 +417,51 @@ func (h *bagHarness) restore(fromJournal bool) {
 
 // trigger closes win on both threads and requires the emitted bags to equal
 // the reference exactly — a key left over from the table's previous window
-// would show up here as an extra key.
+// would show up here as an extra key. Triggers alternate between the element
+// view (TriggerReady) and the side counts the engine fires through
+// (TriggerSides), and every one is checked against the reference's per-key
+// side counts. Half of them fire after a Keys or BagLen read grouped part of
+// the window's log.
 func (h *bagHarness) trigger(win uint64) {
 	end := fixedWindowEnd(win)
 	h.ts.ObserveTime(end)
 	h.flushLocal()
+	if tbl := h.b.primary[win]; tbl != nil && h.rng.Intn(2) == 0 {
+		// Group what is merged so far; the remote epoch below may add more.
+		if h.rng.Intn(2) == 0 {
+			tbl.Keys()
+		} else {
+			tbl.BagLen(uint64(h.rng.Intn(12)))
+		}
+	}
 	h.remoteEpochTo(win, h.rng.Intn(3), end)
-	got := map[uint64][]crdt.BagElem{}
-	n := h.b.TriggerReady(nil, func(w, key uint64, elems []crdt.BagElem) {
+	want := h.merged[win]
+	sides := map[uint64][2]int{}
+	emit := func(w, key uint64, left, right int) {
 		if w != win {
 			h.t.Fatalf("window %d fired while closing %d", w, win)
 		}
-		got[key] = append(got[key], elems...)
-	})
+		if _, dup := sides[key]; dup {
+			h.t.Fatalf("window %d: key %d emitted twice", win, key)
+		}
+		sides[key] = [2]int{left, right}
+	}
+	var n int
+	if h.triggers++; h.triggers%2 == 0 {
+		got := map[uint64][]crdt.BagElem{}
+		n = h.b.TriggerReady(nil, func(w, key uint64, elems []crdt.BagElem) {
+			left, right := sidesOf(elems)
+			emit(w, key, left, right)
+			got[key] = append(got[key], elems...)
+		})
+		sameBags(h.t, "triggered window", got, want)
+	} else {
+		n = h.b.TriggerSides(nil, emit)
+	}
 	if n != 1 {
 		h.t.Fatalf("closing window %d fired %d windows", win, n)
 	}
-	sameBags(h.t, "triggered window", got, h.merged[win])
+	sameSides(h.t, "triggered window", sides, want)
 	delete(h.merged, win)
 	if err := h.b.JournalErr(); err != nil {
 		h.t.Fatal(err)
@@ -441,10 +508,20 @@ func TestBagTableProperty(t *testing.T) {
 }
 
 // FuzzBagMergeDelta: an arbitrary region never panics the bag merge, and is
-// either concatenated whole or rejected without a trace.
+// either concatenated whole or rejected without a trace. On whatever the
+// table then holds, the side counts agree with the element view key by key,
+// in the same order, whatever the side words carry.
 func FuzzBagMergeDelta(f *testing.F) {
 	good := bagRegion(f, 7, crdt.BagElem{Time: 1, Val: 10}, crdt.BagElem{Time: 2, Val: 20, Side: 1})
 	f.Add(good)
+	// Side words whose low byte is neither 0 nor 1, or whose high bytes are
+	// set: only the low byte is the side.
+	odd := append(bagRegion(f, 5, crdt.BagElem{Val: 1}, crdt.BagElem{Val: 2}, crdt.BagElem{Val: 3}),
+		bagRegion(f, 3, crdt.BagElem{Val: 4}, crdt.BagElem{Val: 5})...)
+	for i, side := range []uint64{2, 0xff, 0x100, 0xdead_beef_0000_0007, 1 << 63} {
+		putU64(odd[i*bagEntrySize+bagSideOffset:], side)
+	}
+	f.Add(odd)
 	f.Add(good[:len(good)-5])
 	f.Add(good[:bagEntrySize+6])
 	bad := append([]byte(nil), good...)
@@ -467,10 +544,63 @@ func FuzzBagMergeDelta(f *testing.F) {
 		} else if !bytes.Equal(tbl.Log(), append(before, region...)) || tbl.Entries() != 1+len(region)/bagEntrySize {
 			t.Fatal("accepted region is not a plain concatenation")
 		}
+		type keySides struct {
+			key         uint64
+			left, right int
+		}
+		var want, got []keySides
 		elems := 0
-		tbl.ForEachBag(func(_ uint64, es []crdt.BagElem) { elems += len(es) })
+		tbl.ForEachBag(func(key uint64, es []crdt.BagElem) {
+			left, right := sidesOf(es)
+			want = append(want, keySides{key, left, right})
+			elems += len(es)
+		})
 		if elems != tbl.Entries() || tbl.Keys() > elems {
 			t.Fatalf("grouped %d elements over %d keys, table has %d entries", elems, tbl.Keys(), tbl.Entries())
 		}
+		tbl.ForEachSides(func(key uint64, left, right int) { got = append(got, keySides{key, left, right}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("side counts %v, element view %v", got, want)
+		}
+		if tbl.Keys() != len(want) {
+			t.Fatalf("%d keys after the count pass, want %d", tbl.Keys(), len(want))
+		}
 	})
+}
+
+// TestForEachSidesRecycledAllocationFree is the trigger's floor: on a pooled
+// table that already held a window of this size, recycling it, filling it
+// with another window's keys and counting sides allocates nothing.
+func TestForEachSidesRecycledAllocationFree(t *testing.T) {
+	const elems, keys = 4000, 1500
+	tbl := NewBagTable()
+	win := 0
+	fill := func() {
+		win++
+		tbl.Reset()
+		for i := 0; i < elems; i++ {
+			e := crdt.BagElem{Time: int64(i), Side: uint8(i % 3)}
+			if err := tbl.AppendBag(uint64(win)<<32|uint64(i*7919%keys), &e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var visited, right int
+	emit := func(_ uint64, _, r int) {
+		visited++
+		right += r
+	}
+	fill()
+	tbl.ForEachSides(emit) // the first window sizes the log and the group map
+	allocs := testing.AllocsPerRun(50, func() {
+		fill()
+		visited, right = 0, 0
+		tbl.ForEachSides(emit)
+	})
+	if allocs != 0 {
+		t.Fatalf("count pass on a recycled table allocates %.2f times, want 0", allocs)
+	}
+	if visited != keys || right != elems-(elems+2)/3 {
+		t.Fatalf("visited %d keys with %d right elements, want %d and %d", visited, right, keys, elems-(elems+2)/3)
+	}
 }

@@ -94,7 +94,7 @@ const (
 )
 
 // benchBagRegions serializes n random elements into 4 KiB chunk payloads.
-func benchBagRegions(b *testing.B, n int) [][]byte {
+func benchBagRegions(b testing.TB, n int) [][]byte {
 	b.Helper()
 	src := NewBagTable()
 	rng := rand.New(rand.NewSource(8))
@@ -180,6 +180,17 @@ func BenchmarkBagMergeDelta(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(regions[0])/bagEntrySize), "ns/elem")
 }
 
+// refillBag recycles tbl and merges one window's regions into it, the way a
+// leader's pooled table takes its next window.
+func refillBag(tb testing.TB, tbl *Table, regions [][]byte) {
+	tbl.Reset()
+	for _, r := range regions {
+		if err := tbl.MergeDelta(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBagTrigger(b *testing.B) {
 	regions := benchBagRegions(b, benchBagWindow)
 	tbl := NewBagTable()
@@ -190,24 +201,44 @@ func BenchmarkBagTrigger(b *testing.B) {
 			left += int(elems[i].Side ^ 1)
 		}
 	}
-	fill := func() {
-		tbl.Reset()
-		for _, r := range regions {
-			if err := tbl.MergeDelta(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	fill()
+	refillBag(b, tbl, regions)
 	tbl.ForEachBag(emit) // size the index and the grouped arrays once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fill()
+		refillBag(b, tbl, regions)
 		keys, left = 0, 0
 		b.StartTimer()
 		tbl.ForEachBag(emit)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBagWindow), "ns/elem")
+	b.ReportMetric(float64(keys), "keys")
+	if left <= 0 || left >= benchBagWindow {
+		b.Fatalf("%d of %d elements on the left side", left, benchBagWindow)
+	}
+}
+
+// BenchmarkBagTriggerSides is BenchmarkBagTrigger through the count view the
+// engine's trigger uses.
+func BenchmarkBagTriggerSides(b *testing.B) {
+	regions := benchBagRegions(b, benchBagWindow)
+	tbl := NewBagTable()
+	var keys, left int
+	emit := func(_ uint64, l, _ int) {
+		keys++
+		left += l
+	}
+	refillBag(b, tbl, regions)
+	tbl.ForEachSides(emit) // size the group map and counters once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		refillBag(b, tbl, regions)
+		keys, left = 0, 0
+		b.StartTimer()
+		tbl.ForEachSides(emit)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBagWindow), "ns/elem")
 	b.ReportMetric(float64(keys), "keys")

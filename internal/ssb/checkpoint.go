@@ -188,7 +188,7 @@ func (b *Backend) encodeCheckpointLocked() []byte {
 }
 
 // flushCheckpointLocked writes the pending delta log as a checkpoint record
-// and clears it. A journal error is latched (TriggerReady cannot return it);
+// and clears it. A journal error is latched (a trigger cannot return it);
 // JournalErr surfaces it. No-op when nothing is staged — the durable state
 // is already current. Callers hold b.mu.
 func (b *Backend) flushCheckpointLocked() {

@@ -30,7 +30,7 @@ var (
 
 // Snapshot writes a consistent checkpoint of the leader state to w. It
 // must be called at an epoch boundary from the merge task's context (no
-// concurrent HandleChunk/TriggerReady).
+// concurrent HandleChunk/TriggerSides).
 func (b *Backend) Snapshot(w io.Writer) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

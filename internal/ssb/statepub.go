@@ -5,7 +5,7 @@ package ssb
 // snapshots — a window's raw table log plus routing metadata — through a
 // StatePublisher. Publication rides the merge thread (HandleChunk marks
 // windows dirty, the merge task calls PublishDirty between steps, and
-// TriggerReady publishes the final sealed image before recycling the table),
+// the trigger publishes the final sealed image before recycling the table),
 // so it needs no reader-visible locking: the publisher's seqlock protocol
 // (internal/stateq, docs/STATE_PROTOCOL.md) makes concurrent one-sided
 // readers safe.
@@ -85,7 +85,7 @@ func (b *Backend) markStateDirty(win uint64, n int) {
 
 // PublishDirty publishes every live window whose unpublished delta volume
 // crossed the republication threshold (and every window never published).
-// The merge task calls it once per step, after TriggerReady; it is a no-op
+// The merge task calls it once per step, after TriggerSides; it is a no-op
 // without a publisher.
 func (b *Backend) PublishDirty() {
 	if b.statePub == nil {

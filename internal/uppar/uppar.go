@@ -534,9 +534,8 @@ func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink c
 					sink.EmitAgg(cid, win, key, agg.Result(st))
 				})
 			} else {
-				tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
-					l, r := splitBag(elems)
-					sink.EmitJoin(cid, win, key, l, r)
+				tbl.ForEachSides(func(key uint64, left, right int) {
+					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}
 			delete(state, win)
@@ -612,17 +611,6 @@ func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink c
 	// All sources ended: everything pending can fire.
 	trigger(stream.Watermark(1<<63 - 1))
 	updates.Add(local)
-}
-
-func splitBag(elems []crdt.BagElem) (left, right int) {
-	for i := range elems {
-		if elems[i].Side == 0 {
-			left++
-		} else {
-			right++
-		}
-	}
-	return
 }
 
 // hash64 is the partitioning hash (same mixer the SSB uses, so key
