@@ -110,19 +110,7 @@ func TestClusterSurvivesKillAndRestart(t *testing.T) {
 	for r := range stores {
 		stores[r] = recovery.NewMemStore()
 	}
-	// The coordinator logs the replay count each restart's survivors acked;
-	// the members must report the same total.
-	var ackMu sync.Mutex
-	acked := 0
-	logf := func(format string, args ...any) {
-		t.Logf(format, args...)
-		if strings.HasSuffix(format, "restored (replayed %d chunks)") {
-			ackMu.Lock()
-			acked += args[1].(int)
-			ackMu.Unlock()
-		}
-	}
-	co, err := NewCoordinator(CoordinatorOptions{Spec: spec, Logf: logf})
+	co, err := NewCoordinator(CoordinatorOptions{Spec: spec, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -192,18 +180,17 @@ func TestClusterSurvivesKillAndRestart(t *testing.T) {
 		t.Fatalf("victim reported no recovery")
 	}
 	// The survivors replay their rings to the victim, so the count lands in
-	// their reports. It is 0 only when the kill landed after the victim had
-	// checkpointed every chunk sent to it.
+	// their reports and must sum to what the coordinator saw acked. It is 0
+	// only when the kill landed after the victim had checkpointed every chunk
+	// sent to it.
 	replayed := 0
 	for _, r := range res.Reports {
 		replayed += r.ReplayedChunks
 	}
-	ackMu.Lock()
-	defer ackMu.Unlock()
-	if replayed != acked {
-		t.Fatalf("members reported %d replayed chunks, the coordinator saw %d acked: %+v", replayed, acked, res.Reports)
+	if replayed != res.ReplayedChunks {
+		t.Fatalf("members reported %d replayed chunks, the coordinator saw %d acked: %+v", replayed, res.ReplayedChunks, res.Reports)
 	}
-	if acked == 0 {
+	if replayed == 0 {
 		t.Log("nothing to replay: the kill landed after the victim checkpointed everything")
 	}
 	diffRows(t, res.Rows, runOracle(t, spec))

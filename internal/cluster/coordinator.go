@@ -37,6 +37,9 @@ type Result struct {
 	Reports []MemberReport
 	// Restarts is the number of voted member restarts the run survived.
 	Restarts int
+	// ReplayedChunks is the total the survivors acked for their replay steps,
+	// over every restart.
+	ReplayedChunks int
 }
 
 // member is the coordinator's view of one rank.
@@ -54,9 +57,9 @@ type event struct {
 
 // Coordinator is the cluster control plane: it listens for members, drives
 // bootstrap (registration → MR exchange → QP bring-up → start), arbitrates
-// failure votes, orders the fence → restore → replay → rejoin sequence, and
-// merges the members' results. All protocol state lives in the Run goroutine;
-// connection readers only forward events.
+// failure votes, sends one message per restart step (fence → adopt → restore
+// → replay → release), and merges the members' results. All protocol state
+// lives in the Run goroutine; connection readers only forward events.
 type Coordinator struct {
 	opts CoordinatorOptions
 	spec Spec
@@ -76,6 +79,7 @@ type Coordinator struct {
 	pendingHello []event
 	restarts     int
 	lastRestart  int
+	replayed     int
 }
 
 // NewCoordinator starts listening and accepting members; Run drives the
@@ -221,47 +225,75 @@ func (c *Coordinator) rankOf(s *session) (int, bool) {
 // is stashed for the restart sequence to claim.
 func (c *Coordinator) handleHello(ev event) {
 	r := ev.m.Rank
-	reject := func(reason string) {
-		c.opts.Logf("coordinator: rejecting rank %d: %s", r, reason)
-		_ = ev.sess.send(&msg{Kind: kWelcome, Err: reason})
-		ev.sess.close()
-	}
 	switch {
 	case r < 0 || r >= c.spec.Nodes:
-		reject(fmt.Sprintf("rank %d outside deployment of %d nodes", r, c.spec.Nodes))
-	case ev.m.Inc >= 0 && ev.m.Inc != c.incs[r]:
-		// The incarnation fence: a stale identity (an old incarnation dialing
-		// back after its replacement) can never rejoin.
-		reject(fmt.Sprintf("incarnation fence: rank %d claims incarnation %d, cluster is at %d", r, ev.m.Inc, c.incs[r]))
+		c.reject(ev, fmt.Sprintf("rank %d outside deployment of %d nodes", r, c.spec.Nodes))
+	case c.staleHello(ev):
+		// Rejected by the incarnation fence.
 	case c.members[r] != nil && c.members[r].alive:
-		reject(fmt.Sprintf("duplicate registration for rank %d", r))
+		c.reject(ev, fmt.Sprintf("duplicate registration for rank %d", r))
 	default:
 		c.pendingHello = append(c.pendingHello, ev)
 	}
 }
 
-// dispatch handles the event kinds every wait point must tolerate. It returns
-// the event back when the caller should examine it, or nil when consumed.
-func (c *Coordinator) dispatch(ev event) (*event, error) {
-	if ev.err != nil {
-		r, ok := c.rankOf(ev.sess)
-		if ok && c.members[r].alive {
-			// A live member's control connection died.
-			return &ev, nil
+// staleHello applies the incarnation fence to a registration: a stale
+// identity (an old incarnation dialing back after its replacement) can never
+// rejoin. It rejects such a Hello and reports whether it did.
+func (c *Coordinator) staleHello(ev event) bool {
+	r, inc := ev.m.Rank, ev.m.Inc
+	if inc < 0 || inc == c.incs[r] {
+		return false
+	}
+	c.reject(ev, fmt.Sprintf("incarnation fence: rank %d claims incarnation %d, cluster is at %d", r, inc, c.incs[r]))
+	return true
+}
+
+// reject answers a registration with reason and closes its connection.
+func (c *Coordinator) reject(ev event, reason string) {
+	c.opts.Logf("coordinator: rejecting rank %d: %s", ev.m.Rank, reason)
+	_ = ev.sess.send(&msg{Kind: kWelcome, Err: reason})
+	ev.sess.close()
+}
+
+// takeHello claims rank x's stashed registration, or returns nil. A Hello
+// stashed before a restart bumped x's incarnation is fenced again here.
+func (c *Coordinator) takeHello(x int) *event {
+	for i := 0; i < len(c.pendingHello); i++ {
+		h := c.pendingHello[i]
+		if h.m.Rank != x {
+			continue
 		}
-		return nil, nil // stale connection of a replaced incarnation
+		c.pendingHello = append(c.pendingHello[:i], c.pendingHello[i+1:]...)
+		i--
+		if !c.staleHello(h) {
+			return &h
+		}
+	}
+	return nil
+}
+
+// dispatch handles the event kinds every wait point must tolerate —
+// registrations, idle reports and stale connections' deaths. It returns the
+// event when the caller should examine it, or nil when consumed.
+func (c *Coordinator) dispatch(ev event) *event {
+	if ev.err != nil {
+		if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
+			return &ev // a live member's control connection died
+		}
+		return nil // stale connection of a replaced incarnation
 	}
 	switch ev.m.Kind {
 	case kHello:
 		c.handleHello(ev)
-		return nil, nil
+		return nil
 	case kIdle:
 		if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
 			c.idle[r] = true
 		}
-		return nil, nil
+		return nil
 	}
-	return &ev, nil
+	return &ev
 }
 
 // collect waits for one `want` message from every listed rank, tolerating the
@@ -280,10 +312,7 @@ func (c *Coordinator) collect(want kind, ranks []int) (map[int]*msg, error) {
 		if err != nil {
 			return nil, fmt.Errorf("awaiting message kind %d: %w", want, err)
 		}
-		evp, err := c.dispatch(ev)
-		if err != nil {
-			return nil, err
-		}
+		evp := c.dispatch(ev)
 		if evp == nil {
 			continue
 		}
@@ -304,7 +333,7 @@ func (c *Coordinator) collect(want kind, ranks []int) (map[int]*msg, error) {
 		}
 		switch evp.m.Kind {
 		case kLinkDown:
-			// A report about the mesh being rebuilt; the unfreeze retries
+			// A report about the mesh being rebuilt; the release retries
 			// parked flushes, so mid-sequence reports are not actionable.
 			continue
 		case want:
@@ -321,6 +350,35 @@ func (c *Coordinator) collect(want kind, ranks []int) (map[int]*msg, error) {
 		}
 	}
 	return out, nil
+}
+
+// step sends m to every listed rank and collects their `want` answers; a
+// failure names the step.
+func (c *Coordinator) step(name string, ranks []int, m *msg, want kind) (map[int]*msg, error) {
+	if err := c.broadcast(ranks, m); err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", name, err)
+	}
+	out, err := c.collect(want, ranks)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", name, err)
+	}
+	return out, nil
+}
+
+// halvesOf gathers the halves each of a step's answers published, passing a
+// failed step's error through.
+func halvesOf(acks map[int]*msg, err error) (map[int]Halves, error) {
+	if err != nil {
+		return nil, err
+	}
+	peers := make(map[int]Halves, len(acks))
+	for r, m := range acks {
+		if m.Halves == nil {
+			return nil, fmt.Errorf("cluster: rank %d published no halves", r)
+		}
+		peers[r] = *m.Halves
+	}
+	return peers, nil
 }
 
 // broadcast sends m to every listed rank.
@@ -363,10 +421,7 @@ func (c *Coordinator) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		evp, err := c.dispatch(ev)
-		if err != nil {
-			return nil, err
-		}
+		evp := c.dispatch(ev)
 		if evp == nil {
 			continue
 		}
@@ -380,7 +435,7 @@ func (c *Coordinator) Run() (*Result, error) {
 		}
 		switch evp.m.Kind {
 		case kLinkDown:
-			suspect, ok := c.vote(evp.m)
+			suspect, ok := c.vote(*evp)
 			if !ok {
 				continue
 			}
@@ -431,106 +486,97 @@ func (c *Coordinator) bootstrap() error {
 	// Welcome everyone only once registration closes: a welcomed member
 	// starts its MR exchange immediately, and those messages must not land
 	// while this loop still treats anything but a Hello as a protocol error.
-	for r := 0; r < c.spec.Nodes; r++ {
-		if err := c.members[r].sess.send(&msg{Kind: kWelcome, Spec: &c.spec, Incs: append([]int(nil), c.incs...)}); err != nil {
-			return fmt.Errorf("cluster: welcome rank %d: %w", r, err)
-		}
-	}
-	// MR exchange: gather every member's halves, hand each the full view.
-	halves, err := c.collect(kHalves, all)
+	// The welcome opens the MR exchange: gather every member's halves, then
+	// hand each the full view.
+	peers, err := halvesOf(c.step("MR exchange", all, &msg{Kind: kWelcome, Spec: &c.spec, Incs: append([]int(nil), c.incs...)}, kHalves))
 	if err != nil {
-		return fmt.Errorf("cluster: MR exchange: %w", err)
-	}
-	peers := make(map[int]Halves, c.spec.Nodes)
-	for r, m := range halves {
-		if m.Halves == nil {
-			return fmt.Errorf("cluster: rank %d published no halves", r)
-		}
-		peers[r] = *m.Halves
-	}
-	if err := c.broadcast(all, &msg{Kind: kWire, Peers: peers}); err != nil {
 		return err
 	}
-	if _, err := c.collect(kReady, all); err != nil {
-		return fmt.Errorf("cluster: QP bring-up: %w", err)
+	if _, err := c.step("QP bring-up", all, &msg{Kind: kWire, Peers: peers}, kReady); err != nil {
+		return err
 	}
 	c.opts.Logf("coordinator: %d members wired, starting", c.spec.Nodes)
 	return c.broadcast(all, &msg{Kind: kStart})
 }
 
-// vote collects link-failure reports over FenceDelay and picks the suspect:
-// every report votes for its far endpoint (the reporter vouches for itself by
-// reporting), stale-incarnation reports are dropped, ties break away from the
-// most recently restarted node. A connection death mid-window short-circuits
-// to its rank. Returns ok=false when every report was stale.
-func (c *Coordinator) vote(first *msg) (int, bool) {
-	votes := make(map[int]int)
-	add := func(r int, m *msg) {
-		if m.Src < 0 || m.Src >= c.spec.Nodes || m.Dst < 0 || m.Dst >= c.spec.Nodes {
-			return
+// vote collects link-failure reports over FenceDelay, starting with first,
+// and picks the suspect (pickSuspect). A live member's connection death
+// mid-window short-circuits to its rank. Returns ok=false when every report
+// was stale.
+func (c *Coordinator) vote(first event) (int, bool) {
+	var reports []*msg
+	add := func(ev *event) {
+		if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
+			ev.m.Rank = r // the connection, not the message, names the reporter
+			reports = append(reports, ev.m)
 		}
-		if m.SrcInc != c.incs[m.Src] || m.DstInc != c.incs[m.Dst] {
-			return // stale: a completed restart already replaced this link
-		}
-		far := m.Src
-		if far == r {
-			far = m.Dst
-		}
-		votes[far]++
 	}
-	if r, ok := c.reporterOf(first); ok {
-		add(r, first)
-	}
+	add(&first)
 	deadline := time.Now().Add(c.opts.FenceDelay)
 	for {
 		ev, err := c.recvUntil(deadline)
 		if err != nil {
 			break // window elapsed (or closed; the caller will notice)
 		}
-		if ev.err != nil {
-			if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
-				return r, true // process death outranks any vote
-			}
+		evp := c.dispatch(ev)
+		switch {
+		case evp == nil:
+		case evp.err != nil:
+			r, _ := c.rankOf(evp.sess)
+			return r, true // process death outranks any vote
+		case evp.m.Kind == kLinkDown:
+			add(evp)
+		}
+	}
+	return pickSuspect(reports, c.incs, c.lastRestart)
+}
+
+// pickSuspect tallies link-failure reports under the incarnation view incs
+// and names the suspect. Every report votes for its link's far endpoint (the
+// reporter, Rank, vouches for itself by reporting), and a report naming a
+// replaced incarnation is dropped as stale. Ties break away from last, the
+// most recently restarted rank, then toward the higher rank — the rule core's
+// failure manager applies. Returns ok=false when no report counted.
+func pickSuspect(reports []*msg, incs []int, last int) (suspect int, ok bool) {
+	n := len(incs)
+	votes := make([]int, n)
+	for _, m := range reports {
+		if m.Src < 0 || m.Src >= n || m.Dst < 0 || m.Dst >= n {
 			continue
 		}
-		switch ev.m.Kind {
-		case kLinkDown:
-			if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
-				add(r, ev.m)
-			}
-		case kHello:
-			c.handleHello(ev)
-		case kIdle:
-			if r, ok := c.rankOf(ev.sess); ok && c.members[r].alive {
-				c.idle[r] = true
-			}
+		if m.SrcInc != incs[m.Src] || m.DstInc != incs[m.Dst] {
+			continue // stale: a completed restart already replaced this link
 		}
+		far := m.Src
+		if far == m.Rank {
+			far = m.Dst
+		}
+		votes[far]++
 	}
-	best, bestVotes := -1, 0
+	suspect = -1
 	for r, v := range votes {
 		switch {
-		case v > bestVotes:
-			best, bestVotes = r, v
-		case v == bestVotes && best == c.lastRestart:
-			best = r // tie-break away from the node we just restarted
+		case v == 0:
+		case suspect < 0 || v > votes[suspect]:
+			suspect = r
+		case v == votes[suspect] && (suspect == last || r != last):
+			suspect = r
 		}
 	}
-	return best, best >= 0
+	return suspect, suspect >= 0
 }
 
-// reporterOf resolves which live rank a link-down message came from. The
-// steady loop already resolved it once; this re-resolution keeps vote()
-// self-contained.
-func (c *Coordinator) reporterOf(m *msg) (int, bool) {
-	if m.Rank >= 0 && m.Rank < c.spec.Nodes && c.members[m.Rank] != nil && c.members[m.Rank].alive {
-		return m.Rank, true
-	}
-	return -1, false
-}
-
-// restart drives the 13-step fence → restore → replay → rejoin sequence for
-// suspect x. Any step failing fails the run: a second fault mid-restart is
-// beyond the protocol.
+// restart drives one restart of suspect x, one message per step:
+//
+//	survivors: kFence → kFenceAck{Committed, Halves}
+//	respawn:   kWelcome{Restore} → kHalves, then kWire
+//	survivors: kAdopt{Peers} → kAck
+//	respawn:   kRestore → kRestoreAck{Restored}
+//	survivors: kReplay → kReplayAck{Chunks}
+//	everyone:  kRelease
+//
+// Any step failing fails the run: a second fault mid-restart is beyond the
+// protocol.
 func (c *Coordinator) restart(x int) error {
 	if c.restarts >= c.opts.MaxRestarts {
 		return fmt.Errorf("cluster: restart budget exhausted (%d)", c.opts.MaxRestarts)
@@ -538,39 +584,28 @@ func (c *Coordinator) restart(x int) error {
 	c.restarts++
 	c.opts.Logf("coordinator: restarting rank %d (restart %d)", x, c.restarts)
 
-	// 1. Retire the suspect. A live false positive is force-closed — the
-	// fence makes its incarnation unable to do further harm either way.
+	// Retire the suspect. A live false positive is force-closed — the fence
+	// makes its incarnation unable to do further harm either way.
 	if m := c.members[x]; m != nil {
 		m.alive = false
 		m.sess.close()
 	}
-	newInc := c.incs[x] + 1
-	c.incs[x] = newInc
+	c.incs[x]++
 	survivors := c.liveRanks()
 	if len(survivors) == 0 {
 		return errors.New("cluster: no survivors to restart from")
 	}
 
-	// 2. Freeze the survivors' sources so no flush targets the mesh mid-
-	// rebuild.
-	if err := c.broadcast(survivors, &msg{Kind: kFreeze, On: true}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
-		return fmt.Errorf("cluster: freeze: %w", err)
-	}
-
-	// 3. Fence: survivors sever their links to x, adopt its new incarnation,
-	// and report their committed-epoch horizons.
-	if err := c.broadcast(survivors, &msg{Kind: kFence, Node: x, Inc: newInc}); err != nil {
-		return err
-	}
-	fenceAcks, err := c.collect(kFenceAck, survivors)
+	// Fence: survivors hold their sources, sever their links to x, adopt its
+	// new incarnation, and answer with their committed-epoch horizons and
+	// freshly registered halves for the links to x.
+	fenced, err := c.step("fence", survivors, &msg{Kind: kFence, Node: x, Inc: c.incs[x]}, kFenceAck)
+	peersForX, err := halvesOf(fenced, err)
 	if err != nil {
-		return fmt.Errorf("cluster: fence: %w", err)
+		return err
 	}
 	var committed []uint64
-	for _, ack := range fenceAcks {
+	for _, ack := range fenced {
 		if committed == nil {
 			committed = append([]uint64(nil), ack.Committed...)
 			continue
@@ -582,82 +617,47 @@ func (c *Coordinator) restart(x int) error {
 		}
 	}
 
-	// 4. Await the respawn's registration (it may already be stashed).
+	// Admit the respawn: its registration (it may already be stashed), its
+	// halves, and its QP bring-up, which it applies before reading the
+	// restore order (same connection, in order).
 	hello, err := c.awaitHello(x)
 	if err != nil {
 		return err
 	}
 	c.members[x] = &member{sess: hello.sess, alive: true}
-	if err := hello.sess.send(&msg{Kind: kWelcome, Spec: &c.spec, Incs: append([]int(nil), c.incs...), Restore: true}); err != nil {
-		return fmt.Errorf("cluster: welcome respawned rank %d: %w", x, err)
-	}
-
-	// 5. MR re-exchange, scoped to x's links: x registers a full set, each
-	// survivor re-registers fresh regions for the two links shared with x.
-	xHalvesMsg, err := c.collect(kHalves, []int{x})
+	xHalves, err := halvesOf(c.step("respawn MR exchange", []int{x}, &msg{Kind: kWelcome, Spec: &c.spec, Incs: append([]int(nil), c.incs...), Restore: true}, kHalves))
 	if err != nil {
-		return fmt.Errorf("cluster: respawn MR exchange: %w", err)
-	}
-	xHalves := xHalvesMsg[x].Halves
-	if err := c.broadcast(survivors, &msg{Kind: kRelink, Node: x}); err != nil {
 		return err
 	}
-	relinkAcks, err := c.collect(kRelinkAck, survivors)
-	if err != nil {
-		return fmt.Errorf("cluster: relink: %w", err)
-	}
-	peersForX := make(map[int]Halves, len(survivors))
-	for r, ack := range relinkAcks {
-		peersForX[r] = *ack.Halves
-	}
-
-	// 6. QP bring-up, both directions. x applies its wire before reading the
-	// restore order (same connection, in order); survivors ack theirs.
 	if err := c.members[x].sess.send(&msg{Kind: kWire, Peers: peersForX}); err != nil {
-		return err
-	}
-	if err := c.broadcast(survivors, &msg{Kind: kWire, Peers: map[int]Halves{x: *xHalves}}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
-		return fmt.Errorf("cluster: rewire: %w", err)
+		return fmt.Errorf("cluster: wire respawned rank %d: %w", x, err)
 	}
 
-	// 7. Survivors adopt the rebuilt links into their meshes.
-	if err := c.broadcast(survivors, &msg{Kind: kAdopt, Node: x}); err != nil {
+	// Adopt: survivors dial x's halves and wire x back into their meshes.
+	if _, err := c.step("adopt", survivors, &msg{Kind: kAdopt, Node: x, Peers: xHalves}, kAck); err != nil {
 		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
-		return fmt.Errorf("cluster: adopt: %w", err)
 	}
 
-	// 8. x restores from its journal at the cluster-wide commit horizon.
-	if err := c.members[x].sess.send(&msg{Kind: kRestore, Committed: committed}); err != nil {
-		return err
-	}
-	restoreAck, err := c.collect(kRestoreAck, []int{x})
+	// Restore: x rebuilds from its journal at the cluster-wide horizon.
+	restoreAck, err := c.step("restore", []int{x}, &msg{Kind: kRestore, Committed: committed}, kRestoreAck)
 	if err != nil {
-		return fmt.Errorf("cluster: restore: %w", err)
-	}
-	restored := restoreAck[x].Restored
-
-	// 9. Survivors re-deliver retained ring entries above x's horizon.
-	if err := c.broadcast(survivors, &msg{Kind: kReplay, Node: x, Restored: restored}); err != nil {
 		return err
 	}
-	replayAcks, err := c.collect(kReplayAck, survivors)
+
+	// Replay: survivors re-deliver retained ring entries above x's horizon.
+	replayAcks, err := c.step("replay", survivors, &msg{Kind: kReplay, Node: x, Restored: restoreAck[x].Restored}, kReplayAck)
 	if err != nil {
-		return fmt.Errorf("cluster: replay: %w", err)
+		return err
 	}
 	replayed := 0
 	for _, ack := range replayAcks {
 		replayed += ack.Chunks
 	}
+	c.replayed += replayed
 
-	// 10. Release everyone and reset the idle bookkeeping — members that
+	// Release everyone and reset the idle bookkeeping — members that
 	// reported idle before the fault re-report against the rebuilt mesh.
-	live := c.liveRanks()
-	if err := c.broadcast(live, &msg{Kind: kFreeze, On: false}); err != nil {
+	if err := c.broadcast(c.liveRanks(), &msg{Kind: kRelease}); err != nil {
 		return err
 	}
 	for r := range c.idle {
@@ -668,49 +668,28 @@ func (c *Coordinator) restart(x int) error {
 	return nil
 }
 
-// awaitHello returns the admissible registration for rank x, consulting the
-// stash first (a fast respawn can dial back in before the restart sequence
-// reaches this step).
+// awaitHello returns the admissible registration for rank x. A fast respawn
+// can dial back in before the restart reaches this step, so the stash is
+// checked before every wait.
 func (c *Coordinator) awaitHello(x int) (*event, error) {
-	for i, h := range c.pendingHello {
-		if h.m.Rank == x {
-			c.pendingHello = append(c.pendingHello[:i], c.pendingHello[i+1:]...)
-			if h.m.Inc >= 0 && h.m.Inc != c.incs[x] {
-				_ = h.sess.send(&msg{Kind: kWelcome, Err: fmt.Sprintf("incarnation fence: rank %d claims incarnation %d, cluster is at %d", x, h.m.Inc, c.incs[x])})
-				h.sess.close()
-				continue
-			}
-			return &h, nil
-		}
-	}
 	deadline := time.Now().Add(c.opts.HandshakeTimeout)
 	for {
+		if h := c.takeHello(x); h != nil {
+			return h, nil
+		}
 		ev, err := c.recvUntil(deadline)
 		if err != nil {
 			return nil, fmt.Errorf("awaiting respawn of rank %d: %w", x, err)
 		}
-		evp, err := c.dispatch(ev)
-		if err != nil {
-			return nil, err
-		}
-		if evp == nil {
-			// dispatch stashes admissible hellos; check for ours.
-			for i, h := range c.pendingHello {
-				if h.m.Rank == x {
-					c.pendingHello = append(c.pendingHello[:i], c.pendingHello[i+1:]...)
-					return &h, nil
-				}
-			}
-			continue
-		}
-		if evp.err != nil {
+		evp := c.dispatch(ev)
+		switch {
+		case evp == nil:
+		case evp.err != nil:
 			r, _ := c.rankOf(evp.sess)
 			return nil, fmt.Errorf("cluster: rank %d connection lost mid-restart: %w", r, evp.err)
+		case evp.m.Kind != kLinkDown: // link-down reports are about the rebuild
+			return nil, fmt.Errorf("cluster: unexpected kind %d while awaiting respawn", evp.m.Kind)
 		}
-		if evp.m.Kind == kLinkDown {
-			continue // reports about the link being rebuilt
-		}
-		return nil, fmt.Errorf("cluster: unexpected kind %d while awaiting respawn", evp.m.Kind)
 	}
 }
 
@@ -724,7 +703,7 @@ func (c *Coordinator) finish() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: collecting results: %w", err)
 	}
-	res := &Result{Reports: make([]MemberReport, c.spec.Nodes), Restarts: c.restarts}
+	res := &Result{Reports: make([]MemberReport, c.spec.Nodes), Restarts: c.restarts, ReplayedChunks: c.replayed}
 	for r, m := range results {
 		res.Rows = append(res.Rows, m.Rows...)
 		if m.Report != nil {

@@ -3,9 +3,10 @@
 // with the channel mesh carried by the netfab transport instead of the
 // simulated fabric. The coordinator drives bootstrap (node registration,
 // MR/rkey exchange, QP bring-up — the connection-manager steps of a real
-// RDMA deployment) and, on a member death, the fence → restore → replay →
-// rejoin sequence, reusing the engine's incarnation fencing and committed-
-// epoch horizons through the Cluster* primitives (internal/core).
+// RDMA deployment) and, on a member death, the fence → adopt → restore →
+// replay → release sequence, one message per step, reusing the engine's
+// incarnation fencing and committed-epoch horizons through the Cluster*
+// primitives (internal/core).
 package cluster
 
 import (
@@ -110,16 +111,14 @@ const (
 	kResult   // worker's rows and statistics (or its fatal error)
 	kLinkDown // worker forwards a link-failure observation (the vote input)
 	// Restart sequence (coordinator-ordered; see Coordinator.restart).
-	kFreeze     // gate (On) or release (!On) every member's sources
-	kFence      // sever links to dead Node, install its new incarnation (Inc)
-	kFenceAck   // survivor's committed-epoch minimum vector
-	kRelink     // register fresh regions for links to/from Node
-	kRelinkAck  // the fresh halves
-	kAdopt      // wire the restored Node back into the local mesh
+	kFence      // survivor: hold sources, sever links to dead Node, install its new incarnation (Inc)
+	kFenceAck   // the committed-epoch minimum vector and fresh halves for Node's links
+	kAdopt      // survivor: dial Node's Peers halves, wire Node back into the local mesh
 	kRestore    // newcomer: rebuild Node from its journal against Committed
 	kRestoreAck // the restored committed-epoch vector
 	kReplay     // survivor: re-deliver ring entries to Node above Restored
 	kReplayAck  // chunks replayed
+	kRelease    // every member: lift the restart hold
 	kAck        // generic completion (Err set on failure)
 )
 
@@ -129,7 +128,6 @@ type msg struct {
 	Rank int
 	Inc  int
 	Node int
-	On   bool
 	Err  string
 
 	Spec    *Spec

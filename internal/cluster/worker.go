@@ -207,15 +207,10 @@ func (w *Worker) Run() error {
 	w.mu.Unlock()
 
 	if welcome.Restore {
-		// Respawn path: start an empty pool, install the cluster's current
-		// incarnation view, then rebuild the owned node from the journal at
-		// the commit horizon the coordinator gathered from the survivors.
+		// Respawn path: start an empty pool, then rebuild the owned node from
+		// the journal under the welcome's incarnation view, at the commit
+		// horizon the coordinator gathered from the survivors.
 		ctrl.Start()
-		for node, nodeInc := range welcome.Incs {
-			if err := ctrl.ClusterSetIncarnation(node, nodeInc); err != nil {
-				return err
-			}
-		}
 		restoreMsg, err := sess.read()
 		if err != nil {
 			return fmt.Errorf("cluster: awaiting restore: %w", err)
@@ -223,7 +218,7 @@ func (w *Worker) Run() error {
 		if restoreMsg.Kind != kRestore {
 			return fmt.Errorf("cluster: expected restore, got kind %d", restoreMsg.Kind)
 		}
-		restored, err := ctrl.ClusterRestore(rank, restoreMsg.Committed)
+		restored, err := ctrl.ClusterRestore(rank, welcome.Incs, restoreMsg.Committed)
 		ack := &msg{Kind: kRestoreAck, Rank: rank, Restored: restored, Err: errStr(err)}
 		if sendErr := sess.send(ack); sendErr != nil {
 			return sendErr
@@ -312,32 +307,31 @@ func (w *Worker) control(sess *session, fab *fabric, ctrl *core.Controller, fini
 			return
 		}
 		switch m.Kind {
-		case kFreeze:
-			if m.On {
-				err := ctrl.ClusterFreeze(true)
-				_ = sess.send(&msg{Kind: kAck, Rank: w.opts.Rank, Err: errStr(err)})
-			} else {
-				_ = ctrl.ClusterFreeze(false)
-				select {
-				case rearmCh <- struct{}{}:
-				default:
-				}
-			}
 		case kFence:
+			// The fence severed the old links to Node, so its regions can be
+			// replaced: fresh ones start the rebuilt channels from clean
+			// credit and ring state.
 			committed, err := ctrl.ClusterFence(m.Node, m.Inc)
-			_ = sess.send(&msg{Kind: kFenceAck, Rank: w.opts.Rank, Committed: committed, Err: errStr(err)})
-		case kRelink:
-			h, err := fab.relink(m.Node)
-			_ = sess.send(&msg{Kind: kRelinkAck, Rank: w.opts.Rank, Halves: h, Err: errStr(err)})
-		case kWire:
-			err := fab.wire(m.Peers)
-			_ = sess.send(&msg{Kind: kAck, Rank: w.opts.Rank, Err: errStr(err)})
+			var h *Halves
+			if err == nil {
+				h, err = fab.relink(m.Node)
+			}
+			_ = sess.send(&msg{Kind: kFenceAck, Rank: w.opts.Rank, Committed: committed, Halves: h, Err: errStr(err)})
 		case kAdopt:
-			err := ctrl.ClusterAdopt(m.Node)
+			err := fab.wire(m.Peers)
+			if err == nil {
+				err = ctrl.ClusterAdopt(m.Node)
+			}
 			_ = sess.send(&msg{Kind: kAck, Rank: w.opts.Rank, Err: errStr(err)})
 		case kReplay:
 			n, err := ctrl.ClusterReplay(m.Node, m.Restored)
 			_ = sess.send(&msg{Kind: kReplayAck, Rank: w.opts.Rank, Chunks: n, Err: errStr(err)})
+		case kRelease:
+			_ = ctrl.ClusterRelease()
+			select {
+			case rearmCh <- struct{}{}:
+			default:
+			}
 		case kFinish:
 			finishCh <- struct{}{}
 			return

@@ -7,16 +7,17 @@ import (
 )
 
 // This file is the placement-mode entry to the recovery plane: the steps an
-// external control plane (internal/cluster) composes into the fence →
-// restore → replay sequence RestartNode runs in-process. ClusterFence,
-// ClusterRestore and ClusterReplay wrap the same step functions RestartNode
-// calls (recover.go); the coordinator orders them across processes:
+// external control plane (internal/cluster) orders into the hold → fence →
+// restore → replay → release sequence RestartNode runs in-process. Each
+// Cluster* method wraps the step function RestartNode calls (recover.go), and
+// the coordinator sends one message per step:
 //
-//	survivors:  ClusterFreeze(true) → ClusterFence → [relink] → ClusterAdopt
-//	newcomer:   ClusterSetIncarnation* → ClusterRestore
-//	survivors:  ClusterReplay → ClusterFreeze(false)
+//	survivors:  ClusterFence → ClusterAdopt
+//	newcomer:   ClusterRestore
+//	survivors:  ClusterReplay → ClusterRelease
 //
-// ClusterFreeze raises and releases the same hold barrier RestartNode does.
+// ClusterFence raises the same hold barrier RestartNode does and waits for it
+// through the same fence helper (awaitHold); ClusterRelease lifts it.
 //
 // Only the vote, the ordering and the kill (a real process death) live
 // outside this process.
@@ -25,51 +26,22 @@ import (
 // in-process deployments run the same sequence through RestartNode.
 var ErrNotPlacement = errors.New("core: not a placement deployment")
 
-// ClusterFreeze raises (on=true) or releases (on=false) the member's restart
-// hold. Held sources answer without flushing, so no flush targets a link
-// mid-teardown; releasing bumps the retry generation so flushes parked on a
-// dead link retry against the rebuilt mesh.
-func (c *Controller) ClusterFreeze(on bool) error {
-	if c.cfg.Placement == nil {
-		return ErrNotPlacement
-	}
-	if on {
-		_, err := c.run.raise(barrierHold)
-		return err
-	}
-	if b := c.run.barrier.Load(); b != nil {
-		c.run.release(b)
-	}
-	return nil
-}
-
-// ClusterFence is the fence step on a survivor: it severs this member's
-// links to dead node x, installs x's new incarnation, and removes x from the
-// live set. It returns the element-wise minimum of the owned backends'
+// ClusterFence is the fence step on a survivor: it raises the restart hold,
+// waits until every source answered it, then severs this member's links to
+// dead node x, installs x's new incarnation, and removes x from the live
+// set. It returns the element-wise minimum of the owned backends'
 // committed-epoch vectors — the member's contribution to the cluster-wide
-// commit horizon the newcomer restores to. The member must be held
-// (ClusterFreeze); the rings feeding x are kept for ClusterReplay.
+// commit horizon the newcomer restores to. The hold stays raised until
+// ClusterRelease; the rings feeding x are kept for ClusterReplay.
 func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	if c.cfg.Placement == nil {
 		return nil, ErrNotPlacement
 	}
-	hold := c.run.barrier.Load()
-	if hold == nil || hold.mode != barrierHold {
-		return nil, errors.New("core: ClusterFence requires a held member")
-	}
 	if x < 0 || x >= c.cfg.MaxNodes {
 		return nil, fmt.Errorf("core: node %d out of range", x)
 	}
-	// Close the send halves toward x ahead of the wait, so a step blocked on
-	// x's credit fails and parks instead of holding up the hold's answers.
-	c.mu.Lock()
-	for m := range c.producers {
-		if p := c.producers[m][x]; p != nil {
-			p.Close()
-		}
-	}
-	c.mu.Unlock()
-	if err := c.run.await(hold, c.liveSources(x)); err != nil {
+	hold, _ := c.run.raise(barrierHold)
+	if err := c.awaitHold(hold, x); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -77,20 +49,16 @@ func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	return c.fence(x, newInc), nil
 }
 
-// ClusterSetIncarnation installs node's incarnation as distributed by the
-// coordinator. A respawned member calls it for every node before
-// ClusterRestore, so the links it builds and the chunks it stamps carry the
-// cluster's current incarnation view.
-func (c *Controller) ClusterSetIncarnation(node, inc int) error {
+// ClusterRelease is the release step: it lifts the member's restart hold, if
+// one is in force. Releasing bumps the retry generation, so flushes parked on
+// a dead link retry against the rebuilt mesh.
+func (c *Controller) ClusterRelease() error {
 	if c.cfg.Placement == nil {
 		return ErrNotPlacement
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node < 0 || node >= c.cfg.MaxNodes {
-		return fmt.Errorf("core: node %d out of range", node)
+	if b := c.run.barrier.Load(); b != nil {
+		c.run.release(b)
 	}
-	c.nodeInc[node] = inc
 	return nil
 }
 
@@ -123,13 +91,15 @@ func (c *Controller) ClusterAdopt(x int) error {
 	return nil
 }
 
-// ClusterRestore is the restore step on a respawned member: it rebuilds
-// owned node x from its journal (re-emitting journaled sink rows — the
-// member's sink died with its predecessor) with source replay plans cut at
-// the cluster-wide commit horizon. peerCommitted is the element-wise minimum
-// of the survivors' ClusterFence vectors. Returns the restored
-// committed-epoch vector survivors filter their ring replay with.
-func (c *Controller) ClusterRestore(x int, peerCommitted []uint64) ([]uint64, error) {
+// ClusterRestore is the restore step on a respawned member: it installs the
+// cluster's incarnation view incs (indexed by node), so the links it builds
+// and the chunks it stamps carry it, then rebuilds owned node x from its
+// journal (re-emitting journaled sink rows — the member's sink died with its
+// predecessor) with source replay plans cut at the cluster-wide commit
+// horizon. peerCommitted is the element-wise minimum of the survivors'
+// ClusterFence vectors. Returns the restored committed-epoch vector
+// survivors filter their ring replay with.
+func (c *Controller) ClusterRestore(x int, incs []int, peerCommitted []uint64) ([]uint64, error) {
 	if c.cfg.Placement == nil {
 		return nil, ErrNotPlacement
 	}
@@ -147,7 +117,10 @@ func (c *Controller) ClusterRestore(x int, peerCommitted []uint64) ([]uint64, er
 		err = fmt.Errorf("core: node %d is already live", x)
 	case !c.cfg.Placement.Owned(x):
 		err = fmt.Errorf("core: node %d is not owned by this member", x)
+	case len(incs) > len(c.nodeInc):
+		err = fmt.Errorf("core: incarnation view of %d nodes exceeds MaxNodes %d", len(incs), len(c.nodeInc))
 	default:
+		copy(c.nodeInc, incs)
 		// oldDone is nil: the dead process never published its run totals
 		// (publication happens only at FinishStream success), so every
 		// restored thread republishes from its journaled counters.

@@ -628,14 +628,7 @@ func (c *Controller) restartLocked(x, expect int) error {
 	if err != nil {
 		return err
 	}
-	// The hold gates only each source's next step; one already running may
-	// still be flushing, and a flush that outlived the fence would post its
-	// next chunk through the rebuilt link to x ahead of the ring replay — the
-	// restored leader would then commit an epoch whose data is still queued
-	// in the ring, or skip a live chunk as a replayed one. kill closed every
-	// send half toward x, so a step blocked on x's credit has already failed
-	// and parked.
-	if err := c.run.await(hold, c.liveSources(x)); err != nil {
+	if err := c.awaitHold(hold, x); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -652,6 +645,26 @@ func (c *Controller) restartLocked(x, expect int) error {
 	}
 	c.recordRecovery(x, start, n)
 	return nil
+}
+
+// awaitHold is the wait of the fence step, shared by both drivers. The hold
+// gates only each source's next step; one already running may still be
+// flushing, and a flush that outlived the fence would post its next chunk
+// through the rebuilt link to x ahead of the ring replay — the restored
+// leader would then commit an epoch whose data is still queued in the ring,
+// or skip a live chunk as a replayed one. So it first closes every send half
+// toward x, which makes a step blocked on x's credit fail and park (it
+// retries once the hold's release bumps the retry generation), then blocks
+// until every live source but x's answered hold.
+func (c *Controller) awaitHold(hold *barrier, x int) error {
+	c.mu.Lock()
+	for m := range c.producers {
+		if p := c.producers[m][x]; p != nil {
+			p.Close()
+		}
+	}
+	c.mu.Unlock()
+	return c.run.await(hold, c.liveSources(x))
 }
 
 // exitGroup is one node incarnation's task-exit signal. Every launched task
@@ -777,12 +790,7 @@ func (c *Controller) fence(x, newInc int) []uint64 {
 		if m == x || c.backends[m] == nil {
 			continue
 		}
-		// Closing the producer unblocks a sender spinning for credit on a
-		// channel whose far end will never poll again; the flush parks and
-		// retries once the hold's release bumps the retry generation.
-		if p := c.producers[m][x]; p != nil {
-			p.Close()
-		}
+		// awaitHold already closed the send half toward x.
 		c.producers[m][x], c.senders[m][x] = nil, nil
 		kept := c.consumers[m][:0]
 		for _, e := range c.consumers[m] {
