@@ -546,6 +546,7 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}
+			tbl.Reset() // returns a bag table's segments to the free list
 			delete(state, win)
 		}
 	}

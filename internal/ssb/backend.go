@@ -401,9 +401,10 @@ func (b *Backend) newTable() *Table {
 }
 
 // takeTable reuses a pooled, reset table if available. Pooling avoids
-// rebuilding hash-index bucket arrays and reallocating logs for every
-// window and epoch (the log "adaptively resizes" and keeps its capacity,
-// §7.2.1). Callers must hold b.mu.
+// rebuilding hash-index bucket arrays, aggregate logs and bag group maps for
+// every window and epoch (an aggregate log "adaptively resizes" and keeps its
+// capacity, §7.2.1; bag segments come back from the free list instead).
+// Callers must hold b.mu.
 func (b *Backend) takeTable() *Table {
 	if n := len(b.tablePool); n > 0 {
 		t := b.tablePool[n-1]
@@ -413,10 +414,11 @@ func (b *Backend) takeTable() *Table {
 	return b.newTable()
 }
 
-// putTable resets and pools a table. Callers must hold b.mu.
+// putTable resets a table, which returns a bag table's segments, and pools
+// it while the pool has room. Callers must hold b.mu.
 func (b *Backend) putTable(t *Table) {
+	t.Reset()
 	if len(b.tablePool) < 64 {
-		t.Reset()
 		b.tablePool = append(b.tablePool, t)
 	}
 }
@@ -612,9 +614,9 @@ type ThreadState struct {
 	// specialized batch dispatch; see batch.go.
 	batch   batchScratch
 	aggKind aggKind
-	wm    stream.Watermark
-	epoch uint64
-	pend  int64 // bytes ingested since last flush
+	wm      stream.Watermark
+	epoch   uint64
+	pend    int64 // bytes ingested since last flush
 
 	// inc is the thread's incarnation, stamped on every chunk: bumped when a
 	// failed flush is retried and restored (pre-bumped) after a node
@@ -773,15 +775,6 @@ func (ts *ThreadState) Ingest(n int) bool {
 	return ts.pend >= ts.be.cfg.EpochBytes
 }
 
-// StateBytes returns the total log bytes held by this thread's fragments.
-func (ts *ThreadState) StateBytes() int {
-	total := 0
-	for _, t := range ts.tables {
-		total += t.LogBytes()
-	}
-	return total
-}
-
 // Flush runs the helper side of the synchronization phase (§7.2.2):
 //
 //  1. increment the epoch counter,
@@ -858,12 +851,13 @@ func (ts *ThreadState) Flush() error {
 				return err
 			}
 		}
-		// Invalidate everything shipped (§7.2.2 step 4) and recycle the table
-		// capacity for the next epoch's fragments.
+		// Invalidate everything shipped (§7.2.2 step 4), return bag segments
+		// to the free list and recycle the tables for the next epoch's
+		// fragments.
 		ts.invalidateCache()
 		for k, t := range ts.tables {
+			t.Reset()
 			if len(ts.pool) < 64 {
-				t.Reset()
 				ts.pool = append(ts.pool, t)
 			}
 			delete(ts.tables, k)

@@ -2,21 +2,21 @@ package ssb
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/slash-stream/slash/internal/crdt"
 )
 
 // Bag tables. Holistic state only ever grows (§5.1), so a bag fragment is a
-// plain log: appending writes one fixed-size entry and maintains no index, a
-// helper's epoch delta is the log itself, and the leader's merge concatenates
-// it. Nothing on that path looks at a key. The one consumer that needs bags
-// by key is the window trigger, and every join it feeds only counts sides: it
-// makes one forward pass (ForEachSides) that reads each entry's key and Side
-// byte and counts per key — the only place a bag table hashes a key on the
-// hot path. The element view (ForEachBag) groups the log and then scatters
-// the decoded elements into one array where every key's bag is a contiguous
-// slice; tests and the bench mirror use it.
+// plain log (a list of segments, see bagseg.go): appending writes one
+// fixed-size entry and maintains no index, a helper's epoch delta is the log
+// itself, and the leader's merge concatenates it. Nothing on that path looks
+// at a key. The one consumer that needs bags by key is the window trigger,
+// and every join it feeds only counts sides: it makes one forward pass
+// (ForEachSides) that reads each entry's key and Side byte and counts per
+// key — the only place a bag table hashes a key on the hot path. The
+// element view (ForEachBag) groups the log and then scatters the decoded
+// elements into one array where every key's bag is a contiguous slice; tests
+// and the bench mirror use it.
 
 // bagGroups is the by-key view of a bag table's log. It covers the first
 // len(gids) entries; group extends it over whatever was appended since.
@@ -114,88 +114,49 @@ func putBagEntry(dst []byte, key uint64, e *crdt.BagElem) {
 	crdt.EncodeBagElem(dst[entryHeaderSize:], e)
 }
 
-// reserveBag extends the log by n blank entries and returns the offset of the
-// first; the caller fills every one of them with putBagEntry.
-func (t *Table) reserveBag(n int) (int, error) {
-	if n > maxLogSize/bagEntrySize {
-		return 0, ErrLogOverflow
-	}
-	if err := t.growLog(n * bagEntrySize); err != nil {
-		return 0, err
-	}
-	off := len(t.log)
-	t.log = t.log[:off+n*bagEntrySize]
-	t.elem += n
-	return off, nil
-}
-
 // AppendBag appends one element to key's bag (the holistic-window delta
 // update: state only ever grows, §5.1).
 func (t *Table) AppendBag(key uint64, e *crdt.BagElem) error {
-	if t.agg != nil {
+	if t.bag == nil {
 		return ErrTableKind
 	}
-	off, err := t.reserveBag(1)
-	if err != nil {
-		return err
-	}
-	putBagEntry(t.log[off:], key, e)
-	return nil
-}
-
-// mergeBagLog is the bag merge: check the entry framing of the whole region,
-// then concatenate it. The check comes first so a malformed chunk leaves the
-// table exactly as it was. Incoming prev words are carried along unread.
-func (t *Table) mergeBagLog(region []byte) error {
-	off := 0
-	for ; off+bagEntrySize <= len(region); off += bagEntrySize {
-		if vlen := getU32(region[off+12:]); vlen != crdt.BagElemSize {
-			return fmt.Errorf("%w: bag element of %d bytes at offset %d", ErrChunkFormat, vlen, off)
-		}
-	}
-	if off != len(region) {
-		return fmt.Errorf("%w: bag region ends %d bytes into an entry", ErrChunkFormat, len(region)-off)
-	}
-	if err := t.growLog(len(region)); err != nil {
-		return err
-	}
-	t.log = append(t.log, region...)
-	t.elem += len(region) / bagEntrySize
-	return nil
+	return t.bag.append(key, e)
 }
 
 // group assigns the entries appended since the last call to their key's
 // group: one forward pass over the new part of the log, one probe per entry
 // (none for a run of equal keys).
-func (t *Table) group() {
-	g := &t.bag
-	n := len(t.log) / bagEntrySize
+func (l *bagLog) group() {
+	g := &l.g
 	i := len(g.gids)
-	if i == n {
+	if i == l.n {
 		return
 	}
-	g.gids = resized(g.gids, n)
+	g.gids = resized(g.gids, l.n)
 	var prevKey uint64
 	prevGid := int32(-1)
-	for off := i * bagEntrySize; i < n; i, off = i+1, off+bagEntrySize {
-		key := getU64(t.log[off:])
-		gid := prevGid
-		if gid < 0 || key != prevKey {
-			var free *groupSlot
-			if gid, free = g.find(key); gid < 0 {
-				gid = g.add(key, free)
+	for s := i / bagSegEntries; i < l.n; s++ {
+		span := l.span(s)
+		for off := (i - s*bagSegEntries) * bagEntrySize; off < len(span); i, off = i+1, off+bagEntrySize {
+			key := getU64(span[off:])
+			gid := prevGid
+			if gid < 0 || key != prevKey {
+				var free *groupSlot
+				if gid, free = g.find(key); gid < 0 {
+					gid = g.add(key, free)
+				}
+				prevKey, prevGid = key, gid
 			}
-			prevKey, prevGid = key, gid
+			g.counts[gid]++
+			g.gids[i] = gid
 		}
-		g.counts[gid]++
-		g.gids[i] = gid
 	}
 }
 
 // scatter decodes every grouped entry into its group's slice of elems
 // (counting sort by group id, so a bag keeps log order).
-func (t *Table) scatter() {
-	g := &t.bag
+func (l *bagLog) scatter() {
+	g := &l.g
 	n := len(g.gids)
 	if g.placed == n {
 		return
@@ -209,27 +170,25 @@ func (t *Table) scatter() {
 		ends[gid] = sum
 		sum += c
 	}
-	off := entryHeaderSize
-	for _, gid := range g.gids {
-		at := ends[gid]
-		ends[gid] = at + 1
-		crdt.DecodeBagElem(t.log[off:off+crdt.BagElemSize], &elems[at])
-		off += bagEntrySize
+	gids := g.gids
+	for s := range l.segs {
+		span := l.span(s)
+		for off := entryHeaderSize; off < len(span); off += bagEntrySize {
+			gid := gids[0]
+			gids = gids[1:]
+			at := ends[gid]
+			ends[gid] = at + 1
+			crdt.DecodeBagElem(span[off:off+crdt.BagElemSize], &elems[at])
+		}
 	}
 	g.placed = n
 }
 
-// BagLen returns the number of elements in key's bag.
-func (t *Table) BagLen(key uint64) int {
-	if t.agg != nil {
-		return 0
-	}
-	t.group()
-	gid, _ := t.bag.find(key)
-	if gid < 0 {
-		return 0
-	}
-	return int(t.bag.counts[gid])
+// keys returns the number of distinct keys among the entries, grouping the
+// ones appended since the last call.
+func (l *bagLog) keys() int {
+	l.group()
+	return len(l.g.keys)
 }
 
 // ForEachBag visits every key with its collected bag elements. A bag is a
@@ -239,12 +198,13 @@ func (t *Table) BagLen(key uint64) int {
 // this view stays for tests and for the frozen bench mirror
 // (bench/layertrace.go), which still calls it.
 func (t *Table) ForEachBag(fn func(key uint64, elems []crdt.BagElem)) {
-	if t.agg != nil {
+	l := t.bag
+	if l == nil {
 		return
 	}
-	t.group()
-	t.scatter()
-	g := &t.bag
+	l.group()
+	l.scatter()
+	g := &l.g
 	var start int32
 	for gid, key := range g.keys {
 		end := g.ends[gid]
@@ -260,32 +220,35 @@ const bagSideOffset = entryHeaderSize + 16
 // ForEachSides visits every key once, in first-appearance order (the order
 // ForEachBag visits them), with the number of its elements on each join
 // side: left counts Side == 0, right every other Side. It is one forward
-// pass that reads each entry's key and Side byte, probes the key → group map
-// once per run of equal keys and writes nothing per entry. Grouping done
-// earlier by Keys or BagLen is discarded and recounted, and the grouped view
-// is left empty, so a later read regroups from the start. fn must not call
-// back into the table.
+// pass over the segments that reads each entry's key and Side byte, probes
+// the key → group map once per run of equal keys and writes nothing per
+// entry. Grouping done earlier by Keys is discarded and recounted, and the
+// grouped view is left empty, so a later read regroups from the start. fn
+// must not call back into the table.
 func (t *Table) ForEachSides(fn func(key uint64, left, right int)) {
-	if t.agg != nil {
+	l := t.bag
+	if l == nil {
 		return
 	}
-	g := &t.bag
+	g := &l.g
 	g.reset()
 	var prevKey uint64
 	gid := int32(-1)
-	for log := t.log; len(log) >= bagEntrySize; log = log[bagEntrySize:] {
-		key := getU64(log)
-		if gid < 0 || key != prevKey {
-			var free *groupSlot
-			if gid, free = g.find(key); gid < 0 {
-				gid = g.add(key, free)
+	for s := range l.segs {
+		for log := l.span(s); len(log) >= bagEntrySize; log = log[bagEntrySize:] {
+			key := getU64(log)
+			if gid < 0 || key != prevKey {
+				var free *groupSlot
+				if gid, free = g.find(key); gid < 0 {
+					gid = g.add(key, free)
+				}
+				prevKey = key
 			}
-			prevKey = key
+			g.counts[gid]++
+			// (side + 255) >> 8 is 1 for any non-zero byte: no branch on a
+			// side that flips at random from one element to the next.
+			g.rights[gid] += int32(uint32(log[bagSideOffset])+0xff) >> 8
 		}
-		g.counts[gid]++
-		// (side + 255) >> 8 is 1 for any non-zero byte: no branch on a side
-		// that flips at random from one element to the next.
-		g.rights[gid] += int32(uint32(log[bagSideOffset])+0xff) >> 8
 	}
 	for gid, key := range g.keys {
 		right := int(g.rights[gid])

@@ -3,6 +3,7 @@ package ssb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,6 +12,13 @@ import (
 	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/stream"
 )
+
+// flatEntry appends one bag entry to a flat (unsegmented) log.
+func flatEntry(log []byte, key uint64, e crdt.BagElem) []byte {
+	var b [bagEntrySize]byte
+	putBagEntry(b[:], key, &e)
+	return append(log, b[:]...)
+}
 
 // bagRegion encodes elements as one raw bag log region.
 func bagRegion(t testing.TB, key uint64, elems ...crdt.BagElem) []byte {
@@ -21,7 +29,7 @@ func bagRegion(t testing.TB, key uint64, elems ...crdt.BagElem) []byte {
 			t.Fatal(err)
 		}
 	}
-	return append([]byte(nil), tbl.Log()...)
+	return logBytes(tbl)
 }
 
 // TestBagMergeDeltaRejectsAtomically: a malformed bag chunk must leave the
@@ -43,11 +51,11 @@ func TestBagMergeDeltaRejectsAtomically(t *testing.T) {
 			if err := tbl.AppendBag(3, &crdt.BagElem{Time: 99, Val: -1}); err != nil {
 				t.Fatal(err)
 			}
-			before := append([]byte(nil), tbl.Log()...)
+			before := logBytes(tbl)
 			if err := tbl.MergeDelta(region); !errors.Is(err, ErrChunkFormat) {
 				t.Fatalf("err = %v, want ErrChunkFormat", err)
 			}
-			if tbl.LogBytes() != len(before) || tbl.Entries() != 1 || !bytes.Equal(tbl.Log(), before) {
+			if tbl.LogBytes() != len(before) || tbl.Entries() != 1 || !bytes.Equal(logBytes(tbl), before) {
 				t.Fatalf("rejected chunk changed the table: %d bytes, %d entries", tbl.LogBytes(), tbl.Entries())
 			}
 			if tbl.Keys() != 1 || tbl.BagLen(7) != 0 || tbl.BagLen(3) != 1 {
@@ -135,8 +143,8 @@ func TestRecycledAggTableStartsFromIdentity(t *testing.T) {
 				recycled.Reset()
 				apply(t, recycled)
 
-				if !bytes.Equal(recycled.Log(), fresh.Log()) {
-					t.Fatalf("recycled table diverged from a new one\n got %x\nwant %x", recycled.Log(), fresh.Log())
+				if !bytes.Equal(logBytes(recycled), logBytes(fresh)) {
+					t.Fatalf("recycled table diverged from a new one\n got %x\nwant %x", logBytes(recycled), logBytes(fresh))
 				}
 			})
 		}
@@ -220,11 +228,12 @@ func sameSides(t *testing.T, what string, got map[uint64][2]int, want map[uint64
 // thread 0 is local (helper fragments, loopback flush), thread 1 is a remote
 // sender whose serialized fragments arrive as chunks.
 type bagHarness struct {
-	t   *testing.T
-	rng *rand.Rand
-	j   *memJournal
-	b   *Backend
-	ts  *ThreadState
+	t         *testing.T
+	rng       *rand.Rand
+	j         *memJournal
+	b         *Backend
+	ts        *ThreadState
+	chunkSize int // the backend's ChunkSize; 0 is the default
 
 	remoteEpoch uint64
 	remoteFrag  *Table // recycled every remote epoch
@@ -234,11 +243,31 @@ type bagHarness struct {
 	pending  bagRef // appended on thread 0, not yet flushed
 	merged   bagRef // at the leader
 	triggers int    // windows closed so far; the parity picks the trigger view
+	// The same two states as flat logs, per window: thread 0's fragment and
+	// the leader's table must hold exactly these bytes.
+	pendingLog map[uint64][]byte
+	mergedLog  map[uint64][]byte
+}
+
+func newBagHarness(t *testing.T, seed int64) *bagHarness {
+	h := &bagHarness{
+		t: t, rng: rand.New(rand.NewSource(seed)), j: &memJournal{},
+		remoteFrag: NewBagTable(), rb: stream.NewRecordBatch(48), sides: make([]uint8, 48),
+		pending: bagRef{}, merged: bagRef{},
+		pendingLog: map[uint64][]byte{}, mergedLog: map[uint64][]byte{},
+	}
+	if seed%2 == 0 {
+		// 125 entries a chunk: local flushes cut regions across segment ends.
+		h.chunkSize = 125*bagEntrySize + 7
+	}
+	h.b = h.newBackend()
+	h.ts = h.b.Thread(0)
+	return h
 }
 
 func (h *bagHarness) newBackend() *Backend {
 	b, err := New(Config{
-		Node: 0, Nodes: 1, ThreadsPerNode: 2,
+		Node: 0, Nodes: 1, ThreadsPerNode: 2, ChunkSize: h.chunkSize,
 		WindowEnd: fixedWindowEnd, Journal: h.j,
 	}, make([]Sender, 1))
 	if err != nil {
@@ -271,6 +300,7 @@ func (h *bagHarness) appendLocal(win uint64) {
 			h.t.Fatal(err)
 		}
 		h.pending.add(win, key, e)
+		h.pendingLog[win] = flatEntry(h.pendingLog[win], key, e)
 		return
 	}
 	// A batch's time column is non-decreasing (its last record carries the
@@ -289,6 +319,7 @@ func (h *bagHarness) appendLocal(win uint64) {
 		h.sides[h.rb.Len()] = k.e.Side
 		h.rb.Append(&stream.Record{Key: k.key, Time: k.e.Time, V0: k.e.Val})
 		h.pending.add(win, k.key, k.e)
+		h.pendingLog[win] = flatEntry(h.pendingLog[win], k.key, k.e)
 	}
 	if err := h.ts.AppendBagBatch(win, h.rb, 0, h.rb.Live(), h.sides); err != nil {
 		h.t.Fatal(err)
@@ -307,23 +338,40 @@ func (h *bagHarness) flushLocal() {
 		}
 		delete(h.pending, win)
 	}
+	for win, log := range h.pendingLog {
+		h.mergedLog[win] = append(h.mergedLog[win], log...)
+		delete(h.pendingLog, win)
+	}
 }
 
 // remoteEpochTo ships one epoch from thread 1: a recycled fragment filled
-// with n elements, serialized into small chunks, then the committing
-// heartbeat carrying wm.
+// with n elements, serialized into chunks — mostly small ones, sometimes ones
+// that are no whole number of entries and span segment ends — then the
+// committing heartbeat carrying wm. Every chunk must be the flat log's
+// region at the same boundaries.
 func (h *bagHarness) remoteEpochTo(win uint64, n int, wm stream.Watermark) {
 	h.remoteEpoch++
 	h.remoteFrag.Reset()
+	var flat []byte
 	for i := 0; i < n; i++ {
 		key, e := h.elem(win)
 		if err := h.remoteFrag.AppendBag(key, &e); err != nil {
 			h.t.Fatal(err)
 		}
 		h.merged.add(win, key, e)
+		flat = flatEntry(flat, key, e)
 	}
+	h.mergedLog[win] = append(h.mergedLog[win], flat...)
 	chunk := bagEntrySize * (1 + h.rng.Intn(6))
+	if h.rng.Intn(4) == 0 {
+		chunk = bagEntrySize*(1+h.rng.Intn(2*bagSegEntries)) + h.rng.Intn(bagEntrySize)
+	}
+	per := chunk / bagEntrySize * bagEntrySize
 	err := h.remoteFrag.SerializeDelta(chunk, func(region []byte) error {
+		if want := flat[:min(per, len(flat))]; !bytes.Equal(region, want) {
+			h.t.Fatalf("chunk of %d bytes differs from the flat log's next %d bytes", len(region), len(want))
+		}
+		flat = flat[len(region):]
 		return h.b.HandleChunk(&Chunk{
 			Window: win, Epoch: h.remoteEpoch, Watermark: stream.NoWatermark,
 			Thread: 1, Kind: ChunkData, Payload: append([]byte(nil), region...),
@@ -331,6 +379,9 @@ func (h *bagHarness) remoteEpochTo(win uint64, n int, wm stream.Watermark) {
 	})
 	if err != nil {
 		h.t.Fatal(err)
+	}
+	if len(flat) != 0 {
+		h.t.Fatalf("%d bytes of the fragment were never shipped", len(flat))
 	}
 	hb := &Chunk{Epoch: h.remoteEpoch, Watermark: wm, Thread: 1, Kind: ChunkHeartbeat}
 	if err := h.b.HandleChunk(hb); err != nil {
@@ -355,6 +406,16 @@ func (h *bagHarness) check(full bool) {
 		}
 		if tbl.Entries() != total || tbl.Keys() != len(want) {
 			h.t.Fatalf("window %d: %d entries over %d keys, want %d over %d", win, tbl.Entries(), tbl.Keys(), total, len(want))
+		}
+		flat := h.mergedLog[win]
+		for _, r := range tbl.appendLog(nil) {
+			if !bytes.HasPrefix(flat, r) {
+				h.t.Fatalf("window %d: the segmented log differs from the flat one", win)
+			}
+			flat = flat[len(r):]
+		}
+		if len(flat) != 0 {
+			h.t.Fatalf("window %d: the segmented log lacks the flat log's last %d bytes", win, len(flat))
 		}
 		for i := 0; i < 4; i++ {
 			key := uint64(h.rng.Intn(14)) // 12 and 13 are almost always absent
@@ -463,8 +524,54 @@ func (h *bagHarness) trigger(win uint64) {
 	}
 	sameSides(h.t, "triggered window", sides, want)
 	delete(h.merged, win)
+	delete(h.mergedLog, win)
 	if err := h.b.JournalErr(); err != nil {
 		h.t.Fatal(err)
+	}
+}
+
+// run closes wins windows after ops random operations each; after, when
+// set, runs after every operation and trigger. Now and then a run of local
+// appends or a remote epoch is long enough to fill whole segments, so
+// appends, merges and chunks cross segment ends.
+func (h *bagHarness) run(wins, ops int, after func()) {
+	for win := uint64(0); win < uint64(wins); win++ {
+		low := stream.Watermark(win * 1000) // holds the window open
+		for op := 0; op < ops; op++ {
+			target := win + uint64(h.rng.Intn(2)) // the open window or the next
+			switch r := h.rng.Intn(20); {
+			case r < 9:
+				n := 1
+				if h.rng.Intn(20) == 0 {
+					n += h.rng.Intn(150)
+				}
+				for ; n > 0; n-- {
+					h.appendLocal(target)
+				}
+			case r < 12:
+				h.flushLocal()
+			case r < 15:
+				n := 1 + h.rng.Intn(40)
+				if h.rng.Intn(10) == 0 {
+					n += h.rng.Intn(2 * bagSegEntries)
+				}
+				h.remoteEpochTo(target, n, low)
+			case r < 18:
+				h.check(r == 17)
+			case r == 18:
+				h.restore(true)
+			default:
+				h.restore(false)
+			}
+			if after != nil {
+				after()
+			}
+		}
+		h.trigger(win)
+		h.check(true)
+		if after != nil {
+			after()
+		}
 	}
 }
 
@@ -472,48 +579,114 @@ func (h *bagHarness) trigger(win uint64) {
 // local appends (per record and batched), flushes, merges of serialized
 // remote fragments, reads between appends, mid-window restores from the
 // journal and from a snapshot, and window triggers that recycle the tables,
-// against a map-of-slices reference.
+// against a map-of-slices reference and a flat log per window. Half the
+// seeds run at a chunk size whose chunks cross segment ends.
 func TestBagTableProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		h := &bagHarness{
-			t: t, rng: rand.New(rand.NewSource(seed)), j: &memJournal{},
-			remoteFrag: NewBagTable(), rb: stream.NewRecordBatch(48), sides: make([]uint8, 48),
-			pending: bagRef{}, merged: bagRef{},
-		}
-		h.b = h.newBackend()
-		h.ts = h.b.Thread(0)
-		for win := uint64(0); win < 5; win++ {
-			low := stream.Watermark(win * 1000) // holds the window open
-			for op := 0; op < 120; op++ {
-				target := win + uint64(h.rng.Intn(2)) // the open window or the next
-				switch r := h.rng.Intn(20); {
-				case r < 9:
-					h.appendLocal(target)
-				case r < 12:
-					h.flushLocal()
-				case r < 15:
-					h.remoteEpochTo(target, 1+h.rng.Intn(40), low)
-				case r < 18:
-					h.check(r == 17)
-				case r == 18:
-					h.restore(true)
-				default:
-					h.restore(false)
+		newBagHarness(t, seed).run(5, 120, nil)
+	}
+}
+
+// TestBagSegmentsNeverShared runs the property harness and, after every
+// operation, checks segment ownership by pointer: every live table — leader
+// windows, the leader's pool, thread fragments, the thread's pool, the
+// remote fragment — owns exactly the segments its entries occupy, no segment
+// belongs to two of them, and none of them is also on the free list.
+//
+// Then tables on several goroutines fill and reset at once, each with its
+// own key: a segment handed to two of them would show the other's key, and
+// under -race the two writers would be reported.
+func TestBagSegmentsNeverShared(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		h := newBagHarness(t, seed)
+		h.run(3, 80, h.checkSegments)
+	}
+	const workers, rounds = 4, 30
+	fill := func(key uint64, chunk []byte) error {
+		tbl := NewBagTable()
+		defer tbl.Reset()
+		for r := 0; r < rounds; r++ {
+			for i := 0; i <= r%9; i++ {
+				if err := tbl.MergeDelta(chunk); err != nil {
+					return err
 				}
 			}
-			h.trigger(win)
-			h.check(true)
+			for _, span := range tbl.appendLog(nil) {
+				for off := 0; off < len(span); off += bagEntrySize {
+					if got := getU64(span[off:]); got != key {
+						return fmt.Errorf("table of key %d holds key %d", key, got)
+					}
+				}
+			}
+			tbl.Reset()
+		}
+		return nil
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		key := uint64(w + 1)
+		chunk := bagRegion(t, key, make([]crdt.BagElem, 400)...)
+		go func() { errs <- fill(key, chunk) }()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func (h *bagHarness) checkSegments() {
+	owner := map[*bagSeg]string{}
+	own := func(what string, tbl *Table) {
+		l := tbl.bag
+		if want := (l.n + bagSegEntries - 1) / bagSegEntries; len(l.segs) != want {
+			h.t.Fatalf("%s: %d entries in %d segments, want %d", what, l.n, len(l.segs), want)
+		}
+		for _, seg := range l.segs {
+			if prev, dup := owner[seg]; dup {
+				h.t.Fatalf("segment %p belongs to %s and %s", seg, prev, what)
+			}
+			owner[seg] = what
+		}
+	}
+	for win, tbl := range h.b.primary {
+		own(fmt.Sprintf("leader window %d", win), tbl)
+	}
+	for i, tbl := range h.b.tablePool {
+		own(fmt.Sprintf("leader pool %d", i), tbl)
+	}
+	for k, tbl := range h.ts.tables {
+		own(fmt.Sprintf("fragment %+v", k), tbl)
+	}
+	for i, tbl := range h.ts.pool {
+		own(fmt.Sprintf("fragment pool %d", i), tbl)
+	}
+	own("remote fragment", h.remoteFrag)
+	freeSegs.mu.Lock()
+	defer freeSegs.mu.Unlock()
+	free := map[*bagSeg]bool{}
+	for _, seg := range freeSegs.segs {
+		if free[seg] {
+			h.t.Fatalf("segment %p is on the free list twice", seg)
+		}
+		free[seg] = true
+		if what, live := owner[seg]; live {
+			h.t.Fatalf("segment %p belongs to %s and is on the free list", seg, what)
 		}
 	}
 }
 
 // FuzzBagMergeDelta: an arbitrary region never panics the bag merge, and is
-// either concatenated whole or rejected without a trace. On whatever the
-// table then holds, the side counts agree with the element view key by key,
-// in the same order, whatever the side words carry.
+// either concatenated whole or rejected without a trace. The table starts
+// with 1 to 3 segments' worth of entries, so a merge may cross segment ends.
+// Serialising the result at a chunk size of 40 B to 64 KiB plus a few bytes
+// cuts the flat log at the same boundaries, and merging those chunks into
+// an empty table rebuilds it byte for byte. On whatever the table then
+// holds, the side counts agree with the element view key by key, in the same
+// order, whatever the side words carry.
 func FuzzBagMergeDelta(f *testing.F) {
 	good := bagRegion(f, 7, crdt.BagElem{Time: 1, Val: 10}, crdt.BagElem{Time: 2, Val: 20, Side: 1})
-	f.Add(good)
+	f.Add(uint16(0), uint16(0), good)
 	// Side words whose low byte is neither 0 nor 1, or whose high bytes are
 	// set: only the low byte is the side.
 	odd := append(bagRegion(f, 5, crdt.BagElem{Val: 1}, crdt.BagElem{Val: 2}, crdt.BagElem{Val: 3}),
@@ -521,28 +694,59 @@ func FuzzBagMergeDelta(f *testing.F) {
 	for i, side := range []uint64{2, 0xff, 0x100, 0xdead_beef_0000_0007, 1 << 63} {
 		putU64(odd[i*bagEntrySize+bagSideOffset:], side)
 	}
-	f.Add(odd)
-	f.Add(good[:len(good)-5])
-	f.Add(good[:bagEntrySize+6])
+	f.Add(uint16(0), uint16(0), odd)
+	f.Add(uint16(0), uint16(0), good[:len(good)-5])
+	f.Add(uint16(0), uint16(0), good[:bagEntrySize+6])
 	bad := append([]byte(nil), good...)
 	putU32(bad[12:], 1<<31)
-	f.Add(bad)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, region []byte) {
+	f.Add(uint16(0), uint16(0), bad)
+	f.Add(uint16(0), uint16(0), []byte{})
+	// A merge that fills the first segment and spills into the second, read
+	// back in chunks that straddle the segment end.
+	f.Add(uint16(bagSegEntries-2), uint16(100*bagEntrySize+3), odd)
+	f.Add(uint16(2*bagSegEntries-1), uint16(bagSegBytes), good)
+	f.Fuzz(func(t *testing.T, pre, chunk uint16, region []byte) {
 		tbl := NewBagTable()
-		if err := tbl.AppendBag(3, &crdt.BagElem{Time: 99}); err != nil {
-			t.Fatal(err)
+		defer tbl.Reset()
+		var flat []byte
+		n := 1 + int(pre)%(3*bagSegEntries)
+		for i := 0; i < n; i++ {
+			e := crdt.BagElem{Time: int64(i), Val: int64(i * 7), Side: uint8(i % 3)}
+			if err := tbl.AppendBag(uint64(i%5), &e); err != nil {
+				t.Fatal(err)
+			}
+			flat = flatEntry(flat, uint64(i%5), e)
 		}
-		before := append([]byte(nil), tbl.Log()...)
 		if err := tbl.MergeDelta(region); err != nil {
 			if !errors.Is(err, ErrChunkFormat) {
 				t.Fatalf("unexpected error %v", err)
 			}
-			if !bytes.Equal(tbl.Log(), before) || tbl.Entries() != 1 {
+			if !bytes.Equal(logBytes(tbl), flat) || tbl.Entries() != n {
 				t.Fatal("rejected region changed the table")
 			}
-		} else if !bytes.Equal(tbl.Log(), append(before, region...)) || tbl.Entries() != 1+len(region)/bagEntrySize {
-			t.Fatal("accepted region is not a plain concatenation")
+		} else {
+			flat = append(flat, region...)
+			if !bytes.Equal(logBytes(tbl), flat) || tbl.Entries() != n+len(region)/bagEntrySize {
+				t.Fatal("accepted region is not a plain concatenation")
+			}
+		}
+		maxChunk := bagEntrySize + int(chunk)
+		per := maxChunk / bagEntrySize * bagEntrySize
+		copied := NewBagTable()
+		defer copied.Reset()
+		rest := flat
+		err := tbl.SerializeDelta(maxChunk, func(r []byte) error {
+			if !bytes.Equal(r, rest[:min(per, len(rest))]) {
+				t.Fatalf("chunk of %d bytes at chunk size %d differs from the flat log", len(r), maxChunk)
+			}
+			rest = rest[len(r):]
+			return copied.MergeDelta(r)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rest) != 0 || !bytes.Equal(logBytes(copied), flat) {
+			t.Fatal("serialise and merge did not rebuild the log byte for byte")
 		}
 		type keySides struct {
 			key         uint64
@@ -566,6 +770,36 @@ func FuzzBagMergeDelta(f *testing.F) {
 			t.Fatalf("%d keys after the count pass, want %d", tbl.Keys(), len(want))
 		}
 	})
+}
+
+// TestBagMergeFromFreeListAllocationFree is the merge's floor: once the free
+// list holds segments, merging chunks into an empty (pooled) table — five
+// default-size chunks, so the merge fills one segment and takes a second —
+// allocates nothing: no log to grow, zero or copy.
+func TestBagMergeFromFreeListAllocationFree(t *testing.T) {
+	const per = DefaultChunkSize / bagEntrySize
+	elems := make([]crdt.BagElem, per)
+	for i := range elems {
+		elems[i] = crdt.BagElem{Time: int64(i), Side: uint8(i & 1)}
+	}
+	chunk := bagRegion(t, 11, elems...)
+	tbl := NewBagTable()
+	merge := func() {
+		tbl.Reset()
+		for i := 0; i < 5; i++ {
+			if err := tbl.MergeDelta(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merge() // fills the free list and sizes the table's segment list
+	if allocs := testing.AllocsPerRun(50, merge); allocs != 0 {
+		t.Fatalf("merging into a pooled table allocates %.2f times, want 0", allocs)
+	}
+	if len(tbl.bag.segs) != 2 || tbl.Entries() != 5*per {
+		t.Fatalf("%d entries in %d segments, want %d in 2", tbl.Entries(), len(tbl.bag.segs), 5*per)
+	}
+	tbl.Reset()
 }
 
 // TestForEachSidesRecycledAllocationFree is the trigger's floor: on a pooled

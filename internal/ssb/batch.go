@@ -68,6 +68,11 @@ type batchScratch struct {
 	v1     []int64  // gathered V1 column (generic aggregates only)
 	node   []int32  // per-position leader node (scatter pass 1)
 	off    []int32  // per-node fill cursor, indexed by node id
+	// AppendBagBatch's per-node write position: the bag segment, and the
+	// index of the segment after it in the node's fragment (off holds the
+	// byte offset in the segment).
+	seg  []*bagSeg
+	next []int32
 }
 
 func (s *batchScratch) ensure(n, maxNodes int, generic bool) {
@@ -91,6 +96,8 @@ func (s *batchScratch) ensure(n, maxNodes int, generic bool) {
 	}
 	if len(s.off) < maxNodes {
 		s.off = make([]int32, maxNodes)
+		s.seg = make([]*bagSeg, maxNodes)
+		s.next = make([]int32, maxNodes)
 	}
 }
 
@@ -272,9 +279,9 @@ func (t *Table) updateAggColumns(kind aggKind, keys, hashes []uint64, v0, times,
 // [p0, p1) to window win's bags — the batch form of AppendBag. sides[j]
 // holds the join side of record index j (the full batch index domain, not
 // the selection domain). Records are routed and counted per leader first, so
-// each fragment's log is extended once for the whole run; the second pass
-// writes every entry straight to its place, in batch order per leader — the
-// same log bytes the per-record path produces.
+// each fragment's log is extended once for the whole run (a run may span
+// segments); the second pass writes every entry straight to its place, in
+// batch order per leader — the same log bytes the per-record path produces.
 func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1 int, sides []uint8) error {
 	n := p1 - p0
 	if n <= 0 {
@@ -305,7 +312,8 @@ func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1
 		s.node[i] = node
 		s.off[node]++
 	}
-	// Extend each touched fragment once; s.off[node] becomes its write cursor.
+	// Extend each touched fragment once and point its write position at the
+	// first reserved entry.
 	for _, node := range active {
 		cnt := int(s.off[node])
 		if cnt == 0 {
@@ -315,14 +323,17 @@ func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1
 		if tbl == nil {
 			tbl = ts.tableSlow(c, win, gen, node)
 		}
-		if tbl.agg != nil {
+		if tbl.bag == nil {
 			return ErrTableKind
 		}
-		off, err := tbl.reserveBag(cnt)
+		l := tbl.bag
+		at, err := l.reserve(cnt)
 		if err != nil {
 			return err
 		}
-		s.off[node] = int32(off)
+		s.seg[node] = l.segs[at/bagSegEntries]
+		s.off[node] = int32(at % bagSegEntries * bagEntrySize)
+		s.next[node] = int32(at/bagSegEntries + 1)
 	}
 	// Pass 2: write the entries.
 	for i := 0; i < n; i++ {
@@ -332,9 +343,14 @@ func (ts *ThreadState) AppendBagBatch(win uint64, rb *stream.RecordBatch, p0, p1
 		}
 		node := s.node[i]
 		at := s.off[node]
+		if at == bagSegBytes {
+			s.seg[node] = c.tables[node].bag.segs[s.next[node]]
+			s.next[node]++
+			at = 0
+		}
 		s.off[node] = at + bagEntrySize
 		e := crdt.BagElem{Time: rb.Times[p], Val: rb.V0[p], Side: sides[p]}
-		putBagEntry(c.tables[node].log[at:], rb.Keys[p], &e)
+		putBagEntry(s.seg[node][at:], rb.Keys[p], &e)
 	}
 	return nil
 }

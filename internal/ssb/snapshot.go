@@ -94,6 +94,7 @@ func (b *Backend) Snapshot(w io.Writer) error {
 	if err := writeU64(uint64(len(wins))); err != nil {
 		return err
 	}
+	var regions [][]byte
 	for _, win := range wins {
 		tbl := b.primary[win]
 		if err := writeU64(win); err != nil {
@@ -102,8 +103,12 @@ func (b *Backend) Snapshot(w io.Writer) error {
 		if err := writeU64(uint64(tbl.LogBytes())); err != nil {
 			return err
 		}
-		if _, err := w.Write(tbl.log); err != nil {
-			return err
+		// A bag log goes out segment by segment; the bytes are the log's.
+		regions = tbl.appendLog(regions[:0])
+		for _, r := range regions {
+			if _, err := w.Write(r); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -111,8 +116,9 @@ func (b *Backend) Snapshot(w io.Writer) error {
 
 // Restore loads a checkpoint previously written by Snapshot into this
 // backend, replacing its leader state. The backend must be configured with
-// the same deployment shape and CRDT kind as the snapshotted one.
-func (b *Backend) Restore(r io.Reader) error {
+// the same deployment shape and CRDT kind as the snapshotted one. A
+// truncated or malformed snapshot leaves the backend unchanged.
+func (b *Backend) Restore(r io.Reader) (err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var scratch [8]byte
@@ -194,6 +200,14 @@ func (b *Backend) Restore(r io.Reader) error {
 		return err
 	}
 	primary := make(map[uint64]*Table, n)
+	defer func() {
+		if err != nil {
+			// Return the segments of every table read so far.
+			for _, tbl := range primary {
+				tbl.Reset()
+			}
+		}
+	}()
 	for i := uint64(0); i < n; i++ {
 		win, err := readU64()
 		if err != nil {
@@ -206,15 +220,11 @@ func (b *Backend) Restore(r io.Reader) error {
 		if size > maxLogSize {
 			return fmt.Errorf("%w: table of %d bytes", ErrSnapshotFormat, size)
 		}
-		raw := make([]byte, size)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-		}
 		tbl := b.newTable()
-		if err := tbl.mergeRawLog(raw); err != nil {
+		primary[win] = tbl
+		if err := tbl.readLog(r, int(size)); err != nil {
 			return err
 		}
-		primary[win] = tbl
 	}
 	// Swap the restored state in atomically under the lock.
 	fresh := make([]stream.Watermark, len(clock))
@@ -222,6 +232,9 @@ func (b *Backend) Restore(r io.Reader) error {
 	b.clock.MergeSnapshot(fresh)
 	b.lastEpoch = epochs
 	b.triggered = triggered
+	for _, tbl := range b.primary {
+		b.putTable(tbl)
+	}
 	b.primary = primary
 	return nil
 }

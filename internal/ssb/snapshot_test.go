@@ -206,3 +206,85 @@ func TestSnapshotIsDeterministic(t *testing.T) {
 		t.Fatal("two snapshots of the same state differ")
 	}
 }
+
+// TestRestoreBagSegmentsAtomic restores a bag snapshot whose first window
+// spans three segments. A copy cut off inside the third segment, and one
+// whose third segment holds a malformed entry, are rejected, leave the
+// backend's state as it was and hand every segment they took back to the
+// free list; the whole snapshot restores to the same bytes.
+func TestRestoreBagSegmentsAtomic(t *testing.T) {
+	const big, small = 2*bagSegEntries + 700, 10
+	loaded := func(wins map[uint64]int) *Backend {
+		b := newCluster(t, 1, 1, nil, fixedWindowEnd)[0]
+		ts := b.Thread(0)
+		for win, n := range wins {
+			for i := 0; i < n; i++ {
+				e := crdt.BagElem{Time: int64(win)*1000 + int64(i%1000), Val: int64(i), Side: uint8(i & 1)}
+				if err := ts.AppendBag(win, uint64(i%97), &e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := ts.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	snapshot := func(b *Backend) []byte {
+		var buf bytes.Buffer
+		if err := b.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	src := loaded(map[uint64]int{0: big, 1: small})
+	full := snapshot(src)
+	// Window 1's section (id, size, log) closes the snapshot; window 0's log
+	// sits right before it.
+	log0 := len(full) - 16 - small*bagEntrySize - big*bagEntrySize
+	truncated := full[:log0+2*bagSegBytes+500]
+	garbled := append([]byte(nil), full...)
+	putU32(garbled[log0+(2*bagSegEntries+3)*bagEntrySize+12:], 8)
+
+	target := loaded(map[uint64]int{5: 30})
+	before := snapshot(target)
+	for name, c := range map[string]struct {
+		snap []byte
+		want error
+	}{
+		"truncated": {truncated, ErrSnapshotFormat},
+		"garbled":   {garbled, ErrChunkFormat},
+	} {
+		free := len(freeSegs.segs)
+		if err := target.Restore(bytes.NewReader(c.snap)); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", name, err, c.want)
+		}
+		if got := snapshot(target); !bytes.Equal(got, before) {
+			t.Fatalf("%s: a failed restore changed the backend", name)
+		}
+		if len(freeSegs.segs) < free {
+			t.Fatalf("%s: the free list fell from %d to %d segments", name, free, len(freeSegs.segs))
+		}
+	}
+	if err := target.Restore(bytes.NewReader(full)); err != nil {
+		t.Fatal(err)
+	}
+	if len(target.primary) != 2 {
+		t.Fatalf("restored %d windows, want 2", len(target.primary))
+	}
+	for win, tbl := range src.primary {
+		if !bytes.Equal(logBytes(target.primary[win]), logBytes(tbl)) {
+			t.Fatalf("window %d restored to different bytes", win)
+		}
+	}
+	if n := len(target.primary[0].bag.segs); n != 3 {
+		t.Fatalf("window 0 restored into %d segments, want 3", n)
+	}
+	fresh := newCluster(t, 1, 1, nil, fixedWindowEnd)[0]
+	if err := fresh.Restore(bytes.NewReader(full)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(fresh); !bytes.Equal(got, full) {
+		t.Fatal("a restored backend snapshots to different bytes")
+	}
+}

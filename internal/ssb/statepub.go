@@ -49,9 +49,20 @@ type StateSnapshot struct {
 	Stride int
 	// Keys is the number of distinct keys (= entries for aggregate tables).
 	Keys int
-	// Log is the raw table log. It aliases merge-owned memory and is valid
-	// only for the duration of the PublishState call — publishers must copy.
-	Log []byte
+	// Log is the raw table log as consecutive regions — one per segment of
+	// a bag table, one for an aggregate table; their concatenation is the
+	// log. It aliases merge-owned memory and is valid only for the duration
+	// of the PublishState call — publishers must copy.
+	Log [][]byte
+}
+
+// LogBytes returns the size of the log.
+func (s *StateSnapshot) LogBytes() int {
+	n := 0
+	for _, r := range s.Log {
+		n += len(r)
+	}
+	return n
 }
 
 // StatePublisher receives window snapshots from the merge path. PublishState
@@ -120,7 +131,7 @@ func (b *Backend) publishStateLocked(win uint64, tbl *Table, sealed bool) {
 		Holistic: tbl.agg == nil,
 		AggKind:  uint8(tbl.kind),
 		Keys:     tbl.Keys(),
-		Log:      tbl.log,
+		Log:      tbl.appendLog(nil),
 	}
 	if tbl.agg != nil {
 		s.Stride = entryHeaderSize + tbl.agg.Size()

@@ -17,7 +17,11 @@ type recPublisher struct {
 
 func (p *recPublisher) PublishState(s *StateSnapshot) {
 	c := *s
-	c.Log = append([]byte(nil), s.Log...)
+	var flat []byte
+	for _, r := range s.Log {
+		flat = append(flat, r...)
+	}
+	c.Log = [][]byte{flat}
 	p.snaps = append(p.snaps, c)
 }
 
@@ -62,10 +66,10 @@ func TestStatePublishDirtyAndSeal(t *testing.T) {
 	if s.Window != 0 || s.Sealed || s.AggKind != StateAggSum || s.Stride != 24 {
 		t.Fatalf("live snapshot %+v", s)
 	}
-	if key := binary.LittleEndian.Uint64(s.Log[0:]); key != 7 {
+	if key := binary.LittleEndian.Uint64(s.Log[0][0:]); key != 7 {
 		t.Fatalf("log key = %d, want 7", key)
 	}
-	if v := binary.LittleEndian.Uint64(s.Log[16:]); v != 5 {
+	if v := binary.LittleEndian.Uint64(s.Log[0][16:]); v != 5 {
 		t.Fatalf("log state = %d, want 5", v)
 	}
 
@@ -96,7 +100,7 @@ func TestStatePublishDirtyAndSeal(t *testing.T) {
 	if !last.Sealed || last.Window != 0 {
 		t.Fatalf("last publication not the sealed window 0: %+v", last)
 	}
-	if v := binary.LittleEndian.Uint64(last.Log[16:]); v != 7 {
+	if v := binary.LittleEndian.Uint64(last.Log[0][16:]); v != 7 {
 		t.Fatalf("sealed log state = %d, want 7", v)
 	}
 

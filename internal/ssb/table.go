@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"github.com/slash-stream/slash/internal/crdt"
@@ -12,12 +13,13 @@ import (
 
 // Table is one log-structured state fragment (§7.2.1): a hybrid log of dense
 // key-value entries. Aggregate tables keep one entry per key, found through a
-// hash index, and update its value in place (RMW). Bag tables are plain logs:
-// an append writes one fixed-size entry and touches nothing else, a merge
-// concatenates, and the only reader — the window trigger — groups the log by
-// key once (see bagGroups). The log doubles as the wire format: an epoch
-// delta is a raw log region, shipped without pointer chasing, and the log
-// grows adaptively as partitions shift in size.
+// hash index, and update its value in place (RMW) in one flat log. Bag tables
+// keep a bagLog: a list of fixed-size segments where an append writes one
+// fixed-size entry and touches nothing else, a merge concatenates, and the
+// only reader — the window trigger — groups the log by key once (see
+// bagGroups). The log doubles as the wire format: an epoch delta is a raw log
+// region, shipped without pointer chasing, and the log grows adaptively as
+// partitions shift in size.
 //
 // A Table has a single writer (the owning executor thread, or the leader's
 // merge task); that is the SSB's concurrency discipline, not a limitation —
@@ -26,10 +28,9 @@ type Table struct {
 	agg  crdt.Aggregate // nil for holistic (bag) tables
 	kind aggKind        // specialized dispatch for the built-in aggregates
 	idx  *index         // key → log offset; nil for bag tables
-	log  []byte
-	elem int       // total entries appended (bag elements or agg groups)
-	wire []byte    // reusable scratch for the varint delta encoding
-	bag  bagGroups // bag tables only
+	log  []byte         // aggregate tables only
+	wire []byte         // reusable scratch for the varint delta encoding
+	bag  *bagLog        // bag tables only
 }
 
 // Log entry layout:
@@ -47,7 +48,8 @@ const entryHeaderSize = 16
 const noPrev = ^uint32(0) // -1 as an int32
 
 // bagEntrySize is the fixed stride of a bag table's log: every entry enters
-// through AppendBag or a validated merge, so entry i sits at i*bagEntrySize.
+// through AppendBag or a validated merge, so entry i sits at i*bagEntrySize
+// of the log its segments hold.
 const bagEntrySize = entryHeaderSize + crdt.BagElemSize
 
 // maxLogSize bounds a single table's log so int32 offsets stay valid.
@@ -70,37 +72,44 @@ func NewAggTable(agg crdt.Aggregate) *Table {
 
 // NewBagTable creates a table holding grow-only bags of elements.
 func NewBagTable() *Table {
-	return &Table{}
+	return &Table{bag: &bagLog{}}
 }
-
-// Holistic reports whether the table stores bags.
-func (t *Table) Holistic() bool { return t.agg == nil }
 
 // Keys returns the number of distinct keys. On a bag table it groups the
 // entries appended since the last call (see group).
 func (t *Table) Keys() int {
-	if t.agg == nil {
-		t.group()
-		return len(t.bag.keys)
+	if t.bag != nil {
+		return t.bag.keys()
 	}
 	return t.idx.len()
 }
 
-// Entries returns the number of log entries (for bags: total elements).
-func (t *Table) Entries() int { return t.elem }
-
 // LogBytes returns the size of the log, which is also the delta size the
 // next epoch flush will ship.
-func (t *Table) LogBytes() int { return len(t.log) }
+func (t *Table) LogBytes() int {
+	if t.bag != nil {
+		return t.bag.n * bagEntrySize
+	}
+	return len(t.log)
+}
 
-// Log exposes the raw log for snapshot publication (self-describing entries;
-// see the entry layout above). Read-only: the slice aliases the table's
-// backing memory and is invalidated by the next append or Reset.
-func (t *Table) Log() []byte { return t.log }
+// appendLog appends the raw log (self-describing entries; see the entry
+// layout above) to dst as consecutive regions: one per segment of a bag
+// table, the whole log of an aggregate table. Read-only: the regions alias
+// the table's memory and are invalidated by the next append or Reset.
+func (t *Table) appendLog(dst [][]byte) [][]byte {
+	if t.bag != nil {
+		return t.bag.appendSpans(dst)
+	}
+	if len(t.log) == 0 {
+		return dst
+	}
+	return append(dst, t.log)
+}
 
-// growLog makes room for extra more log bytes, growing geometrically with a
-// floor so small tables do not churn through many tiny reallocations as
-// entries trickle in.
+// growLog makes room for extra more bytes in an aggregate log, growing
+// geometrically with a floor so small tables do not churn through many tiny
+// reallocations as entries trickle in.
 func (t *Table) growLog(extra int) error {
 	need := len(t.log) + extra
 	if need > maxLogSize {
@@ -140,7 +149,6 @@ func (t *Table) appendBlank(key uint64, vlen int) (int32, []byte, error) {
 	putU64(e[0:], key)
 	putU32(e[8:], noPrev)
 	putU32(e[12:], uint32(vlen))
-	t.elem++
 	return int32(off), e[entryHeaderSize : entryHeaderSize+vlen], nil
 }
 
@@ -245,38 +253,30 @@ func (t *Table) forEachAggResult(fn func(key uint64, result int64)) {
 
 // Reset invalidates the table content (§7.2.2 step 4): after its delta has
 // been transferred, a helper fragment restarts empty so RMW operations
-// resume from the CRDT identity.
+// resume from the CRDT identity. A bag table returns its segments to the
+// free list.
 func (t *Table) Reset() {
-	if t.agg != nil {
-		t.idx.reset()
-	} else {
+	if t.bag != nil {
 		t.bag.reset()
+		return
 	}
+	t.idx.reset()
 	t.log = t.log[:0]
-	t.elem = 0
 }
 
 // SerializeDelta emits the epoch's delta as chunk payloads of at most
 // maxChunk bytes, split only at entry boundaries. Because helper fragments
 // reset every epoch, the whole log is exactly the epoch's delta — no scan or
 // pointer chasing is needed to find the changes (§7.2.1). Bag deltas ship
-// raw log regions; aggregate deltas ship the compact varint encoding (see
-// serializeAggDelta) — at bench-scale key densities it is 5-8x smaller than
-// the log encoding, and on a throttled fabric the flush is wire-bound.
+// raw log regions, each valid until emit returns; aggregate deltas ship the
+// compact varint encoding (see serializeAggDelta) — at bench-scale key
+// densities it is 5-8x smaller than the log encoding, and on a throttled
+// fabric the flush is wire-bound.
 func (t *Table) SerializeDelta(maxChunk int, emit func(region []byte) error) error {
-	if t.agg != nil {
-		return t.serializeAggDelta(maxChunk, emit)
+	if t.bag != nil {
+		return t.bag.serialize(maxChunk, emit)
 	}
-	if maxChunk < bagEntrySize {
-		return fmt.Errorf("ssb: bag entry of %d bytes exceeds chunk size %d", bagEntrySize, maxChunk)
-	}
-	per := maxChunk / bagEntrySize * bagEntrySize
-	for start := 0; start < len(t.log); start += per {
-		if err := emit(t.log[start:min(start+per, len(t.log))]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.serializeAggDelta(maxChunk, emit)
 }
 
 // Aggregate delta chunk payload (the columnar wire format of an epoch's
@@ -400,21 +400,31 @@ func (t *Table) serializeAggDelta(maxChunk int, emit func(region []byte) error) 
 // MergeDelta folds a delta chunk (produced by SerializeDelta, possibly on
 // another node) into this table. Aggregate chunks carry the compact varint
 // encoding and merge with CRDT semantics; bag chunks carry raw log entries
-// and are concatenated (see mergeBagLog).
+// and are concatenated (see bagLog.merge).
 func (t *Table) MergeDelta(region []byte) error {
-	if t.agg != nil {
-		return t.mergeAggDelta(region)
+	if t.bag != nil {
+		return t.bag.merge(region)
 	}
-	return t.mergeBagLog(region)
+	return t.mergeAggDelta(region)
 }
 
-// mergeRawLog folds a raw log region of self-describing header entries into
-// the table — the snapshot format for both table kinds (checkpoints store
-// table logs verbatim), which for bags is also the chunk format.
-func (t *Table) mergeRawLog(region []byte) error {
-	if t.agg == nil {
-		return t.mergeBagLog(region)
+// readLog reads a size-byte raw log of self-describing header entries from
+// r into an empty table — the snapshot format for both table kinds
+// (snapshots store table logs verbatim), which for bags is also the chunk
+// format. A bag log is read straight into segments.
+func (t *Table) readLog(r io.Reader, size int) error {
+	if t.bag != nil {
+		return t.bag.readFrom(r, size)
 	}
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	return t.mergeAggLog(raw)
+}
+
+// mergeAggLog folds a raw aggregate log region into the table.
+func (t *Table) mergeAggLog(region []byte) error {
 	off := 0
 	for off < len(region) {
 		if off+entryHeaderSize > len(region) {

@@ -19,7 +19,7 @@ func BenchmarkStateRead(b *testing.B) {
 				entries[uint64(k)] = uint64(k)
 			}
 			pubs[0].PublishState(&ssb.StateSnapshot{
-				Window: 1, AggKind: ssb.StateAggCount, Sealed: true, Log: mkLog(entries),
+				Window: 1, AggKind: ssb.StateAggCount, Sealed: true, Log: [][]byte{mkLog(entries)},
 			})
 			cl, err := NewClient(reg, "bench")
 			if err != nil {
@@ -45,7 +45,7 @@ func BenchmarkStatePublish(b *testing.B) {
 		entries[uint64(k)] = uint64(k)
 	}
 	log := mkLog(entries)
-	s := &ssb.StateSnapshot{Window: 1, AggKind: ssb.StateAggCount, Log: log}
+	s := &ssb.StateSnapshot{Window: 1, AggKind: ssb.StateAggCount, Log: [][]byte{log}}
 	b.SetBytes(int64(len(log)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

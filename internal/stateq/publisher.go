@@ -150,15 +150,16 @@ func (p *Publisher) PublishState(s *ssb.StateSnapshot) {
 	// region's DMA lock, so that read returns torn-but-race-free bytes the
 	// version check rejects.
 	var rkey uint32
-	if len(s.Log) > 0 {
+	logLen := s.LogBytes()
+	if logLen > 0 {
 		buf := sl.bufs[1-sl.active]
-		if buf == nil || buf.Len() < len(s.Log) {
+		if buf == nil || buf.Len() < logLen {
 			if buf != nil {
 				buf.Deregister()
 			}
 			size := minPayloadBuf
-			if len(s.Log) > size {
-				size = 1 << bits.Len(uint(len(s.Log)-1))
+			if logLen > size {
+				size = 1 << bits.Len(uint(logLen-1))
 			}
 			nb, err := p.nic.RegisterBufferAccess(make([]byte, size), rdma.AccessRemoteRead)
 			if err != nil {
@@ -170,7 +171,12 @@ func (p *Publisher) PublishState(s *ssb.StateSnapshot) {
 			sl.bufs[1-sl.active] = nb
 			buf = nb
 		}
-		_ = buf.Store(0, s.Log)
+		// The payload is the verbatim log, stored region by region.
+		off := 0
+		for _, r := range s.Log {
+			_ = buf.Store(off, r)
+			off += len(r)
+		}
 		sl.active = 1 - sl.active
 		rkey = buf.RKey()
 	}
@@ -180,7 +186,7 @@ func (p *Publisher) PublishState(s *ssb.StateSnapshot) {
 	putLEU64(f[slotWindow-8:], s.Window)
 	putLEU64(f[slotEpoch-8:], s.Epoch)
 	putLEU64(f[slotGen-8:], s.Gen)
-	putLEU64(f[slotPayload-8:], uint64(rkey)|uint64(len(s.Log))<<32)
+	putLEU64(f[slotPayload-8:], uint64(rkey)|uint64(logLen)<<32)
 	flags := uint64(s.AggKind) << aggKindShift
 	if s.Sealed {
 		flags |= FlagSealed

@@ -70,7 +70,7 @@ func testPlane(t testing.TB, nodes int, opts Options) (*Registry, []*Publisher) 
 }
 
 func snap(win uint64, kind uint8, log []byte, sealed bool) *ssb.StateSnapshot {
-	return &ssb.StateSnapshot{Window: win, AggKind: kind, Sealed: sealed, Log: log, Keys: len(log) / 24}
+	return &ssb.StateSnapshot{Window: win, AggKind: kind, Sealed: sealed, Log: [][]byte{log}, Keys: len(log) / 24}
 }
 
 func TestLookupScanTopK(t *testing.T) {

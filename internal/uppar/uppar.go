@@ -538,6 +538,7 @@ func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink c
 					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}
+			tbl.Reset() // returns a bag table's segments to the free list
 			delete(state, win)
 		}
 	}
