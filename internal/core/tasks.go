@@ -795,8 +795,8 @@ func (t *mergeTask) wrap(in inbound, err error) error {
 func (t *mergeTask) emitAgg(win, key uint64, value int64) {
 	if t.jrn != nil {
 		// Buffered ahead of the sink emit: TriggerSides emits every row of
-		// the window and then journals its trigger mark within the same
-		// single-threaded call, so the KindEmit flush sees the full set.
+		// the windows it fires and then journals their trigger marks within
+		// the same call, so each window's KindEmit flush sees its full set.
 		t.jrn.bufferEmit(win, emitRec{tag: 0, key: key, a: value})
 	}
 	t.run.sink.EmitAgg(t.node, win, key, value)

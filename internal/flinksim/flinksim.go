@@ -520,6 +520,7 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 	var wins []uint64
 	var rec stream.Record
 	var local int64
+	var sides ssb.SideCounter // one for every window this task fires
 	remaining := nProd
 
 	minWM := func() stream.Watermark {
@@ -542,7 +543,7 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 					sink.EmitAgg(cid, win, key, agg.Result(st))
 				})
 			} else {
-				tbl.ForEachSides(func(key uint64, left, right int) {
+				sides.Count(tbl, func(key uint64, left, right int) {
 					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -208,6 +209,16 @@ type Backend struct {
 	clock     *vclock.Clock
 	lastEpoch []uint64
 	tablePool []*Table
+	// Trigger scratch, reused for every trigger: the ready window ids and
+	// the bag windows detached from primary but not yet finished (see
+	// triggerBags; changed under mu, read by PendingWindows).
+	ready []uint64
+	fired []firedWindow
+
+	// trigMu makes bag triggers single-flight and guards the side counter
+	// across a trigger's unlocked emit step. Lock order: trigMu, then mu.
+	trigMu sync.Mutex
+	sides  SideCounter
 
 	// Queryable-state publication (nil unless SetStatePublisher was called):
 	// the stateq publisher, the live-republication threshold, per-window
@@ -361,7 +372,8 @@ func (b *Backend) sender(node int) Sender {
 
 // TriggeredAtOrAfter reports whether any window with id >= win has already
 // triggered — the controller's guard that a reconfiguration cutover still
-// lies in the future of every leader (ErrCutoverInPast in core).
+// lies in the future of every leader (ErrCutoverInPast in core). A window a
+// trigger is still emitting has triggered.
 func (b *Backend) TriggeredAtOrAfter(win uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -378,11 +390,17 @@ func (b *Backend) TriggeredAtOrAfter(win uint64) bool {
 // the controller verify a reconfiguration cutover lies strictly in the
 // future: data already merged at or past the cutover means the barrier came
 // too late (the generation stamp would split the window across two owners).
+// A window a trigger is still emitting is pending too, as in PendingWindows.
 func (b *Backend) HasPendingAtOrAfter(win uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for w := range b.primary {
 		if w >= win {
+			return true
+		}
+	}
+	for _, f := range b.fired {
+		if f.win >= win {
 			return true
 		}
 	}
@@ -475,7 +493,7 @@ type EmitAgg func(win uint64, key uint64, result int64)
 type EmitBag func(win uint64, key uint64, elems []crdt.BagElem)
 
 // EmitJoin receives one key of a triggered bag window: how many of its
-// elements are on each join side (see Table.ForEachSides).
+// elements are on each join side (see SideCounter.Count).
 type EmitJoin func(win uint64, key uint64, left, right int)
 
 // TriggerReady fires ready windows like TriggerSides, but hands each bag to
@@ -483,7 +501,10 @@ type EmitJoin func(win uint64, key uint64, left, right int)
 // TriggerSides; this entry point stays, with EmitBag, for tests and for the
 // frozen bench mirror (bench/layertrace.go), which still calls it.
 func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
-	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
+	if b.cfg.Agg != nil {
+		return b.triggerAgg(emitAgg)
+	}
+	return b.triggerBags(func(win uint64, tbl *Table) {
 		if emitBag != nil {
 			tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
 				emitBag(win, key, elems)
@@ -497,74 +518,150 @@ func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
 // records with timestamps greater than t — covered means every thread in
 // the cluster has moved past the window end). An aggregate window goes to
 // emitAgg one group at a time, a bag window to emitJoin one key and its side
-// counts at a time. Triggered windows are discarded; the number of windows
-// fired is returned.
+// counts at a time, in first-appearance order. Triggered windows are
+// discarded; the number of windows fired is returned. Bag windows are
+// counted and emitted without the backend lock (see triggerBags), so
+// emitJoin must not call back into the backend.
 func (b *Backend) TriggerSides(emitAgg EmitAgg, emitJoin EmitJoin) int {
-	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
+	if b.cfg.Agg != nil {
+		return b.triggerAgg(emitAgg)
+	}
+	return b.triggerBags(func(win uint64, tbl *Table) {
 		if emitJoin != nil {
-			tbl.ForEachSides(func(key uint64, left, right int) {
+			b.sides.Count(tbl, func(key uint64, left, right int) {
 				emitJoin(win, key, left, right)
 			})
 		}
 	})
 }
 
-// trigger is the one trigger loop behind TriggerReady and TriggerSides;
-// emitBags reads a ready bag window's table.
-func (b *Backend) trigger(emitAgg EmitAgg, emitBags func(win uint64, tbl *Table)) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var ready []uint64
+// readyLocked collects the windows the clock covers into the ready scratch,
+// in window order (deterministic output across runs), and makes everything
+// merged so far durable ahead of their trigger marks: a restore replays the
+// journal in order, so the deltas a trigger consumed must precede it or the
+// restored tracker undercounts the epoch prefix already applied. Callers
+// hold b.mu.
+func (b *Backend) readyLocked() []uint64 {
+	ready := b.ready[:0]
 	for win := range b.primary {
 		if b.clock.Covers(b.cfg.WindowEnd(win)) {
 			ready = append(ready, win)
 		}
 	}
-	// Deterministic output order across runs.
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
+	b.ready = ready
 	if len(ready) > 0 && b.cfg.Journal != nil {
-		// Make everything merged so far durable before the trigger marks:
-		// a restore replays the journal in order, so the deltas a trigger
-		// consumed must precede it or the restored tracker undercounts the
-		// epoch prefix already applied.
 		b.flushCheckpointLocked()
 	}
+	return ready
+}
+
+// finishLocked completes a fired window whose rows are emitted: it publishes
+// the final image before the table is recycled (sealed snapshots are the
+// byte-exact state the sink was fed from), recycles the table and journals
+// the trigger mark, so a restore never re-emits the window. Callers hold
+// b.mu and have already moved win from primary to triggered.
+func (b *Backend) finishLocked(win uint64, tbl *Table) {
+	b.sealStateLocked(win, tbl)
+	b.putTable(tbl)
+	b.windowsOutput++
+	if b.cfg.Journal != nil {
+		if err := b.cfg.Journal.Trigger(b.pmap.GenFor(win), win); err != nil && b.jErr == nil {
+			b.jErr = err
+		}
+	}
+}
+
+// triggerAgg fires the ready aggregate windows in one hold of b.mu: an
+// aggregate window emits one row per group straight from its index, so
+// there is no pass worth taking off the lock.
+func (b *Backend) triggerAgg(emitAgg EmitAgg) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ready := b.readyLocked()
 	for _, win := range ready {
 		tbl := b.primary[win]
-		if b.cfg.Agg == nil {
-			emitBags(win, tbl)
-		} else if emitAgg != nil {
+		if emitAgg != nil {
 			tbl.forEachAggResult(func(key uint64, result int64) {
 				emitAgg(win, key, result)
 			})
 		}
-		// Publish the final image before the table is recycled: sealed
-		// snapshots are the byte-exact state the sink was fed from.
-		b.sealStateLocked(win, tbl)
-		b.putTable(tbl)
 		delete(b.primary, win)
 		b.triggered[win] = true
-		b.windowsOutput++
-		if b.cfg.Journal != nil {
-			// The trigger mark is appended in the same merge step that
-			// emitted the window, so a restore never re-emits it. The
-			// emit-then-append gap is unreachable in-process: a fenced node's
-			// merge task finishes its step before teardown proceeds, so both
-			// happen or neither. A future out-of-process port would need a
-			// transactional sink to close it.
-			if err := b.cfg.Journal.Trigger(b.pmap.GenFor(win), win); err != nil && b.jErr == nil {
-				b.jErr = err
-			}
-		}
+		b.finishLocked(win, tbl)
 	}
 	return len(ready)
 }
 
-// PendingWindows returns the number of un-triggered windows with state.
+// firedWindow is a bag window a trigger detached: no longer in primary,
+// already marked triggered, not yet finished.
+type firedWindow struct {
+	win uint64
+	tbl *Table
+}
+
+// triggerBags fires the ready bag windows in three steps, so the pass over
+// each log — the costly part — runs without b.mu and loopback flushes and
+// remote merges of later windows go on meanwhile:
+//
+//  1. detach, under b.mu: scan for ready windows, write the pending
+//     checkpoint record, and move every ready table out of primary into the
+//     fired scratch, marking its window triggered. From here a chunk for the
+//     window gets the answer it gets after the trigger: ErrLateChunk, or a
+//     counted drop on a recoverable leader. The tables now belong to this
+//     trigger alone.
+//  2. emit, without b.mu: read each table and emit its rows, in window
+//     order.
+//  3. finish, under b.mu again: finishLocked each window, in window order,
+//     so the Journal still sees its calls under the lock and in replay
+//     order, every trigger mark after the checkpoint record that holds its
+//     window's deltas.
+//
+// trigMu, held throughout, makes bag triggers single-flight — a concurrent
+// trigger waits, then finds the fired windows gone from primary, so every
+// window fires once — and guards the fired scratch and the side counter.
+//
+// The rows of every fired window are emitted before the first trigger mark
+// is appended. The emit-then-append gap is unreachable in-process: a fenced
+// node's merge task finishes its step before teardown proceeds, so a whole
+// trigger happens or none of it. Across processes the sink dies with the
+// process and the journal's durable emits (KindEmit, written with each
+// trigger mark) cover it.
+func (b *Backend) triggerBags(emit func(win uint64, tbl *Table)) int {
+	b.trigMu.Lock()
+	defer b.trigMu.Unlock()
+	b.mu.Lock()
+	fired := b.fired[:0]
+	for _, win := range b.readyLocked() {
+		fired = append(fired, firedWindow{win: win, tbl: b.primary[win]})
+		delete(b.primary, win)
+		b.triggered[win] = true
+	}
+	b.fired = fired
+	b.mu.Unlock()
+	if len(fired) == 0 {
+		return 0
+	}
+	for _, f := range fired {
+		emit(f.win, f.tbl)
+	}
+	b.mu.Lock()
+	for i, f := range fired {
+		b.finishLocked(f.win, f.tbl)
+		fired[i] = firedWindow{}
+	}
+	b.fired = fired[:0]
+	b.mu.Unlock()
+	return len(fired)
+}
+
+// PendingWindows returns the number of windows with state whose trigger has
+// not finished. A window a trigger is still emitting counts: its rows are
+// not all out yet.
 func (b *Backend) PendingWindows() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.primary)
+	return len(b.primary) + len(b.fired)
 }
 
 // Stats reports merge-side counters.
@@ -574,7 +671,8 @@ type Stats struct {
 	WindowsOutput uint64
 }
 
-// Stats snapshots the leader-side counters.
+// Stats snapshots the leader-side counters. A window counts in WindowsOutput
+// once its trigger finished, not while its rows are being emitted.
 func (b *Backend) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()

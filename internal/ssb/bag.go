@@ -11,16 +11,15 @@ import (
 // fixed-size entry and maintains no index, a helper's epoch delta is the log
 // itself, and the leader's merge concatenates it. Nothing on that path looks
 // at a key. The one consumer that needs bags by key is the window trigger,
-// and every join it feeds only counts sides: it makes one forward pass
-// (ForEachSides) that reads each entry's key and Side byte and counts per
-// key — the only place a bag table hashes a key on the hot path. The
-// element view (ForEachBag) groups the log and then scatters the decoded
-// elements into one array where every key's bag is a contiguous slice; tests
-// and the bench mirror use it.
+// and every join it feeds only counts sides: it makes one forward pass over
+// the log with a SideCounter the trigger owns (sides.go), so a bag table
+// itself keeps no by-key state for it. The element view (ForEachBag) and
+// Keys group the log into the table's bagGroups and the element view then
+// scatters the decoded elements into one array where every key's bag is a
+// contiguous slice; tests, the state publisher and the bench mirror use it.
 
 // bagGroups is the by-key view of a bag table's log. It covers the first
 // len(gids) entries; group extends it over whatever was appended since.
-// ForEachSides borrows it for one count pass and leaves it empty.
 type bagGroups struct {
 	// slots maps key → group id by open addressing with linear probing: a
 	// power-of-two array kept at most half full, so a probe is one
@@ -28,7 +27,6 @@ type bagGroups struct {
 	slots  []groupSlot
 	keys   []uint64 // group id → key, in first-appearance order
 	counts []int32  // group id → number of elements
-	rights []int32  // group id → elements off the left side (ForEachSides)
 	gids   []int32  // entry ordinal → group id
 	// elems holds the first placed entries decoded and ordered by group; ends
 	// is each group's end position in it. Rebuilt by scatter when placed
@@ -54,7 +52,6 @@ func (g *bagGroups) reset() {
 	}
 	g.keys = g.keys[:0]
 	g.counts = g.counts[:0]
-	g.rights = g.rights[:0]
 	g.gids = g.gids[:0]
 	g.placed = 0
 }
@@ -91,7 +88,6 @@ func (g *bagGroups) add(key uint64, free *groupSlot) int32 {
 	*free = groupSlot{key: key, gid1: gid + 1}
 	g.keys = append(g.keys, key)
 	g.counts = append(g.counts, 0)
-	g.rights = append(g.rights, 0)
 	return gid
 }
 
@@ -194,7 +190,7 @@ func (l *bagLog) keys() int {
 // ForEachBag visits every key with its collected bag elements. A bag is a
 // multiset: neither the order of keys nor the order of elems is part of the
 // contract. elems aliases table memory, valid until the next append, merge
-// or Reset. The engine's trigger counts sides through ForEachSides instead;
+// or Reset. The engine's trigger counts sides through a SideCounter instead;
 // this view stays for tests and for the frozen bench mirror
 // (bench/layertrace.go), which still calls it.
 func (t *Table) ForEachBag(fn func(key uint64, elems []crdt.BagElem)) {
@@ -211,48 +207,4 @@ func (t *Table) ForEachBag(fn func(key uint64, elems []crdt.BagElem)) {
 		fn(key, g.elems[start:end:end])
 		start = end
 	}
-}
-
-// bagSideOffset is where an entry's Side byte sits: the low byte of the
-// element's third word, exactly what crdt.DecodeBagElem reads.
-const bagSideOffset = entryHeaderSize + 16
-
-// ForEachSides visits every key once, in first-appearance order (the order
-// ForEachBag visits them), with the number of its elements on each join
-// side: left counts Side == 0, right every other Side. It is one forward
-// pass over the segments that reads each entry's key and Side byte, probes
-// the key → group map once per run of equal keys and writes nothing per
-// entry. Grouping done earlier by Keys is discarded and recounted, and the
-// grouped view is left empty, so a later read regroups from the start. fn
-// must not call back into the table.
-func (t *Table) ForEachSides(fn func(key uint64, left, right int)) {
-	l := t.bag
-	if l == nil {
-		return
-	}
-	g := &l.g
-	g.reset()
-	var prevKey uint64
-	gid := int32(-1)
-	for s := range l.segs {
-		for log := l.span(s); len(log) >= bagEntrySize; log = log[bagEntrySize:] {
-			key := getU64(log)
-			if gid < 0 || key != prevKey {
-				var free *groupSlot
-				if gid, free = g.find(key); gid < 0 {
-					gid = g.add(key, free)
-				}
-				prevKey = key
-			}
-			g.counts[gid]++
-			// (side + 255) >> 8 is 1 for any non-zero byte: no branch on a
-			// side that flips at random from one element to the next.
-			g.rights[gid] += int32(uint32(log[bagSideOffset])+0xff) >> 8
-		}
-	}
-	for gid, key := range g.keys {
-		right := int(g.rights[gid])
-		fn(key, int(g.counts[gid])-right, right)
-	}
-	g.reset()
 }

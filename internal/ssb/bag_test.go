@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/stream"
@@ -224,6 +227,44 @@ func sameSides(t *testing.T, what string, got map[uint64][2]int, want map[uint64
 	}
 }
 
+// keySides is one row of a side count: a key and its elements per side.
+type keySides struct {
+	key         uint64
+	left, right int
+}
+
+// elementSides is the reference tally: the side counts of t's keys, read
+// through the element view, in the order it visits them (first appearance).
+func elementSides(t *Table) []keySides {
+	var out []keySides
+	t.ForEachBag(func(key uint64, es []crdt.BagElem) {
+		left, right := sidesOf(es)
+		out = append(out, keySides{key, left, right})
+	})
+	return out
+}
+
+// countSides runs one count pass of c over t and returns its rows in order.
+func countSides(c *SideCounter, t *Table) []keySides {
+	var out []keySides
+	c.Count(t, func(key uint64, left, right int) { out = append(out, keySides{key, left, right}) })
+	return out
+}
+
+// collidingKeys returns key 0 and n other keys whose mix64 hashes share
+// their low 12 bits with it: in a side counter of up to 4096 slots they all
+// start probing at the same slot.
+func collidingKeys(n int) []uint64 {
+	home := mix64(0) & 0xfff
+	keys := []uint64{0}
+	for k := uint64(1); len(keys) <= n; k++ {
+		if mix64(k)&0xfff == home {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // bagHarness drives one recoverable bag leader the way a deployment does:
 // thread 0 is local (helper fragments, loopback flush), thread 1 is a remote
 // sender whose serialized fragments arrive as chunks.
@@ -243,6 +284,10 @@ type bagHarness struct {
 	pending  bagRef // appended on thread 0, not yet flushed
 	merged   bagRef // at the leader
 	triggers int    // windows closed so far; the parity picks the trigger view
+	// counter reads live windows between appends, one after another for the
+	// whole run, the way a trigger reuses its counter window after window.
+	counter   SideCounter
+	colliding []uint64
 	// The same two states as flat logs, per window: thread 0's fragment and
 	// the leader's table must hold exactly these bytes.
 	pendingLog map[uint64][]byte
@@ -253,7 +298,7 @@ func newBagHarness(t *testing.T, seed int64) *bagHarness {
 	h := &bagHarness{
 		t: t, rng: rand.New(rand.NewSource(seed)), j: &memJournal{},
 		remoteFrag: NewBagTable(), rb: stream.NewRecordBatch(48), sides: make([]uint8, 48),
-		pending: bagRef{}, merged: bagRef{},
+		pending: bagRef{}, merged: bagRef{}, colliding: collidingKeys(6),
 		pendingLog: map[uint64][]byte{}, mergedLog: map[uint64][]byte{},
 	}
 	if seed%2 == 0 {
@@ -278,8 +323,11 @@ func (h *bagHarness) newBackend() *Backend {
 
 func (h *bagHarness) elem(win uint64) (uint64, crdt.BagElem) {
 	key := uint64(h.rng.Intn(12))
-	if h.rng.Intn(4) == 0 {
+	switch h.rng.Intn(8) {
+	case 0, 1:
 		key = uint64(h.rng.Intn(1 << 20)) // a long tail beside the hot keys
+	case 2:
+		key = h.colliding[h.rng.Intn(len(h.colliding))]
 	}
 	side := uint8(h.rng.Intn(2))
 	if h.rng.Intn(16) == 0 {
@@ -432,11 +480,13 @@ func (h *bagHarness) check(full bool) {
 				got[key] = append([]crdt.BagElem(nil), elems...)
 			})
 			sameBags(h.t, "live window", got, want)
-			// The count pass empties the grouped view; the next read of this
-			// table regroups it from the first entry.
-			sides := map[uint64][2]int{}
-			tbl.ForEachSides(func(key uint64, left, right int) { sides[key] = [2]int{left, right} })
-			sameSides(h.t, "live window", sides, want)
+			// The reused counter must give the element view's tally, key for
+			// key and in its order: a slot an earlier window left behind
+			// would show as an extra key or a wrong count.
+			ref := elementSides(tbl)
+			if counted := countSides(&h.counter, tbl); !slices.Equal(counted, ref) {
+				h.t.Fatalf("window %d: side counts %v, element view %v", win, counted, ref)
+			}
 		}
 	}
 }
@@ -481,7 +531,7 @@ func (h *bagHarness) restore(fromJournal bool) {
 // would show up here as an extra key. Triggers alternate between the element
 // view (TriggerReady) and the side counts the engine fires through
 // (TriggerSides), and every one is checked against the reference's per-key
-// side counts. Half of them fire after a Keys or BagLen read grouped part of
+// side counts and the keys' first-appearance order. Half of them fire after a Keys or BagLen read grouped part of
 // the window's log.
 func (h *bagHarness) trigger(win uint64) {
 	end := fixedWindowEnd(win)
@@ -498,6 +548,7 @@ func (h *bagHarness) trigger(win uint64) {
 	h.remoteEpochTo(win, h.rng.Intn(3), end)
 	want := h.merged[win]
 	sides := map[uint64][2]int{}
+	var order []uint64
 	emit := func(w, key uint64, left, right int) {
 		if w != win {
 			h.t.Fatalf("window %d fired while closing %d", w, win)
@@ -506,6 +557,7 @@ func (h *bagHarness) trigger(win uint64) {
 			h.t.Fatalf("window %d: key %d emitted twice", win, key)
 		}
 		sides[key] = [2]int{left, right}
+		order = append(order, key)
 	}
 	var n int
 	if h.triggers++; h.triggers%2 == 0 {
@@ -523,6 +575,19 @@ func (h *bagHarness) trigger(win uint64) {
 		h.t.Fatalf("closing window %d fired %d windows", win, n)
 	}
 	sameSides(h.t, "triggered window", sides, want)
+	// Rows come out in the order the keys first appear in the merged log,
+	// so the sink rows and the journaled emits depend on the log alone.
+	var first []uint64
+	seen := map[uint64]bool{}
+	for log := h.mergedLog[win]; len(log) > 0; log = log[bagEntrySize:] {
+		if key := getU64(log); !seen[key] {
+			seen[key] = true
+			first = append(first, key)
+		}
+	}
+	if !slices.Equal(order, first) {
+		h.t.Fatalf("window %d: keys emitted in order %v, first appear in order %v", win, order, first)
+	}
 	delete(h.merged, win)
 	delete(h.mergedLog, win)
 	if err := h.b.JournalErr(); err != nil {
@@ -580,7 +645,10 @@ func (h *bagHarness) run(wins, ops int, after func()) {
 // remote fragments, reads between appends, mid-window restores from the
 // journal and from a snapshot, and window triggers that recycle the tables,
 // against a map-of-slices reference and a flat log per window. Half the
-// seeds run at a chunk size whose chunks cross segment ends.
+// seeds run at a chunk size whose chunks cross segment ends. Keys mix a few
+// hot ones, a long tail that differs from window to window, key 0 and keys
+// that collide under mix64; one side counter reads every live window of a
+// run and grows in the middle of a pass as windows widen.
 func TestBagTableProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		newBagHarness(t, seed).run(5, 120, nil)
@@ -678,13 +746,15 @@ func (h *bagHarness) checkSegments() {
 
 // FuzzBagMergeDelta: an arbitrary region never panics the bag merge, and is
 // either concatenated whole or rejected without a trace. The table starts
-// with 1 to 3 segments' worth of entries, so a merge may cross segment ends.
-// Serialising the result at a chunk size of 40 B to 64 KiB plus a few bytes
-// cuts the flat log at the same boundaries, and merging those chunks into
-// an empty table rebuilds it byte for byte. On whatever the table then
-// holds, the side counts agree with the element view key by key, in the same
-// order, whatever the side words carry.
+// with 1 to 3 segments' worth of entries over key 0 and keys that collide
+// with it under mix64, so a merge may cross segment ends. Serialising the
+// result at a chunk size of 40 B to 64 KiB plus a few bytes cuts the flat
+// log at the same boundaries, and merging those chunks into an empty table
+// rebuilds it byte for byte. On whatever the table then holds, the side
+// counts of a counter reused across windows agree with the element view key
+// by key, in the same order, whatever the side words carry.
 func FuzzBagMergeDelta(f *testing.F) {
+	fuzzKeys := collidingKeys(4)
 	good := bagRegion(f, 7, crdt.BagElem{Time: 1, Val: 10}, crdt.BagElem{Time: 2, Val: 20, Side: 1})
 	f.Add(uint16(0), uint16(0), good)
 	// Side words whose low byte is neither 0 nor 1, or whose high bytes are
@@ -712,10 +782,11 @@ func FuzzBagMergeDelta(f *testing.F) {
 		n := 1 + int(pre)%(3*bagSegEntries)
 		for i := 0; i < n; i++ {
 			e := crdt.BagElem{Time: int64(i), Val: int64(i * 7), Side: uint8(i % 3)}
-			if err := tbl.AppendBag(uint64(i%5), &e); err != nil {
+			key := fuzzKeys[i%len(fuzzKeys)]
+			if err := tbl.AppendBag(key, &e); err != nil {
 				t.Fatal(err)
 			}
-			flat = flatEntry(flat, uint64(i%5), e)
+			flat = flatEntry(flat, key, e)
 		}
 		if err := tbl.MergeDelta(region); err != nil {
 			if !errors.Is(err, ErrChunkFormat) {
@@ -748,26 +819,34 @@ func FuzzBagMergeDelta(f *testing.F) {
 		if len(rest) != 0 || !bytes.Equal(logBytes(copied), flat) {
 			t.Fatal("serialise and merge did not rebuild the log byte for byte")
 		}
-		type keySides struct {
-			key         uint64
-			left, right int
+		// One counter reads three windows in a row: keys disjoint from the
+		// table's, wide enough to grow it in the middle of the pass; then
+		// the table; then its rebuilt copy, the same keys again. A slot a
+		// pass leaves behind would show in the next one's counts.
+		var c SideCounter
+		other := NewBagTable()
+		defer other.Reset()
+		for i := 0; i < n; i++ {
+			e := crdt.BagElem{Side: uint8(i % 2)}
+			if err := other.AppendBag(1<<40+uint64(i%(1+int(chunk)%2000)), &e); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var want, got []keySides
+		if got, want := countSides(&c, other), elementSides(other); !slices.Equal(got, want) {
+			t.Fatalf("disjoint window: side counts %v, element view %v", got, want)
+		}
+		want := elementSides(tbl)
 		elems := 0
-		tbl.ForEachBag(func(key uint64, es []crdt.BagElem) {
-			left, right := sidesOf(es)
-			want = append(want, keySides{key, left, right})
-			elems += len(es)
-		})
-		if elems != tbl.Entries() || tbl.Keys() > elems {
-			t.Fatalf("grouped %d elements over %d keys, table has %d entries", elems, tbl.Keys(), tbl.Entries())
+		for _, ks := range want {
+			elems += ks.left + ks.right
 		}
-		tbl.ForEachSides(func(key uint64, left, right int) { got = append(got, keySides{key, left, right}) })
-		if !slices.Equal(got, want) {
-			t.Fatalf("side counts %v, element view %v", got, want)
+		if elems != tbl.Entries() || tbl.Keys() != len(want) {
+			t.Fatalf("grouped %d elements over %d keys, table has %d entries over %d keys", elems, len(want), tbl.Entries(), tbl.Keys())
 		}
-		if tbl.Keys() != len(want) {
-			t.Fatalf("%d keys after the count pass, want %d", tbl.Keys(), len(want))
+		for _, tb := range []*Table{tbl, copied} {
+			if got := countSides(&c, tb); !slices.Equal(got, want) {
+				t.Fatalf("side counts %v, element view %v", got, want)
+			}
 		}
 	})
 }
@@ -802,39 +881,230 @@ func TestBagMergeFromFreeListAllocationFree(t *testing.T) {
 	tbl.Reset()
 }
 
-// TestForEachSidesRecycledAllocationFree is the trigger's floor: on a pooled
-// table that already held a window of this size, recycling it, filling it
-// with another window's keys and counting sides allocates nothing.
-func TestForEachSidesRecycledAllocationFree(t *testing.T) {
-	const elems, keys = 4000, 1500
-	tbl := NewBagTable()
-	win := 0
-	fill := func() {
-		win++
-		tbl.Reset()
+// TestTriggerSidesWarmAllocationFree is the trigger's floor: once a backend
+// has fired a bag window of this size, firing another — the ready scan, the
+// detach, the count pass over the window's segments, the emit and the finish
+// that pools the table and frees its segments — allocates nothing.
+func TestTriggerSidesWarmAllocationFree(t *testing.T) {
+	const elems, keys, windows = 4000, 1500, 12
+	b, err := New(Config{Node: 0, Nodes: 1, ThreadsPerNode: 1, WindowEnd: fixedWindowEnd}, make([]Sender, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The triggered set keeps one entry per window for good; size it up
+	// front so that growing that map is not counted against the trigger.
+	b.triggered = make(map[uint64]bool, 2*windows)
+	src := NewBagTable()
+	defer src.Reset()
+	fill := func(win uint64) {
+		src.Reset()
 		for i := 0; i < elems; i++ {
 			e := crdt.BagElem{Time: int64(i), Side: uint8(i % 3)}
-			if err := tbl.AppendBag(uint64(win)<<32|uint64(i*7919%keys), &e); err != nil {
+			if err := src.AppendBag(win<<32|uint64(i*7919%keys), &e); err != nil {
 				t.Fatal(err)
 			}
 		}
+		err := src.SerializeDelta(DefaultChunkSize, func(region []byte) error {
+			return b.HandleChunk(&Chunk{Window: win, Epoch: win, Watermark: stream.NoWatermark, Kind: ChunkData, Payload: region})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.HandleChunk(&Chunk{Epoch: win, Watermark: fixedWindowEnd(win), Kind: ChunkHeartbeat}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var visited, right int
-	emit := func(_ uint64, _, r int) {
+	emit := func(_, _ uint64, _, r int) {
 		visited++
 		right += r
 	}
-	fill()
-	tbl.ForEachSides(emit) // the first window sizes the log and the group map
-	allocs := testing.AllocsPerRun(50, func() {
-		fill()
+	var ms runtime.MemStats
+	var allocs uint64
+	for win := uint64(1); win <= windows; win++ {
+		fill(win)
 		visited, right = 0, 0
-		tbl.ForEachSides(emit)
-	})
-	if allocs != 0 {
-		t.Fatalf("count pass on a recycled table allocates %.2f times, want 0", allocs)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		n := b.TriggerSides(nil, emit)
+		runtime.ReadMemStats(&ms)
+		if win > 1 { // the first window sizes the scratch and the counter
+			allocs += ms.Mallocs - before
+		}
+		if n != 1 || visited != keys || right != elems-(elems+2)/3 {
+			t.Fatalf("window %d: fired %d windows, visited %d keys with %d right elements, want 1, %d and %d",
+				win, n, visited, right, keys, elems-(elems+2)/3)
+		}
 	}
-	if visited != keys || right != elems-(elems+2)/3 {
-		t.Fatalf("visited %d keys with %d right elements, want %d and %d", visited, right, keys, elems-(elems+2)/3)
+	if allocs != 0 {
+		t.Fatalf("%d warm triggers allocated %d times, want 0", windows-1, allocs)
+	}
+}
+
+// keysRegion encodes one element per key as one raw bag log region; odd keys
+// are on the right side.
+func keysRegion(t testing.TB, keys ...uint64) []byte {
+	t.Helper()
+	tbl := NewBagTable()
+	defer tbl.Reset()
+	for _, key := range keys {
+		if err := tbl.AppendBag(key, &crdt.BagElem{Time: 1, Side: uint8(key % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return logBytes(tbl)
+}
+
+// ckptDeltaBytes returns the delta bytes a checkpoint record's payload holds
+// per window.
+func ckptDeltaBytes(t *testing.T, payload []byte) map[uint64]int {
+	t.Helper()
+	out := map[uint64]int{}
+	off := 4 + int(getU32(payload))*trackerEntrySize
+	for off < len(payload) {
+		win, n := getU64(payload[off:]), int(getU32(payload[off+8:]))
+		out[win] += n
+		off += 12 + n
+	}
+	if off != len(payload) {
+		t.Fatalf("checkpoint record ends %d bytes into an event", off-len(payload))
+	}
+	return out
+}
+
+// TestBagTriggerEmitsOutsideLock blocks the join emit in the middle of a
+// window and, while it blocks, requires the leader to keep serving: a chunk
+// for a later window merges, a chunk for a window being emitted gets the
+// answer it gets after the trigger (ErrLateChunk, or a counted drop on a
+// recoverable leader), the readers give their documented answers for the
+// windows in flight, and a second trigger fires nothing twice. On the
+// recoverable leader no trigger mark precedes the checkpoint records that
+// hold its window's deltas.
+func TestBagTriggerEmitsOutsideLock(t *testing.T) {
+	for _, recoverable := range []bool{false, true} {
+		name := "strict"
+		if recoverable {
+			name = "recoverable"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Node: 0, Nodes: 1, ThreadsPerNode: 2, WindowEnd: fixedWindowEnd}
+			j := &memJournal{}
+			if recoverable {
+				cfg.Journal = j
+			}
+			b, err := New(cfg, make([]Sender, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := map[uint64]int{} // delta bytes merged per window
+			data := func(win, epoch uint64, payload []byte) error {
+				c := &Chunk{Window: win, Epoch: epoch, Watermark: stream.NoWatermark, Thread: 1, Kind: ChunkData, Payload: payload}
+				before := b.Stats().BytesMerged
+				err := b.HandleChunk(c)
+				merged[win] += int(b.Stats().BytesMerged - before)
+				return err
+			}
+			heartbeats := func(epoch uint64, wm stream.Watermark) {
+				for thread := 0; thread < 2; thread++ {
+					if err := b.HandleChunk(&Chunk{Epoch: epoch, Watermark: wm, Thread: thread, Kind: ChunkHeartbeat}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Windows 0 and 1 become ready; window 2 stays open.
+			for win, keys := range [][]uint64{{1, 2, 3, 2}, {5, 4}, {6}} {
+				if err := data(uint64(win), 1, keysRegion(t, keys...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heartbeats(1, fixedWindowEnd(1))
+
+			var mu sync.Mutex
+			var rows []string
+			blocked, release := make(chan struct{}), make(chan struct{})
+			unblock := sync.OnceFunc(func() { close(release) })
+			defer unblock() // a failing check must not leave the trigger blocked
+			emit := func(win, key uint64, left, right int) {
+				mu.Lock()
+				rows = append(rows, fmt.Sprintf("%d/%d:%d,%d", win, key, left, right))
+				first := len(rows) == 1
+				mu.Unlock()
+				if first {
+					close(blocked)
+					<-release
+				}
+			}
+			fired := make(chan int, 2)
+			go func() { fired <- b.TriggerSides(nil, emit) }()
+			<-blocked
+
+			later, late := keysRegion(t, 7), keysRegion(t, 9)
+			done := make(chan error, 1)
+			go func() { done <- data(2, 2, later) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("chunk for a later window: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a chunk for a later window waited for the trigger's emit")
+			}
+			deduped := b.ChunksDeduped()
+			err = data(0, 2, late)
+			if recoverable {
+				if err != nil || b.ChunksDeduped() != deduped+1 {
+					t.Fatalf("chunk for the window being emitted: err %v, %d deduped after %d", err, b.ChunksDeduped(), deduped)
+				}
+			} else if !errors.Is(err, ErrLateChunk) {
+				t.Fatalf("chunk for the window being emitted: err %v, want ErrLateChunk", err)
+			}
+			if p := b.PendingWindows(); p != 3 {
+				t.Fatalf("%d pending windows while two are emitted and one is open, want 3", p)
+			}
+			if !b.TriggeredAtOrAfter(1) || b.TriggeredAtOrAfter(2) || !b.HasPendingAtOrAfter(1) {
+				t.Fatal("a window being emitted must read as triggered and pending")
+			}
+			if st := b.Stats(); st.WindowsOutput != 0 {
+				t.Fatalf("%d windows output before their trigger finished", st.WindowsOutput)
+			}
+			go func() { fired <- b.TriggerSides(nil, emit) }()
+			unblock()
+			if n := <-fired + <-fired; n != 2 {
+				t.Fatalf("two concurrent triggers fired %d windows, want 2", n)
+			}
+			want := []string{"0/1:0,1", "0/2:2,0", "0/3:0,1", "1/5:0,1", "1/4:1,0"}
+			if !slices.Equal(rows, want) {
+				t.Fatalf("rows %v, want %v", rows, want)
+			}
+			if p, st := b.PendingWindows(), b.Stats(); p != 1 || st.WindowsOutput != 2 {
+				t.Fatalf("after the trigger: %d pending, %d output, want 1 and 2", p, st.WindowsOutput)
+			}
+
+			// Window 2 closes with the delta merged during the emit.
+			heartbeats(2, fixedWindowEnd(2))
+			if n := b.TriggerSides(nil, emit); n != 1 || !slices.Equal(rows[len(want):], []string{"2/6:1,0", "2/7:0,1"}) {
+				t.Fatalf("window 2 fired %d windows, rows %v", n, rows[len(want):])
+			}
+			if !recoverable {
+				return
+			}
+			journaled := map[uint64]int{}
+			marks := 0
+			for _, rec := range j.recs {
+				if !rec.trigger {
+					for win, n := range ckptDeltaBytes(t, rec.payload) {
+						journaled[win] += n
+					}
+					continue
+				}
+				marks++
+				if journaled[rec.win] != merged[rec.win] {
+					t.Fatalf("trigger mark of window %d follows %d of its %d delta bytes", rec.win, journaled[rec.win], merged[rec.win])
+				}
+			}
+			if marks != 3 {
+				t.Fatalf("%d trigger marks, want 3", marks)
+			}
+		})
 	}
 }

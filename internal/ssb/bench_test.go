@@ -219,18 +219,19 @@ func BenchmarkBagTrigger(b *testing.B) {
 	}
 }
 
-// BenchmarkBagTriggerSides is BenchmarkBagTrigger through the count view the
-// engine's trigger uses.
+// BenchmarkBagTriggerSides is BenchmarkBagTrigger through the side counter
+// the engine's trigger counts with, one counter reused for every window.
 func BenchmarkBagTriggerSides(b *testing.B) {
 	regions := benchBagRegions(b, benchBagWindow)
 	tbl := NewBagTable()
+	var c SideCounter
 	var keys, left int
 	emit := func(_ uint64, l, _ int) {
 		keys++
 		left += l
 	}
 	refillBag(b, tbl, regions)
-	tbl.ForEachSides(emit) // size the group map and counters once
+	c.Count(tbl, emit) // size the counter once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -238,7 +239,7 @@ func BenchmarkBagTriggerSides(b *testing.B) {
 		refillBag(b, tbl, regions)
 		keys, left = 0, 0
 		b.StartTimer()
-		tbl.ForEachSides(emit)
+		c.Count(tbl, emit)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBagWindow), "ns/elem")
 	b.ReportMetric(float64(keys), "keys")

@@ -206,7 +206,11 @@ func (b *Backend) flushCheckpointLocked() {
 // advancing the durable commit horizon, and returns the committed epoch per
 // sender thread at the cut. The controller prunes its replay rings with
 // exactly this vector: entries at or below it are durably folded into the
-// journal and need never be replayed.
+// journal and need never be replayed. Written while a bag trigger is
+// emitting, the record lands between that trigger's own checkpoint record
+// and its trigger marks; it holds no delta of the windows being emitted
+// (their chunks are refused), so every mark still follows the deltas of its
+// window.
 func (b *Backend) Checkpoint() ([]uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

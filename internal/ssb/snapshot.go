@@ -30,8 +30,11 @@ var (
 
 // Snapshot writes a consistent checkpoint of the leader state to w. It
 // must be called at an epoch boundary from the merge task's context (no
-// concurrent HandleChunk/TriggerSides).
+// concurrent HandleChunk). A bag trigger still emitting is waited for, so
+// the snapshot never holds a window that is triggered but unfinished.
 func (b *Backend) Snapshot(w io.Writer) error {
+	b.trigMu.Lock()
+	defer b.trigMu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var scratch [8]byte
@@ -117,8 +120,11 @@ func (b *Backend) Snapshot(w io.Writer) error {
 // Restore loads a checkpoint previously written by Snapshot into this
 // backend, replacing its leader state. The backend must be configured with
 // the same deployment shape and CRDT kind as the snapshotted one. A
-// truncated or malformed snapshot leaves the backend unchanged.
+// truncated or malformed snapshot leaves the backend unchanged. Like
+// Snapshot, it waits for a bag trigger still emitting.
 func (b *Backend) Restore(r io.Reader) (err error) {
+	b.trigMu.Lock()
+	defer b.trigMu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var scratch [8]byte

@@ -107,7 +107,10 @@ func (b *Backend) PublishDirty() {
 	for win, n := range b.stateDirty {
 		tbl := b.primary[win]
 		if tbl == nil {
-			// Triggered (published sealed) or never materialized.
+			// Triggered (published sealed when its trigger finishes) or
+			// never materialized. A window a bag trigger is still emitting
+			// is no longer in primary either, so it gets no live image
+			// after its rows started.
 			delete(b.stateDirty, win)
 			continue
 		}

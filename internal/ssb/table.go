@@ -16,8 +16,8 @@ import (
 // hash index, and update its value in place (RMW) in one flat log. Bag tables
 // keep a bagLog: a list of fixed-size segments where an append writes one
 // fixed-size entry and touches nothing else, a merge concatenates, and the
-// only reader — the window trigger — groups the log by key once (see
-// bagGroups). The log doubles as the wire format: an epoch delta is a raw log
+// one hot reader — the window trigger — counts the log by key once (see
+// SideCounter). The log doubles as the wire format: an epoch delta is a raw log
 // region, shipped without pointer chasing, and the log grows adaptively as
 // partitions shift in size.
 //

@@ -513,6 +513,7 @@ func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink c
 	var wins []uint64
 	var rec stream.Record
 	var local int64
+	var sides ssb.SideCounter // one for every window this task fires
 
 	minWM := func() stream.Watermark {
 		m := stream.Watermark(1<<63 - 1)
@@ -534,7 +535,7 @@ func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink c
 					sink.EmitAgg(cid, win, key, agg.Result(st))
 				})
 			} else {
-				tbl.ForEachSides(func(key uint64, left, right int) {
+				sides.Count(tbl, func(key uint64, left, right int) {
 					sink.EmitJoin(cid, win, key, left, right)
 				})
 			}
