@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -29,9 +28,9 @@ type CoordinatorOptions struct {
 
 // Result is the merged outcome of a cluster run.
 type Result struct {
-	// Rows is every member's sink output merged and canonically sorted:
-	// aggregates before joins, each by (win, key). Window ownership is
-	// disjoint across members, so the merge is a concatenation.
+	// Rows is every member's sink output in the canonical order: aggregates
+	// before joins, each by (win, key). Members send their rows already in
+	// that order, and the coordinator merges them in one pass (mergeRuns).
 	Rows []Row
 	// Reports holds each member's statistics, indexed by rank.
 	Reports []MemberReport
@@ -704,22 +703,16 @@ func (c *Coordinator) finish() (*Result, error) {
 		return nil, fmt.Errorf("cluster: collecting results: %w", err)
 	}
 	res := &Result{Reports: make([]MemberReport, c.spec.Nodes), Restarts: c.restarts, ReplayedChunks: c.replayed}
+	runs := make([][]byte, c.spec.Nodes)
 	for r, m := range results {
-		res.Rows = append(res.Rows, m.Rows...)
+		runs[r] = m.Rows
 		if m.Report != nil {
 			res.Reports[r] = *m.Report
 		}
 	}
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		if a.Join != b.Join {
-			return !a.Join // aggregates before joins, matching the oracle dump
-		}
-		if a.Win != b.Win {
-			return a.Win < b.Win
-		}
-		return a.Key < b.Key
-	})
+	if res.Rows, err = mergeRuns(runs); err != nil {
+		return nil, fmt.Errorf("cluster: merging results: %w", err)
+	}
 	c.opts.Logf("coordinator: run complete (%d rows, %d restarts)", len(res.Rows), c.restarts)
 	return res, nil
 }

@@ -11,9 +11,7 @@ package cluster
 
 import (
 	"encoding/gob"
-	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -51,37 +49,6 @@ type Halves struct {
 	CreditRKeys map[int]uint32
 }
 
-// Row is one sink row, normalized for cross-process transport and sorting.
-type Row struct {
-	// Join selects the row shape: false = aggregate, true = join.
-	Join     bool
-	Win, Key uint64
-	// Value is the aggregate value (aggregate rows).
-	Value int64
-	// Left/Right are the per-side cardinalities (join rows).
-	Left, Right int
-}
-
-// String renders the row in the canonical dump format the differential
-// harness compares byte-for-byte.
-func (r Row) String() string {
-	if r.Join {
-		return fmt.Sprintf("J %d %d %d %d %d", r.Win, r.Key, r.Left, r.Right, r.Left*r.Right)
-	}
-	return fmt.Sprintf("A %d %d %d", r.Win, r.Key, r.Value)
-}
-
-// RenderRows renders rows in the canonical dump format, one per line — what
-// `slashd -dump` writes and the differential smoke diffs.
-func RenderRows(rows []Row) string {
-	var b strings.Builder
-	for _, r := range rows {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // MemberReport carries one member's share of the run statistics.
 type MemberReport struct {
 	Records, Updates            int64
@@ -108,7 +75,7 @@ const (
 	// Steady state.
 	kIdle     // worker's task pool drained
 	kFinish   // coordinator: every member idle — tear down and report
-	kResult   // worker's rows and statistics (or its fatal error)
+	kResult   // worker's packed rows and statistics (or its fatal error)
 	kLinkDown // worker forwards a link-failure observation (the vote input)
 	// Restart sequence (coordinator-ordered; see Coordinator.restart).
 	kFence      // survivor: hold sources, sever links to dead Node, install its new incarnation (Inc)
@@ -144,7 +111,8 @@ type msg struct {
 	Src, Dst       int
 	SrcInc, DstInc int
 
-	Rows   []Row
+	// Rows is a kResult's sink output as packed rows (see packRows).
+	Rows   []byte
 	Report *MemberReport
 }
 

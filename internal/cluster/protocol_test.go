@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -36,6 +37,11 @@ type fakeMember struct {
 	sess *session
 	// fenceErr, when set, is the Err of this member's kFenceAck.
 	fenceErr string
+	// result, when non-nil, is the kResult's packed rows; nil sends one
+	// aggregate row in a window named after the rank.
+	result []byte
+	// idleAtStart makes the member report idle as soon as it is started.
+	idleAtStart bool
 	// fenced is closed when the member receives kFence.
 	fenced chan struct{}
 	done   chan struct{}
@@ -47,14 +53,18 @@ type fakeMember struct {
 
 func dialFake(t *testing.T, addr string, rank int, fenceErr string) *fakeMember {
 	t.Helper()
+	return dialFakeMember(t, addr, &fakeMember{rank: rank, fenceErr: fenceErr})
+}
+
+// dialFakeMember registers f, whose scripted fields are set, and serves it.
+func dialFakeMember(t *testing.T, addr string, f *fakeMember) *fakeMember {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	f := &fakeMember{
-		rank: rank, sess: newSession(conn), fenceErr: fenceErr,
-		fenced: make(chan struct{}), done: make(chan struct{}),
-	}
+	f.sess, f.fenced, f.done = newSession(conn), make(chan struct{}), make(chan struct{})
+	rank := f.rank
 	if err := f.sess.send(&msg{Kind: kHello, Rank: rank, Inc: -1}); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -103,6 +113,10 @@ func (f *fakeMember) answer(m *msg) []*msg {
 			return nil // a respawn reads its restore order next
 		}
 		return []*msg{{Kind: kReady}}
+	case kStart:
+		if f.idleAtStart {
+			return []*msg{{Kind: kIdle}}
+		}
 	case kFence:
 		close(f.fenced)
 		return []*msg{{Kind: kFenceAck, Committed: []uint64{uint64(10 + f.rank), uint64(20 - f.rank), 5}, Halves: fakeHalves(f.rank), Err: f.fenceErr}}
@@ -115,7 +129,11 @@ func (f *fakeMember) answer(m *msg) []*msg {
 	case kRelease:
 		return []*msg{{Kind: kIdle}}
 	case kFinish:
-		return []*msg{{Kind: kResult, Rows: []Row{{Win: uint64(f.rank), Key: 1, Value: 1}}}}
+		rows := f.result
+		if rows == nil {
+			rows = packRows([]Row{{Win: uint64(f.rank), Key: 1, Value: 1}})
+		}
+		return []*msg{{Kind: kResult, Rows: rows}}
 	}
 	return nil
 }
@@ -318,5 +336,57 @@ func TestPickSuspect(t *testing.T) {
 		if got, _ := pickSuspect(reports, []int{0, 0, 0, 0}, 3); got != 2 {
 			t.Fatalf("run %d: pickSuspect = %d, want 2", i, got)
 		}
+	}
+}
+
+// finishWith bootstraps one fake member per packed result, each reporting
+// idle as soon as it is started, and returns what Run made of their results.
+func finishWith(t *testing.T, results ...[]byte) (*Result, error) {
+	t.Helper()
+	spec := Spec{Workload: "nb8", Nodes: len(results), Threads: 1, Records: 1, Seed: 1}
+	co, err := NewCoordinator(CoordinatorOptions{Spec: spec, HandshakeTimeout: 10 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer co.Close()
+	members := make([]*fakeMember, len(results))
+	for r, rows := range results {
+		members[r] = dialFakeMember(t, co.Addr(), &fakeMember{rank: r, result: rows, idleAtStart: true})
+	}
+	res, err := co.Run()
+	co.Close()
+	for _, f := range members {
+		f.sess.close()
+		<-f.done
+	}
+	return res, err
+}
+
+// TestFinishMergesMemberRows: the coordinator merges the members' packed,
+// sorted rows into the canonical order, interleaving them by window.
+func TestFinishMergesMemberRows(t *testing.T) {
+	res, err := finishWith(t,
+		packRows([]Row{{Win: 0, Key: 4, Value: 1}, {Win: 2, Key: 0, Value: 2}, {Join: true, Win: 1, Key: 3, Left: 1, Right: 2}}),
+		packRows([]Row{{Win: 1, Key: 9, Value: 3}, {Join: true, Win: 0, Key: 8, Left: 2, Right: 2}}),
+	)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := "A 0 4 1\nA 1 9 3\nA 2 0 2\nJ 0 8 2 2 4\nJ 1 3 1 2 2\n"
+	if got := RenderRows(res.Rows); got != want {
+		t.Fatalf("merged rows\n%swant\n%s", got, want)
+	}
+}
+
+// TestFinishRejectsUnorderedRows: a member whose rows arrive out of order
+// fails the run with ErrRowOrder, naming the member, instead of returning a
+// misordered result.
+func TestFinishRejectsUnorderedRows(t *testing.T) {
+	res, err := finishWith(t,
+		packRows([]Row{{Win: 0, Key: 1, Value: 1}, {Win: 1, Key: 1, Value: 1}}),
+		packRows([]Row{{Win: 1, Key: 5, Value: 1}, {Win: 0, Key: 2, Value: 1}}),
+	)
+	if !errors.Is(err, ErrRowOrder) || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("run returned %v, %v; want ErrRowOrder naming rank 1", res, err)
 	}
 }

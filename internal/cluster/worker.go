@@ -263,7 +263,7 @@ func (w *Worker) Run() error {
 				_ = sess.send(&msg{Kind: kResult, Rank: rank, Err: errStr(err)})
 				return err
 			}
-			res := &msg{Kind: kResult, Rank: rank, Rows: CollectRows(sink), Report: &MemberReport{
+			res := &msg{Kind: kResult, Rank: rank, Rows: packRows(CollectRows(sink)), Report: &MemberReport{
 				Records:        rep.Records,
 				Updates:        rep.Updates,
 				NetTxBytes:     rep.NetTxBytes,
@@ -274,7 +274,7 @@ func (w *Worker) Run() error {
 				ReplayedChunks: rep.ReplayedChunks,
 				Recoveries:     len(rep.Recoveries),
 			}}
-			w.opts.Logf("worker %d: finished (%d rows)", rank, len(res.Rows))
+			w.opts.Logf("worker %d: finished (%d rows)", rank, len(res.Rows)/packedRowSize)
 			return sess.send(res)
 		case <-rearmCh:
 			// A restart completed while this member was idle; the coordinator
@@ -340,19 +340,4 @@ func (w *Worker) control(sess *session, fab *fabric, ctrl *core.Controller, fini
 			return
 		}
 	}
-}
-
-// CollectRows normalizes a sink into transportable rows in the canonical
-// order (aggregates before joins, each sorted by (win, key)) — the same order
-// Coordinator.Run merges member rows into, so an in-process oracle's rows
-// compare byte-for-byte against a cluster Result's.
-func CollectRows(sink *core.Collector) []Row {
-	var rows []Row
-	for _, a := range sink.Aggs() {
-		rows = append(rows, Row{Win: a.Win, Key: a.Key, Value: a.Value})
-	}
-	for _, j := range sink.Joins() {
-		rows = append(rows, Row{Join: true, Win: j.Win, Key: j.Key, Left: j.Left, Right: j.Right})
-	}
-	return rows
 }

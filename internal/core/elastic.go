@@ -673,6 +673,13 @@ func (c *Controller) Teardown() (*Report, error) {
 	// Trunk endpoints close their lane QPs and deregister their memory here;
 	// the NICs (and the traffic counters read below) survive the shutdown.
 	c.transport.Shutdown()
+	// No checkpoint record follows the run: staged logs go back to the
+	// free list for the next deployment in this process.
+	for _, be := range backends {
+		if be != nil {
+			be.DropCheckpointLog()
+		}
+	}
 	// The snapshot directories are deliberately NOT fenced here: after a
 	// clean run their sealed contents are the final window results, and they
 	// stay readable until the deployment is discarded (slashd keeps serving

@@ -74,15 +74,17 @@ type nodeJournal struct {
 	pending map[uint64][]emitRec // window -> buffered sink rows (durable only)
 }
 
-func (j *nodeJournal) append(k recovery.Kind, gen uint64, clock []int64, payload []byte) error {
+func (j *nodeJournal) append(rec recovery.Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(k, gen, clock, payload)
+	return j.appendLocked(rec)
 }
 
-func (j *nodeJournal) appendLocked(k recovery.Kind, gen uint64, clock []int64, payload []byte) error {
+// appendLocked stamps rec with the next sequence number and appends it.
+func (j *nodeJournal) appendLocked(rec recovery.Record) error {
 	j.seq++
-	return j.store.Append(j.node, &recovery.Record{Kind: k, Seq: j.seq, Gen: gen, Clock: clock, Payload: payload})
+	rec.Seq = j.seq
+	return j.store.Append(j.node, &rec)
 }
 
 // setSeq raises the journal's sequence counter to n. Replay calls it so a
@@ -108,9 +110,10 @@ func (j *nodeJournal) bufferEmit(win uint64, r emitRec) {
 	j.mu.Unlock()
 }
 
-// Checkpoint implements ssb.Journal.
-func (j *nodeJournal) Checkpoint(gen uint64, clock []int64, payload []byte) error {
-	return j.append(recovery.KindCheckpoint, gen, clock, payload)
+// Checkpoint implements ssb.Journal. The store copies the payload regions
+// once, before Append returns.
+func (j *nodeJournal) Checkpoint(gen uint64, clock []int64, payload [][]byte) error {
+	return j.append(recovery.Record{Kind: recovery.KindCheckpoint, Gen: gen, Clock: clock, Regions: payload})
 }
 
 // Trigger implements ssb.Journal. With durable emits armed, the window's
@@ -124,12 +127,12 @@ func (j *nodeJournal) Trigger(gen uint64, win uint64) error {
 	if j.durable {
 		if rows := j.pending[win]; len(rows) > 0 {
 			delete(j.pending, win)
-			if err := j.appendLocked(recovery.KindEmit, gen, nil, encodeEmits(win, rows)); err != nil {
+			if err := j.appendLocked(recovery.Record{Kind: recovery.KindEmit, Gen: gen, Payload: encodeEmits(win, rows)}); err != nil {
 				return err
 			}
 		}
 	}
-	return j.appendLocked(recovery.KindTrigger, gen, nil, ssb.EncodeTriggerPayload(win))
+	return j.appendLocked(recovery.Record{Kind: recovery.KindTrigger, Gen: gen, Payload: ssb.EncodeTriggerPayload(win)})
 }
 
 // source appends a source-progress mark. Written AHEAD of the flush it
@@ -137,7 +140,7 @@ func (j *nodeJournal) Trigger(gen uint64, win uint64) error {
 // replay reproduces the epoch byte-for-byte. Retries re-journal the same
 // epoch with the bumped incarnation; replay keeps the last mark per epoch.
 func (j *nodeJournal) source(m sourceMark) error {
-	return j.append(recovery.KindSource, 0, nil, m.encode())
+	return j.append(recovery.Record{Kind: recovery.KindSource, Payload: m.encode()})
 }
 
 // sourceMark is one source thread's journaled flush intent.
@@ -737,6 +740,12 @@ func (c *Controller) kill(x int) ([]bool, error) {
 		e.cons.Close()
 	}
 	c.consumers[x] = nil
+	// The dead incarnation's backend is discarded: the deltas it merged
+	// since its last checkpoint record reach the replacement again (replay
+	// rings, rewound sources), so its staged log goes back to the free list.
+	if be := c.backends[x]; be != nil {
+		be.DropCheckpointLog()
+	}
 	for m := range c.producers[x] {
 		c.producers[x][m], c.senders[x][m] = nil, nil
 	}

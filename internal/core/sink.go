@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -60,13 +59,14 @@ func (c *Collector) EmitJoin(_ int, win, key uint64, left, right int) {
 func (c *Collector) Aggs() []AggResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := append([]AggResult(nil), c.aggs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Win != out[j].Win {
-			return out[i].Win < out[j].Win
-		}
-		return out[i].Key < out[j].Key
-	})
+	keys := make([]rowKey, len(c.aggs))
+	for i := range c.aggs {
+		keys[i] = rowKey{k: [2]uint64{c.aggs[i].Key, c.aggs[i].Win}, i: i}
+	}
+	out := make([]AggResult, len(keys))
+	for j, k := range sortRowKeys(keys) {
+		out[j] = c.aggs[k.i]
+	}
 	return out
 }
 
@@ -74,14 +74,73 @@ func (c *Collector) Aggs() []AggResult {
 func (c *Collector) Joins() []JoinResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := append([]JoinResult(nil), c.joins...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Win != out[j].Win {
-			return out[i].Win < out[j].Win
-		}
-		return out[i].Key < out[j].Key
-	})
+	keys := make([]rowKey, len(c.joins))
+	for i := range c.joins {
+		keys[i] = rowKey{k: [2]uint64{c.joins[i].Key, c.joins[i].Win}, i: i}
+	}
+	out := make([]JoinResult, len(keys))
+	for j, k := range sortRowKeys(keys) {
+		out[j] = c.joins[k.i]
+	}
 	return out
+}
+
+// rowKey is one collected row's sort key, least significant word first
+// ({key, win}), and the row's index in arrival order.
+type rowKey struct {
+	k [2]uint64
+	i int
+}
+
+// sortRowKeys sorts keys by (win, key), stable on ties, and returns the
+// sorted slice (keys itself or a scratch of the same length). It is an LSD
+// radix over only the bytes in which the keys differ: rows arrive window by
+// window, so the window word usually costs one or two passes and the key
+// word as many as the key range spans, with no comparison at all. Windows
+// that arrive out of order, as on replay, only add passes. Input already in
+// order is returned after one scan.
+func sortRowKeys(keys []rowKey) []rowKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var diff [2]uint64
+	sorted := true
+	first := keys[0].k
+	for j := 1; j < len(keys); j++ {
+		k, prev := keys[j].k, keys[j-1].k
+		diff[0] |= k[0] ^ first[0]
+		diff[1] |= k[1] ^ first[1]
+		if k[1] < prev[1] || k[1] == prev[1] && k[0] < prev[0] {
+			sorted = false
+		}
+	}
+	if sorted {
+		return keys
+	}
+	src, dst := keys, make([]rowKey, len(keys))
+	for w := range diff {
+		for shift := uint(0); shift < 64; shift += 8 {
+			if diff[w]>>shift&0xff == 0 {
+				continue
+			}
+			var at [256]int
+			for j := range src {
+				at[byte(src[j].k[w]>>shift)]++
+			}
+			sum := 0
+			for d, n := range at {
+				at[d] = sum
+				sum += n
+			}
+			for j := range src {
+				d := byte(src[j].k[w] >> shift)
+				dst[at[d]] = src[j]
+				at[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	return src
 }
 
 // CountingSink counts emissions without retaining them.

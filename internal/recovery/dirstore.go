@@ -75,13 +75,13 @@ func (s *DirStore) file(node int) (*os.File, error) {
 // Append implements Store. The frame is written with a single Write call:
 // [bodyLen u32 | crc32(body) u32 | body], where body is the encoded record.
 // A crash can tear the frame (short write) but a torn frame fails its
-// length or checksum on Load and truncates the restore there.
+// length or checksum on Load and truncates the restore there. The body is
+// encoded straight into the frame, so each payload byte is copied once.
 func (s *DirStore) Append(node int, rec *Record) error {
-	body := appendRecord(nil, rec)
-	frame := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
+	n := recordSize(rec)
+	frame := appendRecord(make([]byte, 8, 8+n), rec)
+	binary.LittleEndian.PutUint32(frame[0:], uint32(n))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[8:]))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -160,6 +160,11 @@ func (s *DirStore) Load(node int) ([]Record, error) {
 	return out, nil
 }
 
+// recordSize returns the encoded size of rec's body.
+func recordSize(rec *Record) int {
+	return 1 + 8 + 8 + 4 + 8*len(rec.Clock) + 4 + rec.payloadLen()
+}
+
 // appendRecord encodes rec's body: kind u8 | seq u64 | gen u64 |
 // clockN u32, clock i64... | payN u32, payload.
 func appendRecord(dst []byte, rec *Record) []byte {
@@ -170,8 +175,8 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	for _, v := range rec.Clock {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Payload)))
-	return append(dst, rec.Payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.payloadLen()))
+	return rec.appendPayload(dst)
 }
 
 // decodeRecord parses one record body.

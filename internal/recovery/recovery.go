@@ -12,6 +12,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,16 +68,50 @@ type Record struct {
 	Gen     uint64
 	Clock   []int64
 	Payload []byte
+	// Regions, when non-nil on Append, is the payload given as consecutive
+	// regions, in place of Payload: a writer that stages its payload in
+	// pieces hands them over as they are, and the store copies each byte
+	// once. Loaded records carry Payload only.
+	Regions [][]byte
 }
 
-// clone deep-copies a record so stores never alias caller memory.
+// payloadLen returns the payload size: the sum of Regions, else Payload's.
+func (r *Record) payloadLen() int {
+	if r.Regions == nil {
+		return len(r.Payload)
+	}
+	n := 0
+	for _, p := range r.Regions {
+		n += len(p)
+	}
+	return n
+}
+
+// appendPayload appends the payload bytes to dst.
+func (r *Record) appendPayload(dst []byte) []byte {
+	if r.Regions == nil {
+		return append(dst, r.Payload...)
+	}
+	for _, p := range r.Regions {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// clone deep-copies a record so stores never alias caller memory. The
+// payload is copied once, into one slice that bytes.Join allocates without
+// zeroing it first.
 func (r *Record) clone() Record {
 	out := Record{Kind: r.Kind, Seq: r.Seq, Gen: r.Gen}
 	if r.Clock != nil {
 		out.Clock = append([]int64(nil), r.Clock...)
 	}
-	if r.Payload != nil {
-		out.Payload = append([]byte(nil), r.Payload...)
+	if r.payloadLen() > 0 {
+		regions := r.Regions
+		if regions == nil {
+			regions = [][]byte{r.Payload}
+		}
+		out.Payload = bytes.Join(regions, nil)
 	}
 	return out
 }

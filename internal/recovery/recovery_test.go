@@ -279,3 +279,62 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestStoresCopyRegions: a record whose payload is given as regions stores
+// and loads exactly as the same record with the flat payload — the DirStore
+// file is byte-identical — and neither store aliases the regions.
+func TestStoresCopyRegions(t *testing.T) {
+	regions := [][]byte{[]byte("tracker"), {}, []byte("-seg-0-"), []byte("seg-1")}
+	flat := []byte("tracker-seg-0-seg-1")
+	rec := func(regions [][]byte, payload []byte) *Record {
+		return &Record{Kind: KindCheckpoint, Seq: 9, Gen: 2, Clock: []int64{4, 5}, Payload: payload, Regions: regions}
+	}
+	want := []Record{*rec(nil, flat)}
+
+	mem := NewMemStore()
+	if err := mem.Append(1, rec(regions, nil)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ds, err := NewDirStore(filepath.Join(dir, "regions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ref, err := NewDirStore(filepath.Join(dir, "flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ds.Append(1, rec(regions, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Append(1, rec(nil, flat)); err != nil {
+		t.Fatal(err)
+	}
+	regions[0][0] = 'X' // a writer reuses its regions once Append returns
+	for name, s := range map[string]Store{"MemStore": mem, "DirStore": ds} {
+		got, err := s.Load(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordsEqual(t, got, want)
+		if got[0].Regions != nil {
+			t.Fatalf("%s: loaded record carries regions", name)
+		}
+	}
+	if got := mem.journals[1][0].Payload; cap(got) != len(flat) {
+		t.Fatalf("MemStore holds a payload of cap %d, want one exact-size copy of %d bytes", cap(got), len(flat))
+	}
+	a, err := os.ReadFile(ds.path(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(ref.path(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("journal file of the regions record differs from the flat record's")
+	}
+}

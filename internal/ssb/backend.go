@@ -230,11 +230,15 @@ type Backend struct {
 
 	// Recovery state (nil / empty unless Config.Recoverable): the
 	// epoch-commit tracker, the pending incremental-checkpoint log (inbound
-	// deltas merged since the last checkpoint record), and the first journal
-	// error, latched because a trigger cannot return it.
-	tracker *epochTracker
-	ckptLog []byte
-	jErr    error
+	// deltas merged since the last checkpoint record), the record scratch
+	// reused by every checkpoint (the encoded tracker header and the region
+	// list handed to the journal), and the first journal error, latched
+	// because a trigger cannot return it.
+	tracker     *epochTracker
+	ckptLog     ckptLog
+	ckptHdr     []byte
+	ckptRegions [][]byte
+	jErr        error
 
 	// statistics
 	chunksMerged  uint64

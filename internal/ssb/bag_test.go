@@ -659,7 +659,8 @@ func TestBagTableProperty(t *testing.T) {
 // operation, checks segment ownership by pointer: every live table — leader
 // windows, the leader's pool, thread fragments, the thread's pool, the
 // remote fragment — owns exactly the segments its entries occupy, no segment
-// belongs to two of them, and none of them is also on the free list.
+// belongs to two of them or to one of them and the leader's pending
+// checkpoint log, and none of them is also on the free list.
 //
 // Then tables on several goroutines fill and reset at once, each with its
 // own key: a segment handed to two of them would show the other's key, and
@@ -730,6 +731,12 @@ func (h *bagHarness) checkSegments() {
 		own(fmt.Sprintf("fragment pool %d", i), tbl)
 	}
 	own("remote fragment", h.remoteFrag)
+	for _, seg := range h.b.ckptLog.segs {
+		if prev, dup := owner[seg]; dup {
+			h.t.Fatalf("segment %p belongs to %s and the checkpoint log", seg, prev)
+		}
+		owner[seg] = "checkpoint log"
+	}
 	freeSegs.mu.Lock()
 	defer freeSegs.mu.Unlock()
 	free := map[*bagSeg]bool{}

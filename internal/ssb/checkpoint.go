@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -32,8 +33,11 @@ import (
 type Journal interface {
 	// Checkpoint appends an incremental checkpoint: the opaque payload
 	// (tracker state plus the delta log since the previous record), the
-	// partition-map generation, and the vector clock at the cut.
-	Checkpoint(gen uint64, clock []int64, payload []byte) error
+	// partition-map generation, and the vector clock at the cut. The
+	// payload is given as consecutive regions, which the backend reuses once
+	// the call returns: an implementation copies them before it returns and
+	// keeps no reference to them.
+	Checkpoint(gen uint64, clock []int64, payload [][]byte) error
 	// Trigger appends a window-trigger mark.
 	Trigger(gen uint64, win uint64) error
 }
@@ -153,38 +157,94 @@ func (b *Backend) handleChunkRecoverable(c *Chunk) error {
 	return nil
 }
 
+// ckptLog is the pending checkpoint log: the deltas merged since the last
+// checkpoint record, as win u64 | len u32 | payload events in merge order.
+// The bytes are staged in segments from the process-wide free list
+// (bagseg.go) instead of one growing array, so a log that reaches several MB
+// between records never regrows or recopies what it holds, and a fresh
+// deployment's log fills from segments an earlier one released. A record
+// hands the filled spans to the journal, which copies them once, and the
+// segments go straight back to the free list.
+type ckptLog struct {
+	segs []*bagSeg
+	n    int // bytes staged; every segment but the tail is full
+}
+
+// write appends p, taking a segment whenever the tail one is full.
+func (l *ckptLog) write(p []byte) {
+	for len(p) > 0 {
+		s := l.n / bagSegBytes
+		if s == len(l.segs) {
+			l.segs = append(l.segs, takeSeg())
+		}
+		c := copy(l.segs[s][l.n%bagSegBytes:], p)
+		p = p[c:]
+		l.n += c
+	}
+}
+
+// appendSpans appends the staged bytes to dst as one region per segment.
+func (l *ckptLog) appendSpans(dst [][]byte) [][]byte {
+	for s, seg := range l.segs {
+		dst = append(dst, seg[:min(l.n-s*bagSegBytes, bagSegBytes)])
+	}
+	return dst
+}
+
+// reset empties the log and returns its segments to the free list.
+func (l *ckptLog) reset() {
+	putSegs(l.segs)
+	clear(l.segs)
+	l.segs = l.segs[:0]
+	l.n = 0
+}
+
 // appendCkptLog stages one merged delta in the pending checkpoint log:
 // win u64 | len u32 | payload. Callers hold b.mu.
 func (b *Backend) appendCkptLog(win uint64, payload []byte) {
 	var hdr [12]byte
 	putU64(hdr[0:], win)
 	putU32(hdr[8:], uint32(len(payload)))
-	b.ckptLog = append(b.ckptLog, hdr[:]...)
-	b.ckptLog = append(b.ckptLog, payload...)
+	b.ckptLog.write(hdr[:])
+	b.ckptLog.write(payload)
 }
 
 // trackerEntrySize is the encoded size of one threadEpoch:
 // committed u64 | cur u64 | count u32 | inc u8.
 const trackerEntrySize = 21
 
-// encodeCheckpointLocked builds a checkpoint payload: u32 thread count, the
-// tracker entries, then the staged delta log. Callers hold b.mu.
-func (b *Backend) encodeCheckpointLocked() []byte {
+// checkpointRegionsLocked lays out a checkpoint payload as regions: the
+// tracker header (u32 thread count, then the tracker entries), encoded into
+// the backend's reused scratch, then the staged delta log's spans. The
+// regions alias backend memory and are valid until the log is next changed.
+// Callers hold b.mu.
+func (b *Backend) checkpointRegionsLocked() [][]byte {
 	n := len(b.tracker.threads)
-	out := make([]byte, 0, 4+n*trackerEntrySize+len(b.ckptLog))
-	var hdr [4]byte
-	putU32(hdr[:], uint32(n))
-	out = append(out, hdr[:]...)
+	hdr := b.ckptHdr[:0]
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
 	for i := range b.tracker.threads {
 		t := &b.tracker.threads[i]
-		var e [trackerEntrySize]byte
-		putU64(e[0:], t.committed)
-		putU64(e[8:], t.cur)
-		putU32(e[16:], t.count)
-		e[20] = t.inc
-		out = append(out, e[:]...)
+		hdr = binary.LittleEndian.AppendUint64(hdr, t.committed)
+		hdr = binary.LittleEndian.AppendUint64(hdr, t.cur)
+		hdr = binary.LittleEndian.AppendUint32(hdr, t.count)
+		hdr = append(hdr, t.inc)
 	}
-	return append(out, b.ckptLog...)
+	b.ckptHdr = hdr
+	b.ckptRegions = b.ckptLog.appendSpans(append(b.ckptRegions[:0], hdr))
+	return b.ckptRegions
+}
+
+// journalCheckpointLocked appends one checkpoint record of the tracker
+// state and the staged delta log. On success the log is emptied and its
+// segments freed; on failure it is kept. Callers hold b.mu.
+func (b *Backend) journalCheckpointLocked() error {
+	err := b.cfg.Journal.Checkpoint(b.pmap.CurrentGen(), b.clock.Snapshot(), b.checkpointRegionsLocked())
+	clear(b.ckptRegions)
+	if err != nil {
+		return err
+	}
+	b.ckptLog.reset()
+	return nil
 }
 
 // flushCheckpointLocked writes the pending delta log as a checkpoint record
@@ -192,14 +252,28 @@ func (b *Backend) encodeCheckpointLocked() []byte {
 // JournalErr surfaces it. No-op when nothing is staged — the durable state
 // is already current. Callers hold b.mu.
 func (b *Backend) flushCheckpointLocked() {
-	if b.cfg.Journal == nil || len(b.ckptLog) == 0 {
+	if b.cfg.Journal == nil || b.ckptLog.n == 0 {
 		return
 	}
-	payload := b.encodeCheckpointLocked()
-	if err := b.cfg.Journal.Checkpoint(b.pmap.CurrentGen(), b.clock.Snapshot(), payload); err != nil && b.jErr == nil {
-		b.jErr = err
+	if err := b.journalCheckpointLocked(); err != nil {
+		if b.jErr == nil {
+			b.jErr = err
+		}
+		// A failed record's deltas are not retried: the latched error fails
+		// the run before another record could be missing them.
+		b.ckptLog.reset()
 	}
-	b.ckptLog = b.ckptLog[:0]
+}
+
+// DropCheckpointLog discards the pending checkpoint log without journaling
+// it and returns its segments to the free list. The controller calls it on
+// a backend it is discarding: a dead node's, whose unjournaled deltas are
+// sent to its replacement again (by the survivors' replay rings and its own
+// rewound sources), and every node's at teardown, when no record follows.
+func (b *Backend) DropCheckpointLog() {
+	b.mu.Lock()
+	b.ckptLog.reset()
+	b.mu.Unlock()
 }
 
 // Checkpoint writes a periodic checkpoint record — staged deltas or not —
@@ -217,14 +291,12 @@ func (b *Backend) Checkpoint() ([]uint64, error) {
 	if b.tracker == nil || b.cfg.Journal == nil {
 		return nil, fmt.Errorf("ssb: node %d is not recoverable", b.cfg.Node)
 	}
-	payload := b.encodeCheckpointLocked()
-	if err := b.cfg.Journal.Checkpoint(b.pmap.CurrentGen(), b.clock.Snapshot(), payload); err != nil {
+	if err := b.journalCheckpointLocked(); err != nil {
 		if b.jErr == nil {
 			b.jErr = err
 		}
 		return nil, err
 	}
-	b.ckptLog = b.ckptLog[:0]
 	b.tracker.sinceCkpt = 0
 	committed := make([]uint64, len(b.tracker.threads))
 	for i := range b.tracker.threads {

@@ -1,7 +1,10 @@
 package ssb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/slash-stream/slash/internal/crdt"
@@ -23,14 +26,18 @@ type memJournalRec struct {
 	payload []byte
 }
 
-func (j *memJournal) Checkpoint(gen uint64, clock []int64, payload []byte) error {
+func (j *memJournal) Checkpoint(gen uint64, clock []int64, payload [][]byte) error {
 	if j.fail != nil {
 		return j.fail
+	}
+	var flat []byte
+	for _, p := range payload {
+		flat = append(flat, p...)
 	}
 	j.recs = append(j.recs, memJournalRec{
 		gen:     gen,
 		clock:   append([]int64(nil), clock...),
-		payload: append([]byte(nil), payload...),
+		payload: flat,
 	})
 	return nil
 }
@@ -364,4 +371,178 @@ func (s *flakySender) Send(c *Chunk) error {
 	cc := *c
 	cc.Payload = append([]byte(nil), c.Payload...)
 	return s.dst.HandleChunk(&cc)
+}
+
+// flatCheckpoint is the reference encoder of a checkpoint payload: the
+// tracker header as the backend holds it, then the staged events of one
+// flat log — the layout every record has, however the log is staged.
+func flatCheckpoint(b *Backend, events []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(b.tracker.threads)))
+	for _, t := range b.tracker.threads {
+		out = binary.LittleEndian.AppendUint64(out, t.committed)
+		out = binary.LittleEndian.AppendUint64(out, t.cur)
+		out = binary.LittleEndian.AppendUint32(out, t.count)
+		out = append(out, t.inc)
+	}
+	return append(out, events...)
+}
+
+// flatEvent appends one staged delta event to a flat log.
+func flatEvent(log []byte, win uint64, payload []byte) []byte {
+	log = binary.LittleEndian.AppendUint64(log, win)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	return append(log, payload...)
+}
+
+// checkCkptLog requires the pending log to hold exactly the flat events, in
+// exactly the segments its bytes occupy.
+func checkCkptLog(t *testing.T, what string, b *Backend, events []byte) {
+	t.Helper()
+	l := &b.ckptLog
+	if want := (len(events) + bagSegBytes - 1) / bagSegBytes; l.n != len(events) || len(l.segs) != want {
+		t.Fatalf("%s: log of %d bytes in %d segments, want %d bytes in %d", what, l.n, len(l.segs), len(events), want)
+	}
+	var got []byte
+	for _, span := range l.appendSpans(nil) {
+		got = append(got, span...)
+	}
+	if !bytes.Equal(got, events) {
+		t.Fatalf("%s: staged log differs from the flat events", what)
+	}
+}
+
+// checkSegmentOwners requires that no segment is held twice by the tables
+// and pending logs of the backends, and that none they hold is also on the
+// free list.
+func checkSegmentOwners(t *testing.T, what string, bs ...*Backend) {
+	t.Helper()
+	owner := map[*bagSeg]string{}
+	own := func(who string, segs []*bagSeg) {
+		for _, seg := range segs {
+			if prev, dup := owner[seg]; dup {
+				t.Fatalf("%s: segment %p belongs to %s and %s", what, seg, prev, who)
+			}
+			owner[seg] = who
+		}
+	}
+	for i, b := range bs {
+		b.mu.Lock()
+		own(fmt.Sprintf("backend %d checkpoint log", i), b.ckptLog.segs)
+		for win, tbl := range b.primary {
+			own(fmt.Sprintf("backend %d window %d", i, win), tbl.bag.segs)
+		}
+		for j, tbl := range b.tablePool {
+			own(fmt.Sprintf("backend %d pool %d", i, j), tbl.bag.segs)
+		}
+		b.mu.Unlock()
+	}
+	freeSegs.mu.Lock()
+	defer freeSegs.mu.Unlock()
+	for _, seg := range freeSegs.segs {
+		if who, live := owner[seg]; live {
+			t.Fatalf("%s: segment %p belongs to %s and is on the free list", what, seg, who)
+		}
+	}
+}
+
+// TestCheckpointLogSegments stages bag deltas in a journaled leader's
+// pending log — events that cross segment ends and one larger than a whole
+// segment — and requires every record to carry the bytes the flat reference
+// encoder gives, a periodic checkpoint with nothing staged to carry the
+// tracker header alone, and the segments to go back to the free list after
+// each record, never to be held twice, through a record, a restore and a
+// drop.
+func TestCheckpointLogSegments(t *testing.T) {
+	j := &memJournal{}
+	b, err := New(Config{
+		Node: 0, Nodes: 1, ThreadsPerNode: 2,
+		WindowEnd: fixedWindowEnd, Journal: j,
+	}, make([]Sender, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(win, epoch uint64, entries int) *Chunk {
+		elems := make([]crdt.BagElem, entries)
+		for i := range elems {
+			elems[i] = crdt.BagElem{Time: int64(i), Val: int64(win), Side: uint8(i % 2)}
+		}
+		return &Chunk{
+			Window: win, Epoch: epoch, Watermark: stream.NoWatermark, Thread: 1,
+			Partition: 0, Kind: ChunkData, Payload: bagRegion(t, win*100+uint64(entries), elems...),
+		}
+	}
+	var events []byte
+	stage := func(c *Chunk) {
+		t.Helper()
+		if err := b.HandleChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		events = flatEvent(events, c.Window, c.Payload)
+		checkCkptLog(t, fmt.Sprintf("after a %d-byte delta", len(c.Payload)), b, events)
+		checkSegmentOwners(t, "staging", b)
+	}
+	record := func(what string) {
+		t.Helper()
+		want := flatCheckpoint(b, events)
+		n := len(j.recs)
+		if _, err := b.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if len(j.recs) != n+1 || !bytes.Equal(j.recs[n].payload, want) {
+			t.Fatalf("%s: record does not match the flat reference encoder", what)
+		}
+		events = nil
+		checkCkptLog(t, what, b, nil)
+		checkSegmentOwners(t, what, b)
+	}
+
+	// 1,300 entries (52 KB) fill most of the first segment; the next delta
+	// crosses its end, and so do the event headers of the small ones after.
+	stage(chunk(0, 1, 1300))
+	stage(chunk(1, 1, 700))
+	for i := 0; i < 40; i++ {
+		stage(chunk(uint64(i%3), 1, 1+i*7))
+	}
+	record("record of segment-crossing deltas")
+	// One delta larger than a whole segment, landing mid-segment.
+	stage(chunk(2, 2, 11))
+	stage(chunk(1, 2, 2*bagSegEntries+17))
+	record("record of a delta larger than a segment")
+	// Nothing staged: the periodic record is the tracker header alone.
+	record("header-only record")
+	if got, want := len(j.recs[len(j.recs)-1].payload), 4+2*trackerEntrySize; got != want {
+		t.Fatalf("header-only record of %d bytes, want %d", got, want)
+	}
+
+	// Replay the journal into a fresh leader: its tables take segments of
+	// their own, and it holds the same windows byte for byte.
+	r, err := New(Config{
+		Node: 0, Nodes: 1, ThreadsPerNode: 2,
+		WindowEnd: fixedWindowEnd, Journal: &memJournal{},
+	}, make([]Sender, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range j.recs {
+		if err := r.RestoreCheckpoint(rec.clock, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for win, tbl := range b.primary {
+		if !bytes.Equal(logBytes(r.primary[win]), logBytes(tbl)) {
+			t.Fatalf("restored window %d differs", win)
+		}
+	}
+	checkSegmentOwners(t, "restore", b, r)
+
+	// A discarded leader's staged log goes back to the free list unwritten.
+	stage(chunk(0, 3, bagSegEntries+5))
+	stage(chunk(2, 3, 9))
+	n := len(j.recs)
+	b.DropCheckpointLog()
+	if len(j.recs) != n {
+		t.Fatal("dropping the log journaled a record")
+	}
+	checkCkptLog(t, "drop", b, nil)
+	checkSegmentOwners(t, "drop", b, r)
 }
