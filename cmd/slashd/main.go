@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"github.com/slash-stream/slash/internal/cluster"
@@ -28,63 +29,126 @@ import (
 	"github.com/slash-stream/slash/internal/workload"
 )
 
+// options holds slashd's flags.
+type options struct {
+	workload string
+	nodes    int
+	threads  int
+	records  int
+	epoch    int64
+	credits  int
+	throttle bool
+	results  int
+	seed     int64
+	metrics  bool
+	mxAddr   string
+	ckptDir  string
+	ckptIval int
+	stAddr   string
+	stReader int
+	listen   string
+	join     string
+	rank     int
+	dump     string
+}
+
+// defineFlags registers slashd's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.workload, "workload", "ysb", "workload: ysb, nb7, nb8, nb11, cm, ro")
+	fs.IntVar(&o.nodes, "nodes", 2, "simulated cluster nodes")
+	fs.IntVar(&o.threads, "threads", 2, "source worker threads per node")
+	fs.IntVar(&o.records, "records", 500_000, "records per thread")
+	fs.Int64Var(&o.epoch, "epoch", 0, "SSB epoch length in bytes (0 = default)")
+	fs.IntVar(&o.credits, "credits", 0, "RDMA channel credits (0 = default 8)")
+	fs.BoolVar(&o.throttle, "throttle", false, "pace the simulated fabric at a scaled EDR line rate")
+	fs.IntVar(&o.results, "results", 5, "sample result rows to print")
+	fs.Int64Var(&o.seed, "seed", 42, "workload seed")
+	fs.BoolVar(&o.metrics, "metrics", false, "print a metrics snapshot after the report")
+	fs.StringVar(&o.mxAddr, "metrics-addr", "", "serve /metrics (plaintext) and /metrics.json on this address, e.g. :9090")
+	fs.StringVar(&o.ckptDir, "checkpoint-dir", "", "arm the recovery plane, journaling epoch-aligned checkpoints under this directory")
+	fs.IntVar(&o.ckptIval, "checkpoint-interval", 0, "checkpoint cadence in epoch commits per leader (0 = default 32; needs -checkpoint-dir)")
+	fs.StringVar(&o.stAddr, "state-addr", "", "arm the queryable-state plane and serve /state/{windows,lookup,scan,topk} on this address, e.g. :9091")
+	fs.IntVar(&o.stReader, "state-readers", 4, "reader clients (reader QPs) backing the -state-addr server")
+	fs.StringVar(&o.listen, "listen", "", "coordinate a multi-process cluster on this address (e.g. 127.0.0.1:7070), waiting for -nodes workers")
+	fs.StringVar(&o.join, "join", "", "join a coordinator at this address as one worker process (needs -rank; the run spec comes from the coordinator)")
+	fs.IntVar(&o.rank, "rank", 0, "this worker's node rank (with -join)")
+	fs.StringVar(&o.dump, "dump", "", "write canonical result rows to this file (\"-\" = stdout) for differential comparison")
+	return o
+}
+
+// modeFlags lists the flags each mode honours. A coordinator fixes the run
+// spec and dumps the merged rows; a worker takes the spec from its
+// coordinator, so it needs only where to join, as which rank, and where to
+// journal. The in-process mode honours every flag but -rank.
+var modeFlags = map[string][]string{
+	"-listen": {"listen", "workload", "nodes", "threads", "records", "seed", "epoch", "credits", "checkpoint-interval", "dump"},
+	"-join":   {"join", "rank", "checkpoint-dir"},
+}
+
+// checkModeFlags rejects an explicitly set flag that fs's mode would
+// silently ignore, naming the flag and the mode.
+func checkModeFlags(fs *flag.FlagSet) error {
+	listen, join := fs.Lookup("listen").Value.String(), fs.Lookup("join").Value.String()
+	mode := "in-process"
+	switch {
+	case listen != "" && join != "":
+		return fmt.Errorf("-listen and -join are mutually exclusive")
+	case listen != "":
+		mode = "-listen"
+	case join != "":
+		mode = "-join"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		ok := f.Name != "rank"
+		if honoured, only := modeFlags[mode]; only {
+			ok = slices.Contains(honoured, f.Name)
+		}
+		if !ok && err == nil {
+			err = fmt.Errorf("-%s has no effect in %s mode", f.Name, mode)
+		}
+	})
+	return err
+}
+
 func main() {
-	var (
-		name     = flag.String("workload", "ysb", "workload: ysb, nb7, nb8, nb11, cm, ro")
-		nodes    = flag.Int("nodes", 2, "simulated cluster nodes")
-		threads  = flag.Int("threads", 2, "source worker threads per node")
-		records  = flag.Int("records", 500_000, "records per thread")
-		epoch    = flag.Int64("epoch", 0, "SSB epoch length in bytes (0 = default)")
-		credits  = flag.Int("credits", 0, "RDMA channel credits (0 = default 8)")
-		throttle = flag.Bool("throttle", false, "pace the simulated fabric at a scaled EDR line rate")
-		results  = flag.Int("results", 5, "sample result rows to print")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		withMx   = flag.Bool("metrics", false, "print a metrics snapshot after the report")
-		mxAddr   = flag.String("metrics-addr", "", "serve /metrics (plaintext) and /metrics.json on this address, e.g. :9090")
-		ckptDir  = flag.String("checkpoint-dir", "", "arm the recovery plane, journaling epoch-aligned checkpoints under this directory")
-		ckptIval = flag.Int("checkpoint-interval", 0, "checkpoint cadence in epoch commits per leader (0 = default 32; needs -checkpoint-dir)")
-		stAddr   = flag.String("state-addr", "", "arm the queryable-state plane and serve /state/{windows,lookup,scan,topk} on this address, e.g. :9091")
-		stReader = flag.Int("state-readers", 4, "reader clients (reader QPs) backing the -state-addr server")
-		listen   = flag.String("listen", "", "coordinate a multi-process cluster on this address (e.g. 127.0.0.1:7070), waiting for -nodes workers")
-		join     = flag.String("join", "", "join a coordinator at this address as one worker process (needs -rank; the run spec comes from the coordinator)")
-		rank     = flag.Int("rank", 0, "this worker's node rank (with -join)")
-		dump     = flag.String("dump", "", "write canonical result rows to this file (\"-\" = stdout) for differential comparison")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-
-	if *listen != "" && *join != "" {
-		fatal(fmt.Errorf("-listen and -join are mutually exclusive"))
-	}
-	if *join != "" {
-		runWorker(*join, *rank, *ckptDir)
-		return
-	}
-	if *listen != "" {
-		runCoordinator(*listen, cluster.Spec{
-			Workload:          *name,
-			Nodes:             *nodes,
-			Threads:           *threads,
-			Records:           *records,
-			Seed:              *seed,
-			EpochBytes:        *epoch,
-			Credits:           *credits,
-			CheckpointCommits: *ckptIval,
-		}, *dump)
-		return
+	if err := checkModeFlags(flag.CommandLine); err != nil {
+		fatal(err)
 	}
 
-	q, flows, err := workload.Build(*name, *nodes, *threads, *records, *seed)
+	if o.join != "" {
+		runWorker(o.join, o.rank, o.ckptDir)
+		return
+	}
+	if o.listen != "" {
+		runCoordinator(o.listen, cluster.Spec{
+			Workload:          o.workload,
+			Nodes:             o.nodes,
+			Threads:           o.threads,
+			Records:           o.records,
+			Seed:              o.seed,
+			EpochBytes:        o.epoch,
+			Credits:           o.credits,
+			CheckpointCommits: o.ckptIval,
+		}, o.dump)
+		return
+	}
+
+	q, flows, err := workload.Build(o.workload, o.nodes, o.threads, o.records, o.seed)
 	if err != nil {
 		fatal(err)
 	}
 
 	cfg := core.Config{
-		Nodes:          *nodes,
-		ThreadsPerNode: *threads,
-		EpochBytes:     *epoch,
+		Nodes:          o.nodes,
+		ThreadsPerNode: o.threads,
+		EpochBytes:     o.epoch,
 	}
-	cfg.Channel.Credits = *credits
-	if *throttle {
+	cfg.Channel.Credits = o.credits
+	if o.throttle {
 		cfg.Fabric = rdma.Config{
 			LinkBandwidth: rdma.EDRLinkBandwidth / 100,
 			BaseLatency:   2 * time.Microsecond,
@@ -93,32 +157,32 @@ func main() {
 	}
 
 	var store *recovery.DirStore
-	if *ckptDir != "" {
-		store, err = recovery.NewDirStore(*ckptDir)
+	if o.ckptDir != "" {
+		store, err = recovery.NewDirStore(o.ckptDir)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Recovery = &core.RecoveryOptions{
 			Store:             store,
-			CheckpointCommits: *ckptIval,
+			CheckpointCommits: o.ckptIval,
 			AutoRestart:       true,
 		}
-		ival := *ckptIval
+		ival := o.ckptIval
 		if ival <= 0 {
 			ival = 32
 		}
 		fmt.Fprintf(os.Stderr, "slashd: checkpointing to %s every %d epoch commits\n", store.Dir(), ival)
-	} else if *ckptIval != 0 {
+	} else if o.ckptIval != 0 {
 		fatal(fmt.Errorf("-checkpoint-interval needs -checkpoint-dir"))
 	}
 
 	var reg *metrics.Registry
-	if *withMx || *mxAddr != "" {
+	if o.metrics || o.mxAddr != "" {
 		reg = metrics.NewRegistry()
 		cfg.Metrics = reg
 	}
-	if *mxAddr != "" {
-		ln, err := net.Listen("tcp", *mxAddr)
+	if o.mxAddr != "" {
+		ln, err := net.Listen("tcp", o.mxAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -132,9 +196,9 @@ func main() {
 
 	col := &core.Collector{}
 	fmt.Fprintf(os.Stderr, "slashd: %d nodes × %d threads, %s, %d records/thread\n",
-		*nodes, *threads, q.Name, *records)
+		o.nodes, o.threads, q.Name, o.records)
 	var rep *core.Report
-	if *stAddr != "" {
+	if o.stAddr != "" {
 		// Queryable state needs the controller alive while the HTTP surface
 		// serves, so run start and wait explicitly instead of core.Run.
 		cfg.State = &stateq.Options{}
@@ -142,11 +206,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		srv, err := newStateServer(ctrl, *stReader)
+		srv, err := newStateServer(ctrl, o.stReader)
 		if err != nil {
 			fatal(err)
 		}
-		ln, err := net.Listen("tcp", *stAddr)
+		ln, err := net.Listen("tcp", o.stAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -184,10 +248,10 @@ func main() {
 			store.Dir(), len(rep.Recoveries), rep.ReplayedChunks, rep.ChunksDeduped)
 	}
 
-	if *dump != "" {
+	if o.dump != "" {
 		// Same canonical row format the cluster coordinator dumps, so the two
 		// files diff byte-for-byte when the deployments agree.
-		if err := writeDump(*dump, cluster.CollectRows(col)); err != nil {
+		if err := writeDump(o.dump, cluster.CollectRows(col)); err != nil {
 			fatal(err)
 		}
 	}
@@ -195,31 +259,31 @@ func main() {
 	aggs := col.Aggs()
 	joins := col.Joins()
 	if len(aggs) > 0 {
-		fmt.Printf("\nresults:          %d aggregate rows; first %d:\n", len(aggs), min(*results, len(aggs)))
-		for i := 0; i < *results && i < len(aggs); i++ {
+		fmt.Printf("\nresults:          %d aggregate rows; first %d:\n", len(aggs), min(o.results, len(aggs)))
+		for i := 0; i < o.results && i < len(aggs); i++ {
 			r := aggs[i]
 			fmt.Printf("  window %-6d key %-12d value %d\n", r.Win, r.Key, r.Value)
 		}
 	}
 	if len(joins) > 0 {
-		fmt.Printf("\nresults:          %d join rows; first %d:\n", len(joins), min(*results, len(joins)))
-		for i := 0; i < *results && i < len(joins); i++ {
+		fmt.Printf("\nresults:          %d join rows; first %d:\n", len(joins), min(o.results, len(joins)))
+		for i := 0; i < o.results && i < len(joins); i++ {
 			r := joins[i]
 			fmt.Printf("  window %-6d key %-12d left %d right %d pairs %d\n", r.Win, r.Key, r.Left, r.Right, r.Pairs)
 		}
 	}
 
-	if *withMx {
+	if o.metrics {
 		fmt.Printf("\nmetrics:\n")
 		reg.WriteText(os.Stdout)
 	}
-	if *mxAddr != "" || *stAddr != "" {
+	if o.mxAddr != "" || o.stAddr != "" {
 		// Sealed snapshots outlive a clean run (docs/STATE_PROTOCOL.md), so
 		// the state surface keeps answering until the deployment is torn down.
 		what := "metrics"
-		if *stAddr != "" {
+		if o.stAddr != "" {
 			what = "window state"
-			if *mxAddr != "" {
+			if o.mxAddr != "" {
 				what = "metrics and window state"
 			}
 		}

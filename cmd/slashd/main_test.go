@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/slash-stream/slash/internal/cluster"
@@ -60,6 +63,50 @@ func TestWriteDumpMatchesOracle(t *testing.T) {
 		}
 		if string(got) != want {
 			t.Fatalf("%s: dump of %d cluster rows differs from the oracle's %d-byte dump", name, len(res.Rows), len(want))
+		}
+	}
+}
+
+// TestModeFlags: each mode accepts the flags it honours — including the ones
+// scripts/multiproc-smoke.sh passes — and rejects, naming flag and mode, a
+// flag it would silently ignore.
+func TestModeFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // "" accepts; otherwise a substring of the error
+	}{
+		{[]string{"-workload", "nb7", "-nodes", "3", "-threads", "2", "-records", "100000", "-seed", "7", "-epoch", "8192", "-dump", "x.rows"}, ""},
+		{[]string{"-metrics", "-metrics-addr", ":0", "-state-addr", ":0", "-state-readers", "2", "-throttle", "-results", "3", "-credits", "4"}, ""},
+		{[]string{"-checkpoint-dir", "j", "-checkpoint-interval", "4"}, ""},
+		{[]string{"-rank", "1"}, "-rank has no effect in in-process mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-workload", "nb7", "-nodes", "3", "-threads", "2", "-records", "100000", "-seed", "7", "-epoch", "8192", "-dump", "x.rows"}, ""},
+		{[]string{"-listen", "127.0.0.1:0", "-credits", "4", "-checkpoint-interval", "4"}, ""},
+		{[]string{"-listen", "127.0.0.1:0", "-metrics"}, "-metrics has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-metrics-addr", ":0"}, "-metrics-addr has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-state-addr", ":0"}, "-state-addr has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-state-readers", "2"}, "-state-readers has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-throttle"}, "-throttle has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-results", "3"}, "-results has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-checkpoint-dir", "j"}, "-checkpoint-dir has no effect in -listen mode"},
+		{[]string{"-listen", "127.0.0.1:0", "-rank", "1"}, "-rank has no effect in -listen mode"},
+		{[]string{"-join", "127.0.0.1:7070", "-rank", "2", "-checkpoint-dir", "j"}, ""},
+		{[]string{"-join", "127.0.0.1:7070", "-rank", "0", "-workload", "nb8"}, "-workload has no effect in -join mode"},
+		{[]string{"-join", "127.0.0.1:7070", "-rank", "0", "-dump", "-"}, "-dump has no effect in -join mode"},
+		{[]string{"-join", "127.0.0.1:7070", "-checkpoint-interval", "4"}, "-checkpoint-interval has no effect in -join mode"},
+		{[]string{"-join", "127.0.0.1:7070", "-listen", "127.0.0.1:0"}, "mutually exclusive"},
+	} {
+		fs := flag.NewFlagSet("slashd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: parse: %v", c.args, err)
+		}
+		err := checkModeFlags(fs)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: rejected: %v", c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

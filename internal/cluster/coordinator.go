@@ -14,14 +14,9 @@ type CoordinatorOptions struct {
 	Spec Spec
 	// Addr is the control-plane listen address ("127.0.0.1:0" when empty).
 	Addr string
-	// FenceDelay is the vote-collection window after the first link-failure
-	// report; a control-connection death short-circuits it.
-	FenceDelay time.Duration
 	// HandshakeTimeout bounds each bootstrap/restart step, including the wait
 	// for a dead member's respawn.
 	HandshakeTimeout time.Duration
-	// MaxRestarts bounds voted restarts for the run.
-	MaxRestarts int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -90,14 +85,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
-	if opts.FenceDelay <= 0 {
-		opts.FenceDelay = DefaultFenceDelay
-	}
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if opts.MaxRestarts <= 0 {
-		opts.MaxRestarts = DefaultMaxRestarts
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -498,10 +487,10 @@ func (c *Coordinator) bootstrap() error {
 	return c.broadcast(all, &msg{Kind: kStart})
 }
 
-// vote collects link-failure reports over FenceDelay, starting with first,
-// and picks the suspect (pickSuspect). A live member's connection death
-// mid-window short-circuits to its rank. Returns ok=false when every report
-// was stale.
+// vote collects link-failure reports over DefaultFenceDelay, starting with
+// first, and picks the suspect (pickSuspect). A live member's connection
+// death mid-window short-circuits to its rank. Returns ok=false when every
+// report was stale.
 func (c *Coordinator) vote(first event) (int, bool) {
 	var reports []*msg
 	add := func(ev *event) {
@@ -511,7 +500,7 @@ func (c *Coordinator) vote(first event) (int, bool) {
 		}
 	}
 	add(&first)
-	deadline := time.Now().Add(c.opts.FenceDelay)
+	deadline := time.Now().Add(DefaultFenceDelay)
 	for {
 		ev, err := c.recvUntil(deadline)
 		if err != nil {
@@ -577,8 +566,8 @@ func pickSuspect(reports []*msg, incs []int, last int) (suspect int, ok bool) {
 // Any step failing fails the run: a second fault mid-restart is beyond the
 // protocol.
 func (c *Coordinator) restart(x int) error {
-	if c.restarts >= c.opts.MaxRestarts {
-		return fmt.Errorf("cluster: restart budget exhausted (%d)", c.opts.MaxRestarts)
+	if c.restarts >= DefaultMaxRestarts {
+		return fmt.Errorf("cluster: restart budget exhausted (%d)", DefaultMaxRestarts)
 	}
 	c.restarts++
 	c.opts.Logf("coordinator: restarting rank %d (restart %d)", x, c.restarts)

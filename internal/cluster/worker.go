@@ -174,9 +174,6 @@ func (w *Worker) Run() error {
 		Recovery: &core.RecoveryOptions{
 			Store:             w.opts.Store,
 			CheckpointCommits: spec.CheckpointCommits,
-			// The sink dies with the process: journal emitted rows so a
-			// respawn replays its own output.
-			DurableEmits: true,
 		},
 		Placement: &core.Placement{
 			Owned: func(id int) bool { return id == rank },

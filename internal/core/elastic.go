@@ -557,7 +557,7 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 		mt.selfInc = c.nodeInc[id]
 		mt.ckptEvery = c.cfg.Recovery.CheckpointCommits
 		mt.onCkpt = c.onCheckpoint
-		if c.cfg.Recovery.DurableEmits {
+		if c.durableEmits() {
 			c.journals[id].durable = true
 			mt.jrn = c.journals[id]
 		}

@@ -129,21 +129,10 @@ type RecoveryOptions struct {
 	// before voting on a suspect — long enough for every task touching the
 	// dead node to observe its own link error. Defaults to 2ms.
 	FenceDelay time.Duration
-	// MaxRestarts bounds node restarts for the run (automatic and manual);
-	// beyond it the run fails with ErrUnrecoverable. Defaults to 8.
-	MaxRestarts int
 	// AutoRestart lets the failure manager restart the voted suspect on its
 	// own. When false, link failures still route to the manager but fail the
 	// run (operators can only restart via RestartNode before that).
 	AutoRestart bool
-	// DurableEmits journals the result rows of every window trigger
-	// (recovery.KindEmit, written immediately before the window's trigger
-	// mark) and re-emits them into the sink during journal replay. The
-	// in-process engine does not need this — a restarted node's past emits
-	// already reached the shared sink — but in a multi-process deployment
-	// the sink dies with its process, so a respawned member must replay its
-	// own output. Placement mode (internal/cluster) turns this on.
-	DurableEmits bool
 }
 
 func (o *RecoveryOptions) fill() error {
@@ -158,9 +147,6 @@ func (o *RecoveryOptions) fill() error {
 	}
 	if o.FenceDelay <= 0 {
 		o.FenceDelay = 2 * time.Millisecond
-	}
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 8
 	}
 	return nil
 }

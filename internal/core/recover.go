@@ -38,6 +38,18 @@ import (
 // an evicted entry above the restored horizon is unrecoverable by
 // construction and fails the run typed (ErrUnrecoverable).
 
+// maxRestarts bounds node restarts for the run (automatic and manual); beyond
+// it the run fails with ErrUnrecoverable.
+const maxRestarts = 8
+
+// durableEmits reports whether every window trigger journals its result rows
+// (recovery.KindEmit, written immediately before the window's trigger mark)
+// and journal replay re-emits them into the sink. In-process a restarted
+// node's past emits already reached the shared sink, but a cluster member's
+// sink dies with its process, so a respawned member must replay its own
+// output.
+func (c *Controller) durableEmits() bool { return c.cfg.Placement != nil }
+
 // Recovery records one completed node restart for reporting.
 type Recovery struct {
 	// Node is the restarted node id.
@@ -517,7 +529,7 @@ func (m *recoveryMgr) judge(burst []linkReport) bool {
 		// deployment cannot disambiguate — restarting the wrong, healthy
 		// node is still safe: it restores losslessly, and the genuinely
 		// dead node keeps reporting until its own turn, bounded by
-		// MaxRestarts.)
+		// maxRestarts.)
 		votes[r.src]++
 		votes[r.dst]++
 		incOf[r.src], incOf[r.dst] = r.srcInc, r.dstInc
@@ -612,9 +624,9 @@ func (c *Controller) restartLocked(x, expect int) error {
 		return fmt.Errorf("core: node %d is not live", x)
 	}
 	c.restarts++
-	if budget := c.cfg.Recovery.MaxRestarts; c.restarts > budget {
+	if c.restarts > maxRestarts {
 		c.mu.Unlock()
-		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, budget)
+		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, maxRestarts)
 		c.run.fail(err)
 		return err
 	}
@@ -930,7 +942,7 @@ func (c *Controller) replayJournal(x int, be *ssb.Backend) ([]sourceMark, error)
 	if err != nil {
 		return nil, err
 	}
-	durable := c.cfg.Recovery.DurableEmits
+	durable := c.durableEmits()
 	var marks []sourceMark
 	// Stash of journaled sink rows keyed by window: overwriting on a repeat
 	// KindEmit (a pre-crash restart replayed the window too) deduplicates.

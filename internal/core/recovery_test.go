@@ -192,16 +192,7 @@ func TestRecoveryDoubleFailureSameNode(t *testing.T) {
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
 	cfg.Recovery.AutoRestart = true
-	gates := make([]*GatedFlow, nodes*threads)
-	flows := make([][]Flow, nodes)
-	for n := 0; n < nodes; n++ {
-		flows[n] = make([]Flow, threads)
-		for th := 0; th < threads; th++ {
-			g := NewGatedFlow(recs[n*threads+th], 500)
-			gates[n*threads+th] = g
-			flows[n][th] = g
-		}
-	}
+	flows, gates := gatedFlows(recs, threads, 500, func(g *GatedFlow) Flow { return g })
 	col := &Collector{}
 	ctrl, err := NewController(cfg, sumQuery("recover-double"), flows, col)
 	if err != nil {
@@ -289,26 +280,57 @@ func TestRecoveryCheckpointFailureFailsRun(t *testing.T) {
 	}
 }
 
+// gatedFlows wraps each flow's records in a GatedFlow fenced at ts, passed
+// through wrap, and returns the flows with their gates.
+func gatedFlows(recs [][]stream.Record, threads int, ts int64, wrap func(*GatedFlow) Flow) ([][]Flow, []*GatedFlow) {
+	nodes := len(recs) / threads
+	gates := make([]*GatedFlow, len(recs))
+	flows := make([][]Flow, nodes)
+	for n := 0; n < nodes; n++ {
+		flows[n] = make([]Flow, threads)
+		for th := 0; th < threads; th++ {
+			g := NewGatedFlow(recs[n*threads+th], ts)
+			gates[n*threads+th] = g
+			flows[n][th] = wrap(g)
+		}
+	}
+	return flows, gates
+}
+
 // TestRecoveryReplayHorizonExhausted starves the plane on purpose: no
 // checkpoints ever, replay rings two entries deep. By the time a node needs
 // restoring, its peers' rings have evicted un-checkpointed chunks, and the
 // restart must refuse with ErrUnrecoverable instead of silently dropping
-// state.
+// state. The sources park at a fence on the first window's end until the
+// restart returns, so it always lands mid-run; and since no window can
+// trigger before it, no trigger writes a checkpoint record either.
 func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 	const nodes, threads, per = 3, 2, 8000
 	rng := rand.New(rand.NewSource(83))
 	recs, _ := genPhase(rng, nodes*threads, per, 64, 0, 1000)
+	flows, gates := gatedFlows(recs, threads, 100, func(g *GatedFlow) Flow { return g })
 
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Recovery.CheckpointCommits = 1 << 30 // never checkpoint
 	cfg.Recovery.ReplayRing = 2              // evict almost immediately
-	ctrl, err := NewController(cfg, sumQuery("recover-horizon"), sliceFlowsOf(recs, threads), &Collector{})
+	ctrl, err := NewController(cfg, sumQuery("recover-horizon"), flows, &Collector{})
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
 	ctrl.Start()
-	waitFor(t, "node 1 merge progress", func() bool { return mergedChunks(ctrl, 1) > 40 })
-	if err := ctrl.RestartNode(1); !errors.Is(err, ErrUnrecoverable) {
+	waitFor(t, "all sources parked at the fence", func() bool {
+		for _, g := range gates {
+			if !g.AtFence(0) {
+				return false
+			}
+		}
+		return true
+	})
+	err = ctrl.RestartNode(1)
+	for _, g := range gates {
+		g.Open()
+	}
+	if !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("RestartNode = %v, want ErrUnrecoverable", err)
 	}
 	if _, err := waitReport(t, ctrl); !errors.Is(err, ErrUnrecoverable) {
@@ -316,31 +338,22 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 	}
 }
 
+// unrewindableFlow is a gated flow that cannot rewind: it has Next and
+// Ready, but no Rewind.
+type unrewindableFlow struct{ g *GatedFlow }
+
+func (f unrewindableFlow) Next(rec *stream.Record) bool { return f.g.Next(rec) }
+func (f unrewindableFlow) Ready() bool                  { return f.g.Ready() }
+
 // TestRecoveryUnrewindableFlow: a flow that cannot rewind makes its node
 // unrecoverable — the restart must say so rather than re-ingest from a wrong
-// position.
+// position. The flows are gated like the horizon test's, so the restart
+// always finds them holding records.
 func TestRecoveryUnrewindableFlow(t *testing.T) {
 	const nodes, threads, per = 2, 2, 8000
 	rng := rand.New(rand.NewSource(37))
 	recs, _ := genPhase(rng, nodes*threads, per, 64, 0, 1000)
-	mkFlow := func(rs []stream.Record) Flow {
-		i := 0
-		return FuncFlow(func(rec *stream.Record) bool { // FuncFlow cannot Rewind
-			if i >= len(rs) {
-				return false
-			}
-			*rec = rs[i]
-			i++
-			return true
-		})
-	}
-	flows := make([][]Flow, nodes)
-	for n := 0; n < nodes; n++ {
-		flows[n] = make([]Flow, threads)
-		for th := 0; th < threads; th++ {
-			flows[n][th] = mkFlow(recs[n*threads+th])
-		}
-	}
+	flows, gates := gatedFlows(recs, threads, 500, func(g *GatedFlow) Flow { return unrewindableFlow{g} })
 
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	ctrl, err := NewController(cfg, sumQuery("recover-norewind"), flows, &Collector{})
@@ -350,6 +363,9 @@ func TestRecoveryUnrewindableFlow(t *testing.T) {
 	ctrl.Start()
 	waitFor(t, "node 1 merge progress", func() bool { return mergedChunks(ctrl, 1) > 20 })
 	err = ctrl.RestartNode(1)
+	for _, g := range gates {
+		g.Open()
+	}
 	if !errors.Is(err, ErrUnrecoverable) || !strings.Contains(err.Error(), "cannot rewind") {
 		t.Fatalf("RestartNode = %v, want ErrUnrecoverable (cannot rewind)", err)
 	}
@@ -381,17 +397,8 @@ func TestRecoveryRestartDrainingLeaver(t *testing.T) {
 	want := baselineAggs(t, "recover-drain", baseline, 3, threads)
 
 	cfg := recoveryConfig(3, threads, recovery.NewMemStore())
-	gates := make([]*GatedFlow, 2*threads)
-	flows := make([][]Flow, 3)
-	for n := 0; n < 2; n++ {
-		flows[n] = make([]Flow, threads)
-		for th := 0; th < threads; th++ {
-			g := NewGatedFlow(stayRecs[n*threads+th], 500)
-			gates[n*threads+th] = g
-			flows[n][th] = g
-		}
-	}
-	flows[2] = make([]Flow, threads)
+	flows, gates := gatedFlows(stayRecs, threads, 500, func(g *GatedFlow) Flow { return g })
+	flows = append(flows, make([]Flow, threads))
 	for th := 0; th < threads; th++ {
 		flows[2][th] = NewSliceFlow(leaver[th])
 	}

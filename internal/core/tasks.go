@@ -586,7 +586,7 @@ type mergeTask struct {
 	ckptEvery int
 	onCkpt    func(node int, committed []uint64)
 	exits     *exitGroup
-	// jrn buffers sink rows for durable emits (DurableEmits only): every row
+	// jrn buffers sink rows for durable emits (Placement mode only): every row
 	// of a window is staged before the window's trigger mark is journaled, so
 	// a restored process can re-emit what its dead predecessor's sink lost.
 	jrn *nodeJournal

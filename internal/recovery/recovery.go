@@ -1,10 +1,11 @@
 // Package recovery owns durable checkpoint storage for the Slash engine:
-// per-node append-only journals of checkpoint, window-trigger, and
-// source-progress records, plus the manifest summarizing a journal's latest
-// durable cut. The epoch-based coherence protocol (§7.2.2) makes the records
-// cheap to produce — every helper fragment is empty at an epoch boundary, so
-// a leader-local snapshot between HandleChunk calls is a consistent cut —
-// and this package makes them survive the executor that wrote them.
+// per-node append-only journals of checkpoint, window-trigger, emit and
+// source-progress records. They are the only durable form of leader state: a
+// restarted node is rebuilt by replaying its journal in order. The
+// epoch-based coherence protocol (§7.2.2) makes the records cheap to produce
+// — every helper fragment is empty at an epoch boundary, so the deltas a
+// leader merged between HandleChunk calls form a consistent cut — and this
+// package makes them survive the executor that wrote them.
 //
 // The package is storage only: record payloads are opaque byte strings
 // encoded by internal/ssb (checkpoint deltas) and internal/core (source
@@ -13,7 +14,6 @@ package recovery
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -21,7 +21,7 @@ import (
 // Kind tags one journal record.
 type Kind uint8
 
-// Record kinds. A journal interleaves all three in append order; replaying
+// Record kinds. A journal interleaves all four in append order; replaying
 // them in order reconstructs the node state at the crash point.
 const (
 	// KindCheckpoint carries an incremental ssb checkpoint: the log bytes
@@ -169,59 +169,4 @@ func (s *MemStore) Records() int {
 		n += len(j)
 	}
 	return n
-}
-
-// ErrManifestEmpty reports a manifest request for a journal with no records.
-var ErrManifestEmpty = errors.New("recovery: journal is empty")
-
-// Manifest summarizes one node journal's latest durable cut: the sequence
-// number, partition-map generation, and vector-clock stamp of the newest
-// checkpoint, plus record counts per kind. The clock stamp is what makes
-// the cut comparable across nodes — two manifests with incomparable clocks
-// belong to concurrent cuts.
-type Manifest struct {
-	// Node is the journal owner.
-	Node int
-	// Records is the total journal length.
-	Records int
-	// Seq is the highest record sequence number.
-	Seq uint64
-	// Gen is the partition-map generation of the newest checkpoint (zero
-	// when no checkpoint was taken).
-	Gen uint64
-	// Clock is the vector-clock stamp of the newest checkpoint (nil when no
-	// checkpoint was taken).
-	Clock []int64
-	// Checkpoints, Triggers, SourceMarks, and Emits count records per kind.
-	Checkpoints int
-	Triggers    int
-	SourceMarks int
-	Emits       int
-}
-
-// BuildManifest summarizes a loaded journal.
-func BuildManifest(node int, recs []Record) (Manifest, error) {
-	if len(recs) == 0 {
-		return Manifest{}, fmt.Errorf("%w: node %d", ErrManifestEmpty, node)
-	}
-	m := Manifest{Node: node, Records: len(recs)}
-	for i := range recs {
-		r := &recs[i]
-		if r.Seq > m.Seq {
-			m.Seq = r.Seq
-		}
-		switch r.Kind {
-		case KindCheckpoint:
-			m.Checkpoints++
-			m.Gen = r.Gen
-			m.Clock = append([]int64(nil), r.Clock...)
-		case KindTrigger:
-			m.Triggers++
-		case KindSource:
-			m.SourceMarks++
-		case KindEmit:
-			m.Emits++
-		}
-	}
-	return m, nil
 }

@@ -246,27 +246,6 @@ func TestDirStoreConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestBuildManifest(t *testing.T) {
-	recs := sampleRecords()
-	m, err := BuildManifest(5, recs)
-	if err != nil {
-		t.Fatalf("BuildManifest: %v", err)
-	}
-	if m.Node != 5 || m.Records != 4 || m.Seq != 4 {
-		t.Fatalf("manifest header wrong: %+v", m)
-	}
-	if m.Checkpoints != 2 || m.Triggers != 1 || m.SourceMarks != 1 {
-		t.Fatalf("manifest counts wrong: %+v", m)
-	}
-	// The manifest carries the stamp of the NEWEST checkpoint.
-	if m.Gen != 2 || len(m.Clock) != 3 || m.Clock[0] != 40 {
-		t.Fatalf("manifest stamp wrong: %+v", m)
-	}
-	if _, err := BuildManifest(5, nil); !errors.Is(err, ErrManifestEmpty) {
-		t.Fatalf("empty manifest error: %v", err)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindCheckpoint: "checkpoint",

@@ -52,7 +52,7 @@ type Chunk struct {
 	// in recoverable mode use an incarnation bump to arm duplicate
 	// suppression for the prefix of the epoch they already merged. The wire
 	// field is one byte; restart counts are bounded far below 255 (see
-	// core's MaxRestarts), so saturation is a non-issue in practice.
+	// core's maxRestarts), so saturation is a non-issue in practice.
 	Inc uint8
 	// Payload is a raw log region (ChunkData only).
 	Payload []byte

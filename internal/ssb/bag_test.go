@@ -491,36 +491,26 @@ func (h *bagHarness) check(full bool) {
 	}
 }
 
-// restore replaces the leader by one rebuilt from durable state, mid-window:
-// a journal replay (checkpoint records and trigger marks) or a snapshot.
-func (h *bagHarness) restore(fromJournal bool) {
+// restore replaces the leader by one rebuilt from its journal, mid-window:
+// the checkpoint records and trigger marks replayed in order.
+func (h *bagHarness) restore() {
 	h.flushLocal()
 	if _, err := h.b.Checkpoint(); err != nil {
 		h.t.Fatal(err)
 	}
 	r := h.newBackend()
-	if fromJournal {
-		for _, rec := range h.j.recs {
-			var err error
-			if rec.trigger {
-				err = r.RestoreTrigger(rec.win)
-			} else {
-				err = r.RestoreCheckpoint(rec.clock, rec.payload)
-			}
-			if err != nil {
-				h.t.Fatal(err)
-			}
+	for _, rec := range h.j.recs {
+		var err error
+		if rec.trigger {
+			err = r.RestoreTrigger(rec.win)
+		} else {
+			err = r.RestoreCheckpoint(rec.clock, rec.payload)
 		}
-		r.FinishRestore()
-	} else {
-		var buf bytes.Buffer
-		if err := h.b.Snapshot(&buf); err != nil {
-			h.t.Fatal(err)
-		}
-		if err := r.Restore(&buf); err != nil {
+		if err != nil {
 			h.t.Fatal(err)
 		}
 	}
+	r.FinishRestore()
 	ts := r.Thread(0)
 	ts.RestoreProgress(h.ts.Epoch(), h.ts.Watermark(), h.ts.Inc()+1)
 	h.b, h.ts = r, ts
@@ -623,10 +613,8 @@ func (h *bagHarness) run(wins, ops int, after func()) {
 				h.remoteEpochTo(target, n, low)
 			case r < 18:
 				h.check(r == 17)
-			case r == 18:
-				h.restore(true)
 			default:
-				h.restore(false)
+				h.restore()
 			}
 			if after != nil {
 				after()
@@ -643,7 +631,7 @@ func (h *bagHarness) run(wins, ops int, after func()) {
 // TestBagTableProperty drives a bag leader through random interleavings of
 // local appends (per record and batched), flushes, merges of serialized
 // remote fragments, reads between appends, mid-window restores from the
-// journal and from a snapshot, and window triggers that recycle the tables,
+// journal, and window triggers that recycle the tables,
 // against a map-of-slices reference and a flat log per window. Half the
 // seeds run at a chunk size whose chunks cross segment ends. Keys mix a few
 // hot ones, a long tail that differs from window to window, key 0 and keys

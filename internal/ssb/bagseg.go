@@ -2,7 +2,6 @@ package ssb
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/slash-stream/slash/internal/crdt"
@@ -119,12 +118,12 @@ func (l *bagLog) append(key uint64, e *crdt.BagElem) error {
 }
 
 // checkBagFraming checks that region holds whole bag entries of
-// element-sized values; base is region's offset in the log it came from.
-func checkBagFraming(region []byte, base int) error {
+// element-sized values.
+func checkBagFraming(region []byte) error {
 	off := 0
 	for ; off+bagEntrySize <= len(region); off += bagEntrySize {
 		if vlen := getU32(region[off+12:]); vlen != crdt.BagElemSize {
-			return fmt.Errorf("%w: bag element of %d bytes at offset %d", ErrChunkFormat, vlen, base+off)
+			return fmt.Errorf("%w: bag element of %d bytes at offset %d", ErrChunkFormat, vlen, off)
 		}
 	}
 	if off != len(region) {
@@ -138,7 +137,7 @@ func checkBagFraming(region []byte, base int) error {
 // comes first so a malformed chunk leaves the log exactly as it was.
 // Incoming prev words are carried along unread.
 func (l *bagLog) merge(region []byte) error {
-	if err := checkBagFraming(region, 0); err != nil {
+	if err := checkBagFraming(region); err != nil {
 		return err
 	}
 	if len(region)/bagEntrySize > maxBagEntries-l.n {
@@ -198,27 +197,6 @@ func (l *bagLog) appendSpans(dst [][]byte) [][]byte {
 		dst = append(dst, l.span(s))
 	}
 	return dst
-}
-
-// readFrom reads a size-byte raw log from r straight into segments of an
-// empty log, then checks its framing. On error the log holds segments but no
-// entries; the caller resets it.
-func (l *bagLog) readFrom(r io.Reader, size int) error {
-	for read := 0; read < size; read += bagSegBytes {
-		seg := takeSeg()
-		l.segs = append(l.segs, seg)
-		if _, err := io.ReadFull(r, seg[:min(size-read, bagSegBytes)]); err != nil {
-			return fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-		}
-	}
-	for s, seg := range l.segs {
-		read := s * bagSegBytes
-		if err := checkBagFraming(seg[:min(size-read, bagSegBytes)], read); err != nil {
-			return err
-		}
-	}
-	l.n = size / bagEntrySize
-	return nil
 }
 
 // reset returns every segment to the free list and empties the by-key view.

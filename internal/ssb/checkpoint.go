@@ -350,12 +350,18 @@ func (b *Backend) CommittedEpochs() []uint64 {
 // RestoreCheckpoint replays one checkpoint record into a fresh recoverable
 // backend: merge the staged deltas in their original order, then overwrite
 // the tracker and vector clock with the states stamped at the cut. Records
-// must replay in journal order, interleaved with RestoreTrigger.
+// must replay in journal order, interleaved with RestoreTrigger. The journal
+// is read from storage, so a record that does not fit the deployment or does
+// not parse returns ErrChunkFormat; the clock length is checked before
+// anything is merged.
 func (b *Backend) RestoreCheckpoint(clock []int64, payload []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tracker == nil {
 		return fmt.Errorf("ssb: node %d is not recoverable", b.cfg.Node)
+	}
+	if len(clock) != b.clock.Size() {
+		return fmt.Errorf("%w: checkpoint clock of %d entries, deployment has %d", ErrChunkFormat, len(clock), b.clock.Size())
 	}
 	if len(payload) < 4 {
 		return fmt.Errorf("%w: checkpoint record too short", ErrChunkFormat)

@@ -51,7 +51,7 @@ func (j *memJournal) Trigger(gen, win uint64) error {
 }
 
 // deltaPayload serializes a single-entry aggregate delta for key/v.
-func deltaPayload(t *testing.T, key uint64, v int64) []byte {
+func deltaPayload(t testing.TB, key uint64, v int64) []byte {
 	t.Helper()
 	tbl := NewAggTable(crdt.Sum{})
 	if err := tbl.UpdateAgg(&stream.Record{Key: key, Time: 1, V0: v}); err != nil {
@@ -68,7 +68,7 @@ func deltaPayload(t *testing.T, key uint64, v int64) []byte {
 	return out
 }
 
-func recoverableBackend(t *testing.T, j Journal) *Backend {
+func recoverableBackend(t testing.TB, j Journal) *Backend {
 	t.Helper()
 	b, err := New(Config{
 		Node: 0, Nodes: 1, ThreadsPerNode: 2,
@@ -270,6 +270,100 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if got, want := r.Clock().Entry(0), b.Clock().Entry(0); got != want {
 		t.Fatalf("restored clock entry 0 = %d, want %d", got, want)
 	}
+}
+
+// journaledCheckpoint returns the record a recoverableBackend journals after
+// one epoch over two windows: a 2-entry clock and a payload holding the
+// tracker state and both windows' deltas.
+func journaledCheckpoint(t testing.TB) memJournalRec {
+	t.Helper()
+	j := &memJournal{}
+	b := recoverableBackend(t, j)
+	ts := b.Thread(0)
+	for i, win := range []uint64{0, 0, 1} {
+		if err := ts.UpdateAgg(win, &stream.Record{Key: uint64(i), Time: 900, V0: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.recs) != 1 || j.recs[0].trigger {
+		t.Fatalf("journal holds %d records, want one checkpoint", len(j.recs))
+	}
+	return j.recs[0]
+}
+
+// TestRestoreRejectsMismatch: a checkpoint record that does not fit the
+// restoring deployment — a clock of another length, a tracker for another
+// thread count, a truncated record — is rejected with ErrChunkFormat. A
+// wrong clock length is caught before any delta is merged, so the backend
+// is left as it was. The record itself restores.
+func TestRestoreRejectsMismatch(t *testing.T) {
+	rec := journaledCheckpoint(t)
+	n := len(rec.clock)
+	threads := append([]byte(nil), rec.payload...)
+	putU32(threads, 3)
+	for name, c := range map[string]struct {
+		clock   []int64
+		payload []byte
+	}{
+		"longer clock":  {make([]int64, n+3), rec.payload},
+		"shorter clock": {make([]int64, n-1), rec.payload},
+		"no clock":      {nil, rec.payload},
+		"thread count":  {rec.clock, threads},
+		"no tracker":    {rec.clock, rec.payload[:3]},
+		"cut tracker":   {rec.clock, rec.payload[:4+trackerEntrySize]},
+	} {
+		r := recoverableBackend(t, nil)
+		if err := r.RestoreCheckpoint(c.clock, c.payload); !errors.Is(err, ErrChunkFormat) {
+			t.Fatalf("%s: err = %v, want ErrChunkFormat", name, err)
+		}
+		if got := r.PendingWindows(); got != 0 {
+			t.Fatalf("%s: a rejected record left %d windows", name, got)
+		}
+	}
+	r := recoverableBackend(t, nil)
+	if err := r.RestoreCheckpoint(make([]int64, n+3), rec.payload); !errors.Is(err, ErrChunkFormat) {
+		t.Fatal(err)
+	}
+	if err := r.RestoreCheckpoint(rec.clock, rec.payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := sumAt(t, r, 0, 1); got != 4 {
+		t.Fatalf("restored window-0 sum = %d, want 4", got)
+	}
+	if got := r.PendingWindows(); got != 2 {
+		t.Fatalf("restored %d windows, want 2", got)
+	}
+}
+
+// FuzzRestoreCheckpoint feeds a fresh recoverable backend a checkpoint
+// record of arbitrary clock length and payload. The journal is read from
+// storage, so the restore must return nil or ErrChunkFormat, never panic,
+// and a restored backend must finish its restore.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	rec := journaledCheckpoint(f)
+	n := uint8(len(rec.clock))
+	f.Add(n, rec.payload)
+	f.Add(n+3, rec.payload)
+	f.Add(uint8(0), rec.payload)
+	f.Add(n, rec.payload[:len(rec.payload)-1])
+	f.Add(n, rec.payload[:4+2*trackerEntrySize+12])
+	f.Add(n, []byte{})
+	f.Fuzz(func(t *testing.T, clockLen uint8, payload []byte) {
+		r := recoverableBackend(t, nil)
+		if err := r.RestoreCheckpoint(make([]int64, clockLen), payload); err != nil {
+			if !errors.Is(err, ErrChunkFormat) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		r.FinishRestore()
+	})
 }
 
 // TestJournalErrorLatched: a failing journal surfaces through JournalErr and

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/slash-stream/slash/internal/crdt"
@@ -406,41 +405,6 @@ func (t *Table) MergeDelta(region []byte) error {
 		return t.bag.merge(region)
 	}
 	return t.mergeAggDelta(region)
-}
-
-// readLog reads a size-byte raw log of self-describing header entries from
-// r into an empty table — the snapshot format for both table kinds
-// (snapshots store table logs verbatim), which for bags is also the chunk
-// format. A bag log is read straight into segments.
-func (t *Table) readLog(r io.Reader, size int) error {
-	if t.bag != nil {
-		return t.bag.readFrom(r, size)
-	}
-	raw := make([]byte, size)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-	}
-	return t.mergeAggLog(raw)
-}
-
-// mergeAggLog folds a raw aggregate log region into the table.
-func (t *Table) mergeAggLog(region []byte) error {
-	off := 0
-	for off < len(region) {
-		if off+entryHeaderSize > len(region) {
-			return ErrChunkFormat
-		}
-		key := getU64(region[off:])
-		vlen := int(getU32(region[off+12:]))
-		if off+entryHeaderSize+vlen > len(region) {
-			return ErrChunkFormat
-		}
-		if err := t.MergeAggValue(key, region[off+entryHeaderSize:off+entryHeaderSize+vlen]); err != nil {
-			return err
-		}
-		off += entryHeaderSize + vlen
-	}
-	return nil
 }
 
 // mergeAggDelta is the leader's merge hot loop: one pass over a compact

@@ -119,9 +119,10 @@ func (w Tumbling) AssignRuns(times []int64, r *Runs) { bucketRuns(times, w.Size,
 // AssignRuns implements RunAssigner (session slices are gap-width buckets).
 func (w Session) AssignRuns(times []int64, r *Runs) { bucketRuns(times, w.Gap, r) }
 
-// AssignRuns implements RunAssigner: the window set [first..last] advances
-// only when ts crosses a slide boundary, so a run spans every record below
-// (last+1)*Slide.
+// AssignRuns implements RunAssigner: the window set [first..last] changes
+// when ts reaches the next window's start, (last+1)*Slide, or window first's
+// end, first*Slide+Size — the same point unless Slide does not divide Size —
+// so a run spans every record below the nearer of the two.
 func (w Sliding) AssignRuns(times []int64, r *Runs) {
 	n := len(times)
 	for i := 0; i < n; {
@@ -134,7 +135,7 @@ func (w Sliding) AssignRuns(times []int64, r *Runs) {
 		if ts-w.Size+w.Slide < 0 {
 			first = 0
 		}
-		end := (last + 1) * w.Slide
+		end := min((last+1)*w.Slide, first*w.Slide+w.Size)
 		j := i + 1
 		for j < n && times[j] < end {
 			j++

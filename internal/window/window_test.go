@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,6 +194,48 @@ func TestNextEnd(t *testing.T) {
 				if end := a.End(win); end > ts && end < next {
 					t.Fatalf("%s: window %d ends at %d, between ts %d and NextEnd %d", a.Name(), win, end, ts, next)
 				}
+			}
+		}
+	}
+}
+
+// TestAssignRunsMatchesAssign: the run decomposition gives every record
+// exactly the windows Assign gives it, for every assigner — including a
+// sliding window whose slide does not divide its size, where the window set
+// also changes between slide boundaries — over batches that start anywhere.
+func TestAssignRunsMatchesAssign(t *testing.T) {
+	tumbling, _ := NewTumbling(100)
+	sliding, _ := NewSliding(400, 100)
+	ragged, _ := NewSliding(10_000, 4_000)
+	session, _ := NewSession(50)
+	rng := rand.New(rand.NewSource(1))
+	for _, a := range []Assigner{tumbling, sliding, ragged, session} {
+		ra := ForRuns(a)
+		var runs Runs
+		ts := int64(0)
+		for batch := 0; batch < 200; batch++ {
+			times := make([]int64, 1+rng.Intn(64))
+			for i := range times {
+				ts += rng.Int63n(700)
+				times[i] = ts
+			}
+			runs.Reset()
+			ra.AssignRuns(times, &runs)
+			covered := 0
+			for i := 0; i < runs.N(); i++ {
+				p0, p1 := runs.Span(i)
+				if p0 != covered || p1 <= p0 {
+					t.Fatalf("%s: run %d spans [%d, %d) after %d records", a.Name(), i, p0, p1, covered)
+				}
+				for p := p0; p < p1; p++ {
+					if want := a.Assign(times[p], nil); !equalWins(runs.Windows(i), want) {
+						t.Fatalf("%s: ts %d in run windows %v, Assign gives %v", a.Name(), times[p], runs.Windows(i), want)
+					}
+				}
+				covered = p1
+			}
+			if covered != len(times) {
+				t.Fatalf("%s: runs cover %d of %d records", a.Name(), covered, len(times))
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package slash_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	slash "github.com/slash-stream/slash"
+	"github.com/slash-stream/slash/internal/window"
 )
 
 // TestQuickstartAPI exercises the public API end to end the way the README
@@ -136,4 +138,83 @@ func TestThrottledCluster(t *testing.T) {
 	if rep.NetTxBytes == 0 {
 		t.Fatal("no network traffic")
 	}
+}
+
+// windowedAggMatchesOracle runs q on a 2-node, 2-thread cluster over seeded
+// flows (16 keys, V0 in [-50, 50), 25 µs apart) and requires its rows to
+// equal an oracle that assigns every record to windows with a, the
+// assigner the query was built with, and folds V0 per (window, key).
+func windowedAggMatchesOracle(t *testing.T, q *slash.Query, a window.Assigner, fold func(acc, v int64) int64) {
+	t.Helper()
+	cluster, err := slash.NewCluster(slash.ClusterConfig{Nodes: 2, ThreadsPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	want := map[[2]uint64]int64{}
+	flows := make([][]slash.Flow, 2)
+	for n := range flows {
+		for th := 0; th < 2; th++ {
+			recs := make([]slash.Record, 2000)
+			for i := range recs {
+				r := slash.Record{Key: uint64(rng.Intn(16)), Time: int64(i) * 25, V0: rng.Int63n(100) - 50}
+				recs[i] = r
+				for _, win := range a.Assign(r.Time, nil) {
+					k := [2]uint64{win, r.Key}
+					if acc, ok := want[k]; ok {
+						want[k] = fold(acc, r.V0)
+					} else {
+						want[k] = r.V0
+					}
+				}
+			}
+			flows[n] = append(flows[n], slash.NewSliceFlow(recs))
+		}
+	}
+	col := &slash.Collector{}
+	if _, err := cluster.Run(q, flows, col); err != nil {
+		t.Fatal(err)
+	}
+	got := map[[2]uint64]int64{}
+	for _, r := range col.Aggs() {
+		k := [2]uint64{r.Win, r.Key}
+		if _, dup := got[k]; dup {
+			t.Fatalf("window %d key %d emitted twice", r.Win, r.Key)
+		}
+		got[k] = r.Value
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, oracle has %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Fatalf("window %d key %d: got %d (present %v), oracle %d", k[0], k[1], g, ok, v)
+		}
+	}
+}
+
+// TestSlidingSumViaPublicAPI: SlidingWindow with SumPerKey sums V0 into
+// every overlapping window a record falls in.
+func TestSlidingSumViaPublicAPI(t *testing.T) {
+	q := slash.NewQuery("sliding-sum", 32).
+		SlidingWindow(10*time.Millisecond, 4*time.Millisecond).
+		SumPerKey()
+	a, err := window.NewSliding(10_000, 4_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowedAggMatchesOracle(t, q, a, func(acc, v int64) int64 { return acc + v })
+}
+
+// TestSessionMinViaPublicAPI: SessionWindow with MinPerKey keeps the least
+// V0 per session bucket.
+func TestSessionMinViaPublicAPI(t *testing.T) {
+	q := slash.NewQuery("session-min", 32).
+		SessionWindow(3 * time.Millisecond).
+		MinPerKey()
+	a, err := window.NewSession(3_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowedAggMatchesOracle(t, q, a, func(acc, v int64) int64 { return min(acc, v) })
 }
