@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,7 +255,9 @@ func TestDistributedJoinCardinalities(t *testing.T) {
 
 func TestQuickClusterShapes(t *testing.T) {
 	// Sweep deployment shapes: result correctness must be independent of
-	// nodes, threads, epoch size, and chunk size.
+	// nodes, threads, epoch size, and chunk size. The property returns false
+	// only after recording in why what went wrong for that input.
+	var why string
 	prop := func(seed int64, nn, tt, ep uint8) bool {
 		nodes := 1 + int(nn%4)
 		threads := 1 + int(tt%3)
@@ -262,33 +267,58 @@ func TestQuickClusterShapes(t *testing.T) {
 		q := &Query{Name: "quick", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
 		cfg := smallConfig(nodes, threads)
 		cfg.EpochBytes = int64(1+ep%8) << 10
+		shape := fmt.Sprintf("%d nodes × %d threads, %d KiB epochs", nodes, threads, cfg.EpochBytes>>10)
 		col := &Collector{}
 		if _, err := Run(cfg, q, flows, col); err != nil {
+			why = shape + ": Run: " + err.Error()
 			return false
 		}
-		oracle := oracleAgg(all, win, crdt.Sum{}, nil)
-		got := map[uint64]map[uint64]int64{}
-		for _, r := range col.Aggs() {
-			if got[r.Win] == nil {
-				got[r.Win] = map[uint64]int64{}
-			}
-			got[r.Win][r.Key] = r.Value
-		}
-		if len(got) != len(oracle) {
+		if d := diffAggRows(col.Aggs(), oracleAgg(all, win, crdt.Sum{}, nil)); d != "" {
+			why = shape + ": " + d
 			return false
-		}
-		for w, keys := range oracle {
-			for k, v := range keys {
-				if got[w][k] != v {
-					return false
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%s", err, why)
 	}
+}
+
+// diffAggRows describes the first difference between the sink's rows,
+// sorted by (win, key) as Collector.Aggs returns them, and the oracle: a row
+// emitted twice, a row the oracle lacks, or a wrong value; failing those,
+// the smallest (win, key) of the oracle that no row has. It returns "" when
+// the two agree.
+func diffAggRows(rows []AggResult, oracle map[uint64]map[uint64]int64) string {
+	seen := map[[2]uint64]bool{}
+	for _, r := range rows {
+		wk := [2]uint64{r.Win, r.Key}
+		want, ok := oracle[r.Win][r.Key]
+		switch {
+		case seen[wk]:
+			return fmt.Sprintf("row (win %d, key %d) emitted twice", r.Win, r.Key)
+		case !ok:
+			return fmt.Sprintf("extra row (win %d, key %d) = %d", r.Win, r.Key, r.Value)
+		case r.Value != want:
+			return fmt.Sprintf("row (win %d, key %d) = %d, want %d", r.Win, r.Key, r.Value, want)
+		}
+		seen[wk] = true
+	}
+	var missing [][2]uint64
+	for w, keys := range oracle {
+		for k := range keys {
+			if !seen[[2]uint64{w, k}] {
+				missing = append(missing, [2]uint64{w, k})
+			}
+		}
+	}
+	if len(missing) == 0 {
+		return ""
+	}
+	first := slices.MinFunc(missing, func(a, b [2]uint64) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return fmt.Sprintf("missing row (win %d, key %d) = %d; %d rows missing in all", first[0], first[1], oracle[first[0]][first[1]], len(missing))
 }
 
 func TestEmptyFlows(t *testing.T) {

@@ -577,8 +577,8 @@ func (b *Backend) finishLocked(win uint64, tbl *Table) {
 }
 
 // triggerAgg fires the ready aggregate windows in one hold of b.mu: an
-// aggregate window emits one row per group straight from its index, so
-// there is no pass worth taking off the lock.
+// aggregate window emits one row per group straight from its log, so there
+// is no pass worth taking off the lock.
 func (b *Backend) triggerAgg(emitAgg EmitAgg) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

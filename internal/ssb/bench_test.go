@@ -248,14 +248,24 @@ func BenchmarkBagTriggerSides(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexLookupOrReserve probes a full index with its own keys in a
+// random order, at sizes that sit in L1/L2, in L2/L3, and past the LLC.
 func BenchmarkIndexLookupOrReserve(b *testing.B) {
-	ix := newIndex()
-	for i := uint64(0); i < 1<<16; i++ {
-		ix.set(i, int32(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.lookupOrReserve(uint64(i & (1<<16 - 1)))
+	for _, keys := range []int{1 << 10, 1 << 16, 1 << 20} {
+		b.Run(benchName("keys", keys), func(b *testing.B) {
+			ix := newIndex()
+			for i := uint64(0); i < uint64(keys); i++ {
+				ix.set(i, int32(i))
+			}
+			probe := rand.New(rand.NewSource(1)).Perm(keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, found := ix.lookupOrReserve(uint64(probe[i&(keys-1)])); !found {
+					b.Fatal("key lost")
+				}
+			}
+		})
 	}
 }
 

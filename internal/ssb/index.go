@@ -7,32 +7,36 @@
 // event-time windows consistently (properties P1 and P2 of §5.1).
 package ssb
 
-// index is a FASTER-style hash index (§7.2.1): an array of multi-slot
-// buckets chained through an overflow pool, mapping keys to offsets in the
-// log-structured storage. Decoupling the index from storage keeps updates
-// log-local (temporal locality) and lets delta detection avoid pointer
-// chasing — the delta is simply a log region.
+// index maps keys to offsets in the log-structured storage (§7.2.1).
+// Decoupling the index from storage keeps updates log-local (temporal
+// locality) and lets delta detection avoid pointer chasing — the delta is
+// simply a log region.
+//
+// Unlike FASTER's array of 64-byte multi-slot buckets chained through an
+// overflow pool, the index is one flat open-addressing table: linear probing
+// over a power-of-two array of 16-byte slots, kept at most half full, so a
+// probe almost always ends at its home slot and a miss at the next free one.
+// The bucket scan was the largest single cost of the ysb_replay benchmark:
+// over a fifth of its CPU, all flat (21.6% and 23.2% in two profiles, seed
+// 42, 2 vCPUs, go1.24), mostly the branches of the per-slot occupancy and
+// free-slot tests rather than memory. A table that one thread owns, or a
+// leader lock guards, needs none of FASTER's latch-free bucket machinery.
 type index struct {
-	buckets  []bucket
-	overflow []bucket
-	count    int
+	slots []indexSlot
+	count int
 }
 
-// slotsPerBucket × 16 bytes + occupancy/chain metadata ≈ one cache line per
-// bucket, mirroring FASTER's 64-byte bucket design.
-const slotsPerBucket = 4
-
-type bucket struct {
-	keys     [slotsPerBucket]uint64
-	offs     [slotsPerBucket]int32
-	occupied uint8
-	next     int32 // 1-based index into overflow; 0 = end of chain
+// indexSlot is one table entry; used tells a stored key 0 from a free slot.
+type indexSlot struct {
+	key  uint64
+	off  int32
+	used uint32
 }
 
-const minBuckets = 64
+const minSlots = 64
 
 func newIndex() *index {
-	return &index{buckets: make([]bucket, minBuckets)}
+	return &index{slots: make([]indexSlot, minSlots)}
 }
 
 // mix64 is the splitmix64 finalizer, a strong cheap hash for 64-bit keys.
@@ -45,175 +49,109 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func (ix *index) bucketFor(key uint64) int {
-	return int(mix64(key) & uint64(len(ix.buckets)-1))
-}
-
 // get returns the log offset for key.
 func (ix *index) get(key uint64) (int32, bool) {
-	b := &ix.buckets[ix.bucketFor(key)]
-	for {
-		for s := 0; s < slotsPerBucket; s++ {
-			if b.occupied&(1<<s) != 0 && b.keys[s] == key {
-				return b.offs[s], true
-			}
+	slots := ix.slots
+	mask := uint64(len(slots) - 1)
+	for i := mix64(key); ; i++ {
+		s := &slots[i&mask]
+		if s.key == key && s.used != 0 {
+			return s.off, true
 		}
-		if b.next == 0 {
+		if s.used == 0 {
 			return 0, false
 		}
-		b = &ix.overflow[b.next-1]
 	}
 }
 
 // set inserts or updates the offset for key.
 func (ix *index) set(key uint64, off int32) {
-	if ix.count >= len(ix.buckets)*slotsPerBucket*3/4 {
-		ix.grow()
-	}
-	b := &ix.buckets[ix.bucketFor(key)]
-	var free *bucket
-	freeSlot := -1
-	tail := int32(0) // 1-based overflow position of b; 0 = b is the main bucket
-	for {
-		for s := 0; s < slotsPerBucket; s++ {
-			if b.occupied&(1<<s) != 0 {
-				if b.keys[s] == key {
-					b.offs[s] = off
-					return
-				}
-			} else if freeSlot < 0 {
-				free, freeSlot = b, s
-			}
-		}
-		if b.next == 0 {
-			break
-		}
-		tail = b.next
-		b = &ix.overflow[b.next-1]
-	}
-	if freeSlot < 0 {
-		// Chain a fresh overflow bucket off the tail. The append may move the
-		// overflow array, so when the tail is itself an overflow bucket the
-		// link must be written through the array's new backing store — a write
-		// through the stale pointer would orphan the new bucket (and its key)
-		// from every chain walk, including grow's rehash.
-		ix.overflow = append(ix.overflow, bucket{})
-		if tail != 0 {
-			b = &ix.overflow[tail-1]
-		}
-		b.next = int32(len(ix.overflow))
-		free, freeSlot = &ix.overflow[len(ix.overflow)-1], 0
-	}
-	free.keys[freeSlot] = key
-	free.offs[freeSlot] = off
-	free.occupied |= 1 << freeSlot
-	ix.count++
+	slot, _ := ix.lookupOrReserve(key)
+	*slot = off
 }
 
-// lookupOrReserve finds key's slot, or claims a free slot for it, in a
-// single chain walk — the upsert fast path of the per-record RMW. The
-// returned pointer stays valid until the next set/lookupOrReserve call
-// (growth rehashes in place before any slot is touched).
+// lookupOrReserve finds key's slot, or claims a free slot for it, in one
+// probe — the upsert fast path of the per-record RMW. The returned pointer
+// stays valid until the next set/lookupOrReserve call (growth rehashes
+// before the new key's slot is claimed).
 func (ix *index) lookupOrReserve(key uint64) (off *int32, found bool) {
 	return ix.lookupOrReserveHashed(key, mix64(key))
 }
 
 // lookupOrReserveHashed is lookupOrReserve with the hash precomputed — the
 // batch path hashes the whole key column in one tight loop and probes with
-// the stored hashes. h must equal mix64(key).
+// the stored hashes. h must equal mix64(key). The walk starts at key's home
+// slot and compares the key first, so the common case, a hit there, reads
+// one slot. Only an insert grows the table: it doubles first if the new key
+// would fill it past half.
 func (ix *index) lookupOrReserveHashed(key, h uint64) (off *int32, found bool) {
-	if ix.count >= len(ix.buckets)*slotsPerBucket*3/4 {
-		ix.grow()
-	}
-	b := &ix.buckets[int(h&uint64(len(ix.buckets)-1))]
-	var free *bucket
-	freeSlot := -1
-	tail := int32(0) // 1-based overflow position of b; 0 = b is the main bucket
-	for {
-		for s := 0; s < slotsPerBucket; s++ {
-			if b.occupied&(1<<s) != 0 {
-				if b.keys[s] == key {
-					return &b.offs[s], true
-				}
-			} else if freeSlot < 0 {
-				free, freeSlot = b, s
+	slots := ix.slots
+	mask := uint64(len(slots) - 1)
+	for i := h; ; i++ {
+		s := &slots[i&mask]
+		if s.key == key && s.used != 0 {
+			return &s.off, true
+		}
+		if s.used == 0 {
+			if 2*(ix.count+1) > len(slots) {
+				ix.growTo(2 * len(slots))
+				s = ix.free(h)
 			}
+			s.key, s.used = key, 1
+			ix.count++
+			return &s.off, false
 		}
-		if b.next == 0 {
-			break
-		}
-		tail = b.next
-		b = &ix.overflow[b.next-1]
 	}
-	if freeSlot < 0 {
-		// See set: re-resolve the tail after append before linking.
-		ix.overflow = append(ix.overflow, bucket{})
-		if tail != 0 {
-			b = &ix.overflow[tail-1]
-		}
-		b.next = int32(len(ix.overflow))
-		free, freeSlot = &ix.overflow[len(ix.overflow)-1], 0
-	}
-	free.keys[freeSlot] = key
-	free.occupied |= 1 << freeSlot
-	ix.count++
-	return &free.offs[freeSlot], false
 }
 
-// forEach visits every (key, offset) pair.
+// free returns the first free slot of the run that starts at h.
+func (ix *index) free(h uint64) *indexSlot {
+	mask := uint64(len(ix.slots) - 1)
+	for ix.slots[h&mask].used != 0 {
+		h++
+	}
+	return &ix.slots[h&mask]
+}
+
+// forEach visits every (key, offset) pair, in slot order.
 func (ix *index) forEach(fn func(key uint64, off int32)) {
-	visit := func(b *bucket) {
-		for s := 0; s < slotsPerBucket; s++ {
-			if b.occupied&(1<<s) != 0 {
-				fn(b.keys[s], b.offs[s])
-			}
-		}
-	}
-	for i := range ix.buckets {
-		b := &ix.buckets[i]
-		for {
-			visit(b)
-			if b.next == 0 {
-				break
-			}
-			b = &ix.overflow[b.next-1]
+	for i := range ix.slots {
+		if s := &ix.slots[i]; s.used != 0 {
+			fn(s.key, s.off)
 		}
 	}
 }
 
-// grow doubles the bucket array and rehashes.
-func (ix *index) grow() { ix.growTo(len(ix.buckets) * 2) }
-
-// reserve grows the bucket array so that n more keys fit without triggering
+// reserve grows the table so that n more keys fit without triggering
 // growth — one rehash to the final size instead of a doubling cascade.
 // Callers that know a batch's key count (the merge path knows the chunk's
 // entry count) use it to keep growth off the per-entry loop.
 func (ix *index) reserve(n int) {
-	need := ix.count + n
-	size := len(ix.buckets)
-	for need >= size*slotsPerBucket*3/4 {
+	size := len(ix.slots)
+	for 2*(ix.count+n) > size {
 		size *= 2
 	}
-	if size > len(ix.buckets) {
+	if size > len(ix.slots) {
 		ix.growTo(size)
 	}
 }
 
+// growTo rehashes every key into a fresh table of size slots. Keys are
+// distinct, so each goes to the first free slot of its run.
 func (ix *index) growTo(size int) {
-	old := *ix
-	ix.buckets = make([]bucket, size)
-	ix.overflow = nil
-	ix.count = 0
-	old.forEach(func(key uint64, off int32) { ix.set(key, off) })
+	old := index{slots: ix.slots}
+	ix.slots = make([]indexSlot, size)
+	old.forEach(func(key uint64, off int32) {
+		*ix.free(mix64(key)) = indexSlot{key: key, off: off, used: 1}
+	})
 }
 
-// reset clears the index, keeping the bucket array for reuse.
+// reset clears the index, keeping the slot array for reuse.
 func (ix *index) reset() {
-	for i := range ix.buckets {
-		ix.buckets[i] = bucket{}
+	if ix.count > 0 {
+		clear(ix.slots)
+		ix.count = 0
 	}
-	ix.overflow = ix.overflow[:0]
-	ix.count = 0
 }
 
 // len returns the number of indexed keys.

@@ -216,34 +216,38 @@ func (t *Table) valueAt(off int32) []byte {
 	return t.log[start : start+int(vlen)]
 }
 
-// ForEachAgg visits every (key, state) pair of an aggregate table.
+// ForEachAgg visits every (key, state) pair of an aggregate table in log
+// order — the order the keys first reached the table. Every key owns exactly
+// one fixed-size log entry, updated in place, so the walk is one sequential
+// pass that never touches the index.
 func (t *Table) ForEachAgg(fn func(key uint64, state []byte)) {
-	t.idx.forEach(func(key uint64, off int32) {
-		fn(key, t.valueAt(off))
-	})
+	esize := entryHeaderSize + t.agg.Size()
+	for off := 0; off+esize <= len(t.log); off += esize {
+		fn(getU64(t.log[off:]), t.log[off+entryHeaderSize:off+esize])
+	}
 }
 
-// forEachAggResult visits every key with its finalized aggregate result —
-// the trigger emit loop, with the result decode dispatched once on the
-// table's aggKind instead of an interface call per key. Must match the
-// aggregate's Result exactly (see crdt): the identity for the four 8-byte
-// kinds, sum/count (0 when empty) for Avg.
+// forEachAggResult visits every key with its finalized aggregate result, in
+// log order — the trigger emit loop, with the result decode dispatched once
+// on the table's aggKind instead of an interface call per key. Must match
+// the aggregate's Result exactly (see crdt): the identity for the four
+// 8-byte kinds, sum/count (0 when empty) for Avg.
 func (t *Table) forEachAggResult(fn func(key uint64, result int64)) {
+	esize := entryHeaderSize + t.agg.Size()
 	switch t.kind {
 	case aggCount, aggSum, aggMin, aggMax:
-		t.idx.forEach(func(key uint64, off int32) {
-			fn(key, int64(getU64(t.log[off+entryHeaderSize:])))
-		})
+		for off := 0; off+esize <= len(t.log); off += esize {
+			fn(getU64(t.log[off:]), int64(getU64(t.log[off+entryHeaderSize:])))
+		}
 	case aggAvg:
-		t.idx.forEach(func(key uint64, off int32) {
+		for off := 0; off+esize <= len(t.log); off += esize {
 			state := t.log[off+entryHeaderSize:]
-			count := int64(getU64(state[8:]))
-			if count == 0 {
-				fn(key, 0)
-				return
+			result := int64(0)
+			if count := int64(getU64(state[8:])); count != 0 {
+				result = int64(getU64(state)) / count
 			}
-			fn(key, int64(getU64(state))/count)
-		})
+			fn(getU64(t.log[off:]), result)
+		}
 	default:
 		agg := t.agg
 		t.ForEachAgg(func(key uint64, state []byte) { fn(key, agg.Result(state)) })

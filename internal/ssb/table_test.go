@@ -3,140 +3,13 @@ package ssb
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/stream"
 )
-
-func TestIndexSetGet(t *testing.T) {
-	ix := newIndex()
-	if _, ok := ix.get(42); ok {
-		t.Fatal("empty index returned a hit")
-	}
-	ix.set(42, 7)
-	if off, ok := ix.get(42); !ok || off != 7 {
-		t.Fatalf("get = %d,%v", off, ok)
-	}
-	ix.set(42, 9) // update
-	if off, _ := ix.get(42); off != 9 {
-		t.Fatalf("update lost: off = %d", off)
-	}
-	if ix.len() != 1 {
-		t.Fatalf("len = %d", ix.len())
-	}
-}
-
-func TestIndexGrowthAndOverflow(t *testing.T) {
-	ix := newIndex()
-	const n = 10000
-	for i := uint64(0); i < n; i++ {
-		ix.set(i, int32(i))
-	}
-	if ix.len() != n {
-		t.Fatalf("len = %d, want %d", ix.len(), n)
-	}
-	for i := uint64(0); i < n; i++ {
-		off, ok := ix.get(i)
-		if !ok || off != int32(i) {
-			t.Fatalf("key %d: off=%d ok=%v", i, off, ok)
-		}
-	}
-	seen := 0
-	ix.forEach(func(key uint64, off int32) {
-		if off != int32(key) {
-			t.Fatalf("forEach key %d off %d", key, off)
-		}
-		seen++
-	})
-	if seen != n {
-		t.Fatalf("forEach visited %d", seen)
-	}
-	ix.reset()
-	if ix.len() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	if _, ok := ix.get(5); ok {
-		t.Fatal("reset index returned a hit")
-	}
-}
-
-// TestIndexOverflowChainRealloc regression-tests the overflow-array realloc
-// hazard: when a chain already spans overflow buckets and appending the next
-// one moves the array, the chain link must be written through the new backing
-// store. The stale-pointer variant orphaned the appended bucket, silently
-// losing its key from get, forEach, and grow's rehash — which surfaced as
-// nondeterministic missing keys in triggered windows (leader tables are the
-// only ones dense enough to chain).
-func TestIndexOverflowChainRealloc(t *testing.T) {
-	// Keys that collide in one bucket of the minimum-sized table. Staying far
-	// below the grow threshold keeps the bucket count (and thus the collision
-	// set) stable for the whole test.
-	var keys []uint64
-	target := mix64(0) & uint64(minBuckets-1)
-	for k := uint64(0); len(keys) < 24; k++ {
-		if mix64(k)&uint64(minBuckets-1) == target {
-			keys = append(keys, k)
-		}
-	}
-	for name, insert := range map[string]func(ix *index, key uint64, off int32){
-		"set": func(ix *index, key uint64, off int32) { ix.set(key, off) },
-		"lookupOrReserve": func(ix *index, key uint64, off int32) {
-			slot, found := ix.lookupOrReserve(key)
-			if found {
-				t.Fatalf("key %d already present", key)
-			}
-			*slot = off
-		},
-	} {
-		ix := newIndex()
-		for i, k := range keys {
-			insert(ix, k, int32(i))
-		}
-		if ix.len() != len(keys) {
-			t.Fatalf("%s: len = %d, want %d", name, ix.len(), len(keys))
-		}
-		for i, k := range keys {
-			off, ok := ix.get(k)
-			if !ok || off != int32(i) {
-				t.Fatalf("%s: key %d: off=%d ok=%v, want %d", name, k, off, ok, i)
-			}
-		}
-		seen := 0
-		ix.forEach(func(uint64, int32) { seen++ })
-		if seen != len(keys) {
-			t.Fatalf("%s: forEach visited %d of %d keys", name, seen, len(keys))
-		}
-	}
-}
-
-func TestIndexQuickMapEquivalence(t *testing.T) {
-	prop := func(ops []struct {
-		Key uint64
-		Off int32
-	}) bool {
-		ix := newIndex()
-		ref := map[uint64]int32{}
-		for _, op := range ops {
-			ix.set(op.Key, op.Off)
-			ref[op.Key] = op.Off
-		}
-		if ix.len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok := ix.get(k)
-			if !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestAggTableUpdateAndGet(t *testing.T) {
 	tbl := NewAggTable(crdt.Sum{})
@@ -375,5 +248,39 @@ func TestQuickDistributedAggEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachAggWalksLogOrder checks that both emit walks visit every key
+// once, in the order the keys first reached the table (key 0 included),
+// with the aggregate's own Result for every built-in kind and for an
+// unregistered one.
+func TestForEachAggWalksLogOrder(t *testing.T) {
+	keys := []uint64{5, 0, 3, 9, 0, 5, 7}
+	first := []uint64{5, 0, 3, 9, 7}
+	for _, agg := range []crdt.Aggregate{crdt.Count{}, crdt.Sum{}, crdt.Min{}, crdt.Max{}, crdt.Avg{}, xorTimes{}} {
+		tbl := NewAggTable(agg)
+		for i, k := range keys {
+			if err := tbl.UpdateAgg(&stream.Record{Key: k, Time: int64(i + 1), V0: int64(10*i - 25)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var walked, emitted []uint64
+		tbl.ForEachAgg(func(key uint64, state []byte) {
+			walked = append(walked, key)
+			if got, _ := tbl.GetAgg(key); &got[0] != &state[0] {
+				t.Fatalf("%s: key %d: ForEachAgg state is not the table's", agg.Name(), key)
+			}
+		})
+		tbl.forEachAggResult(func(key uint64, result int64) {
+			emitted = append(emitted, key)
+			state, _ := tbl.GetAgg(key)
+			if want := agg.Result(state); result != want {
+				t.Fatalf("%s: key %d: result %d, want %d", agg.Name(), key, result, want)
+			}
+		})
+		if !slices.Equal(walked, first) || !slices.Equal(emitted, first) {
+			t.Fatalf("%s: ForEachAgg %v, forEachAggResult %v, want %v", agg.Name(), walked, emitted, first)
+		}
 	}
 }
