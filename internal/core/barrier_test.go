@@ -182,14 +182,14 @@ func TestElasticJoinPreemptedByRestart(t *testing.T) {
 	// No byte-volume flushes: each source reaches the fence holding the
 	// fragment of its last phase-A window, which the barrier must flush.
 	cfg.EpochBytes = 1 << 30
-	// The failure manager sits this one out; the restart is the operator's.
-	cfg.Recovery.FenceDelay = time.Hour
 	gates := []*GatedFlow{NewGatedFlow(stay[0], 5*winSize), NewGatedFlow(stay[1], 5*winSize)}
 	col := &Collector{}
 	c, err := NewController(cfg, mkQuery(), [][]Flow{{gates[0]}, {gates[1]}}, col)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
+	// The failure manager sits this one out; the restart is the operator's.
+	c.setFenceDelay(time.Hour)
 	c.Start()
 	waitFor(t, "phase A drained", func() bool { return gates[0].AtFence(0) && gates[1].AtFence(0) })
 

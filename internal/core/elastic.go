@@ -247,7 +247,7 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 			c.journals[i] = &nodeJournal{store: cfg.Recovery.Store, node: i}
 			c.rings[i] = make([]*replayRing, cfg.MaxNodes)
 			for j := range c.rings[i] {
-				c.rings[i][j] = newReplayRing(cfg.Recovery.ReplayRing)
+				c.rings[i][j] = newReplayRing(replayRingEntries)
 			}
 		}
 		c.mgr = newRecoveryMgr(c)

@@ -120,15 +120,6 @@ type RecoveryOptions struct {
 	// last checkpoint, the merge task writes one and lets the controller
 	// prune its replay rings. Defaults to 32.
 	CheckpointCommits int
-	// ReplayRing bounds the per-link replay ring (entries). A recovering
-	// node needs every chunk above its last durable checkpoint re-delivered;
-	// if the ring evicted one, the node is beyond the replay horizon and the
-	// run fails with ErrUnrecoverable. Defaults to 4096.
-	ReplayRing int
-	// FenceDelay is how long the failure manager collects link reports
-	// before voting on a suspect — long enough for every task touching the
-	// dead node to observe its own link error. Defaults to 2ms.
-	FenceDelay time.Duration
 	// AutoRestart lets the failure manager restart the voted suspect on its
 	// own. When false, link failures still route to the manager but fail the
 	// run (operators can only restart via RestartNode before that).
@@ -141,12 +132,6 @@ func (o *RecoveryOptions) fill() error {
 	}
 	if o.CheckpointCommits <= 0 {
 		o.CheckpointCommits = 32
-	}
-	if o.ReplayRing <= 0 {
-		o.ReplayRing = 4096
-	}
-	if o.FenceDelay <= 0 {
-		o.FenceDelay = 2 * time.Millisecond
 	}
 	return nil
 }

@@ -75,11 +75,18 @@ var (
 	ErrBothStateful = errors.New("core: query cannot be both aggregation and join")
 )
 
-// validate checks the query shape.
+// validate checks the query shape and its codec.
 func (q *Query) validate() error {
 	if q.Codec.Size() == 0 {
 		return fmt.Errorf("core: query %q has no codec", q.Name)
 	}
+	return q.ValidateOperators()
+}
+
+// ValidateOperators checks the query's operators: a window assigner and
+// exactly one stateful operator, an aggregate or a join side. The baseline
+// engines, which frame records themselves, run this check alone.
+func (q *Query) ValidateOperators() error {
 	if q.Window == nil {
 		return ErrNoWindow
 	}

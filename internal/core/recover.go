@@ -264,6 +264,12 @@ type ringEntry struct {
 	buf    []byte
 }
 
+// replayRingEntries bounds each per-link replay ring. A recovering node
+// needs every chunk above its last durable checkpoint re-delivered; if the
+// ring evicted one, the node is beyond the replay horizon and the run fails
+// with ErrUnrecoverable.
+const replayRingEntries = 4096
+
 // replayRing retains the most recent posts of one directed link (src→dst)
 // for re-delivery after dst restarts. Entries are pruned when dst writes a
 // durable checkpoint (everything at or below the committed vector is folded
@@ -400,7 +406,14 @@ type recoveryMgr struct {
 	// AWAY from it, so alternating attempts reach the genuinely dead node
 	// within the restart budget.
 	last int
+	// delay is how long a vote collects link reports: fenceDelay.
+	delay time.Duration
 }
+
+// fenceDelay is how long the failure manager collects link reports before
+// voting on a suspect — long enough for every task touching the dead node to
+// observe its own link error.
+const fenceDelay = 2 * time.Millisecond
 
 func newRecoveryMgr(c *Controller) *recoveryMgr {
 	return &recoveryMgr{
@@ -409,6 +422,7 @@ func newRecoveryMgr(c *Controller) *recoveryMgr {
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		last:    -1,
+		delay:   fenceDelay,
 	}
 }
 
@@ -475,7 +489,7 @@ func (m *recoveryMgr) stale(r linkReport) bool {
 // handle fences and restarts the node the report burst votes for.
 func (m *recoveryMgr) handle(first linkReport) {
 	burst := []linkReport{first}
-	deadline := time.After(m.c.cfg.Recovery.FenceDelay)
+	deadline := time.After(m.delay)
 collect:
 	for {
 		select {

@@ -312,11 +312,11 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Recovery.CheckpointCommits = 1 << 30 // never checkpoint
-	cfg.Recovery.ReplayRing = 2              // evict almost immediately
 	ctrl, err := NewController(cfg, sumQuery("recover-horizon"), flows, &Collector{})
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
+	ctrl.setReplayRing(2) // evict almost immediately
 	ctrl.Start()
 	waitFor(t, "all sources parked at the fence", func() bool {
 		for _, g := range gates {

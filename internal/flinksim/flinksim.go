@@ -92,7 +92,7 @@ func Run(cfg Config, q *core.Query, flows [][]core.Flow, sink core.Sink) (*core.
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if err := validateQuery(q); err != nil {
+	if err := q.ValidateOperators(); err != nil {
 		return nil, err
 	}
 	if len(flows) != cfg.Nodes {
@@ -248,19 +248,6 @@ func Run(cfg Config, q *core.Query, flows [][]core.Flow, sink core.Sink) (*core.
 		}
 	}
 	return rep, nil
-}
-
-func validateQuery(q *core.Query) error {
-	if q.Window == nil {
-		return core.ErrNoWindow
-	}
-	if q.Agg == nil && q.JoinSide == nil {
-		return core.ErrNoStateful
-	}
-	if q.Agg != nil && q.JoinSide != nil {
-		return core.ErrBothStateful
-	}
-	return nil
 }
 
 type runCtl struct {

@@ -149,17 +149,15 @@ type Config struct {
 	// WindowEnd maps a window id to its end timestamp, provided by the
 	// window assigner. A window triggers once the vector clock covers it.
 	WindowEnd func(win uint64) stream.Watermark
-	// Recoverable enables the epoch-commit tracker: the leader tracks, per
-	// sender thread, which epochs are fully merged (committed by their
-	// trailing heartbeat) and suppresses duplicates when chunks are replayed
-	// after a failure — from upstream replay rings or from a re-flushing,
-	// incarnation-bumped sender. Off (the default), replayed traffic is a
-	// protocol violation and duplicate checks cost nothing.
-	Recoverable bool
 	// Journal, when non-nil, receives this leader's durable recovery
 	// records: incremental checkpoints (the inbound delta log since the
 	// previous checkpoint, with the vector clock and tracker state) and
-	// window-trigger marks. Setting it implies Recoverable.
+	// window-trigger marks. It also arms the epoch-commit tracker: the leader
+	// tracks, per sender thread, which epochs are fully merged (committed by
+	// their trailing heartbeat) and drops duplicates when chunks are replayed
+	// after a failure — from upstream replay rings or from a re-flushing,
+	// incarnation-bumped sender. Without a journal, replayed traffic is a
+	// protocol violation and duplicate checks cost nothing.
 	Journal Journal
 }
 
@@ -209,14 +207,16 @@ type Backend struct {
 	clock     *vclock.Clock
 	lastEpoch []uint64
 	tablePool []*Table
-	// Trigger scratch, reused for every trigger: the ready window ids and
-	// the bag windows detached from primary but not yet finished (see
-	// triggerBags; changed under mu, read by PendingWindows).
+	// Window scratch, reused: ready holds sorted window ids for one hold of
+	// mu (the windows a trigger found ready, or the dirty windows
+	// PublishDirty walks); fired holds the windows a trigger detached from
+	// primary but has not finished (see trigger; changed under mu, read by
+	// PendingWindows).
 	ready []uint64
 	fired []firedWindow
 
-	// trigMu makes bag triggers single-flight and guards the side counter
-	// across a trigger's unlocked emit step. Lock order: trigMu, then mu.
+	// trigMu makes triggers single-flight and guards the side counter across
+	// a trigger's unlocked emit step. Lock order: trigMu, then mu.
 	trigMu sync.Mutex
 	sides  SideCounter
 
@@ -228,7 +228,7 @@ type Backend struct {
 	stateDirty     map[uint64]int
 	statePublished map[uint64]bool
 
-	// Recovery state (nil / empty unless Config.Recoverable): the
+	// Recovery state (nil / empty unless Config.Journal is set): the
 	// epoch-commit tracker, the pending incremental-checkpoint log (inbound
 	// deltas merged since the last checkpoint record), the record scratch
 	// reused by every checkpoint (the encoded tracker header and the region
@@ -276,9 +276,6 @@ func New(cfg Config, senders []Sender) (*Backend, error) {
 	if len(senders) != cfg.MaxNodes {
 		return nil, fmt.Errorf("ssb: %d senders for capacity %d", len(senders), cfg.MaxNodes)
 	}
-	if cfg.Journal != nil {
-		cfg.Recoverable = true
-	}
 	static := cfg.Map == nil
 	if static {
 		cfg.Map = StaticPartitionMap(cfg.Nodes)
@@ -292,7 +289,7 @@ func New(cfg Config, senders []Sender) (*Backend, error) {
 		clock:     vclock.NewRetired(cfg.MaxNodes * cfg.ThreadsPerNode),
 		lastEpoch: make([]uint64, cfg.MaxNodes*cfg.ThreadsPerNode),
 	}
-	if cfg.Recoverable {
+	if cfg.Journal != nil {
 		b.tracker = newEpochTracker(cfg.MaxNodes * cfg.ThreadsPerNode)
 	}
 	// Every clock entry starts retired (+inf: never holds a trigger back);
@@ -449,19 +446,27 @@ func (b *Backend) putTable(t *Table) {
 // delta into the primary partition and folds the piggybacked watermark into
 // the vector clock. Chunks from one sender must arrive in FIFO order (the
 // RDMA channel guarantees this).
+//
+// It is the one place a chunk is applied or dropped. Without a journal a
+// regressed epoch is ErrStaleEpoch and a data chunk for a triggered window
+// ErrLateChunk. With one, the epoch-commit tracker runs first (see
+// epochTracker.admit) and both are counted drops instead — the signature of
+// post-failure replay. The destination and generation checks are hard
+// errors either way: replay never changes routing.
 func (b *Backend) HandleChunk(c *Chunk) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if c.Thread < 0 || c.Thread >= b.cfg.MaxNodes*b.cfg.ThreadsPerNode {
+	if c.Thread < 0 || c.Thread >= len(b.lastEpoch) {
 		return fmt.Errorf("%w: thread %d", ErrChunkFormat, c.Thread)
 	}
 	if b.tracker != nil {
-		return b.handleChunkRecoverable(c)
-	}
-	if c.Epoch < b.lastEpoch[c.Thread] {
+		if b.tracker.admit(c) {
+			return nil
+		}
+	} else if c.Epoch < b.lastEpoch[c.Thread] {
 		return fmt.Errorf("%w: epoch %d after %d from thread %d", ErrStaleEpoch, c.Epoch, b.lastEpoch[c.Thread], c.Thread)
 	}
-	b.lastEpoch[c.Thread] = c.Epoch
+	b.lastEpoch[c.Thread] = max(b.lastEpoch[c.Thread], c.Epoch)
 	if c.Kind == ChunkData {
 		if c.Partition != b.cfg.Node {
 			return fmt.Errorf("%w: partition %d at leader %d", ErrBadDestination, c.Partition, b.cfg.Node)
@@ -470,24 +475,43 @@ func (b *Backend) HandleChunk(c *Chunk) error {
 			return fmt.Errorf("%w: window %d carries gen %d, map says %d", ErrStaleGeneration, c.Window, c.Gen, g)
 		}
 		if b.triggered[c.Window] {
-			return fmt.Errorf("%w: window %d", ErrLateChunk, c.Window)
+			if b.tracker == nil {
+				return fmt.Errorf("%w: window %d", ErrLateChunk, c.Window)
+			}
+			// A replayed chunk of a window that triggered before the crash.
+			// Its content is already in the emitted result; dropping it is
+			// deterministic because live operation never reaches here (P1:
+			// data beats the covering watermark).
+			b.tracker.deduped++
+			return nil
 		}
-		tbl := b.primary[c.Window]
-		if tbl == nil {
-			tbl = b.takeTable()
-			b.primary[c.Window] = tbl
-		}
-		if err := tbl.MergeDelta(c.Payload); err != nil {
+		if err := b.mergeLocked(c.Window, c.Payload); err != nil {
 			return err
 		}
 		b.chunksMerged++
 		b.bytesMerged += uint64(len(c.Payload))
 		b.markStateDirty(c.Window, len(c.Payload))
+		if b.tracker != nil {
+			b.tracker.threads[c.Thread].count++
+			b.appendCkptLog(c.Window, c.Payload)
+		}
 	}
 	// Merging happens before the watermark becomes visible, so a trigger
 	// that observes the new clock entry also observes the merged state.
 	b.clock.Observe(c.Thread, c.Watermark)
 	return nil
+}
+
+// mergeLocked folds one delta into win's primary table, taking a table on
+// the window's first delta. Live chunks and journal restores both merge
+// through it. Callers hold b.mu.
+func (b *Backend) mergeLocked(win uint64, delta []byte) error {
+	tbl := b.primary[win]
+	if tbl == nil {
+		tbl = b.takeTable()
+		b.primary[win] = tbl
+	}
+	return tbl.MergeDelta(delta)
 }
 
 // EmitAgg receives one aggregate group of a triggered window.
@@ -505,10 +529,7 @@ type EmitJoin func(win uint64, key uint64, left, right int)
 // TriggerSides; this entry point stays, with EmitBag, for tests and for the
 // frozen bench mirror (bench/layertrace.go), which still calls it.
 func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
-	if b.cfg.Agg != nil {
-		return b.triggerAgg(emitAgg)
-	}
-	return b.triggerBags(func(win uint64, tbl *Table) {
+	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
 		if emitBag != nil {
 			tbl.ForEachBag(func(key uint64, elems []crdt.BagElem) {
 				emitBag(win, key, elems)
@@ -523,14 +544,11 @@ func (b *Backend) TriggerReady(emitAgg EmitAgg, emitBag EmitBag) int {
 // the cluster has moved past the window end). An aggregate window goes to
 // emitAgg one group at a time, a bag window to emitJoin one key and its side
 // counts at a time, in first-appearance order. Triggered windows are
-// discarded; the number of windows fired is returned. Bag windows are
-// counted and emitted without the backend lock (see triggerBags), so
-// emitJoin must not call back into the backend.
+// discarded; the number of windows fired is returned. Windows are emitted
+// without the backend lock (see trigger), so neither emitter may call back
+// into the backend.
 func (b *Backend) TriggerSides(emitAgg EmitAgg, emitJoin EmitJoin) int {
-	if b.cfg.Agg != nil {
-		return b.triggerAgg(emitAgg)
-	}
-	return b.triggerBags(func(win uint64, tbl *Table) {
+	return b.trigger(emitAgg, func(win uint64, tbl *Table) {
 		if emitJoin != nil {
 			b.sides.Count(tbl, func(key uint64, left, right int) {
 				emitJoin(win, key, left, right)
@@ -576,52 +594,32 @@ func (b *Backend) finishLocked(win uint64, tbl *Table) {
 	}
 }
 
-// triggerAgg fires the ready aggregate windows in one hold of b.mu: an
-// aggregate window emits one row per group straight from its log, so there
-// is no pass worth taking off the lock.
-func (b *Backend) triggerAgg(emitAgg EmitAgg) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ready := b.readyLocked()
-	for _, win := range ready {
-		tbl := b.primary[win]
-		if emitAgg != nil {
-			tbl.forEachAggResult(func(key uint64, result int64) {
-				emitAgg(win, key, result)
-			})
-		}
-		delete(b.primary, win)
-		b.triggered[win] = true
-		b.finishLocked(win, tbl)
-	}
-	return len(ready)
-}
-
-// firedWindow is a bag window a trigger detached: no longer in primary,
-// already marked triggered, not yet finished.
+// firedWindow is a window a trigger detached: no longer in primary, already
+// marked triggered, not yet finished.
 type firedWindow struct {
 	win uint64
 	tbl *Table
 }
 
-// triggerBags fires the ready bag windows in three steps, so the pass over
-// each log — the costly part — runs without b.mu and loopback flushes and
-// remote merges of later windows go on meanwhile:
+// trigger fires the ready windows of either table kind in three steps, so
+// the pass over each table — the costly part — runs without b.mu and
+// loopback flushes and remote merges of later windows go on meanwhile:
 //
 //  1. detach, under b.mu: scan for ready windows, write the pending
 //     checkpoint record, and move every ready table out of primary into the
 //     fired scratch, marking its window triggered. From here a chunk for the
 //     window gets the answer it gets after the trigger: ErrLateChunk, or a
-//     counted drop on a recoverable leader. The tables now belong to this
+//     counted drop on a journaled leader. The tables now belong to this
 //     trigger alone.
 //  2. emit, without b.mu: read each table and emit its rows, in window
-//     order.
+//     order — an aggregate table one group at a time to emitAgg, a bag
+//     table through emitBag.
 //  3. finish, under b.mu again: finishLocked each window, in window order,
 //     so the Journal still sees its calls under the lock and in replay
 //     order, every trigger mark after the checkpoint record that holds its
 //     window's deltas.
 //
-// trigMu, held throughout, makes bag triggers single-flight — a concurrent
+// trigMu, held throughout, makes triggers single-flight — a concurrent
 // trigger waits, then finds the fired windows gone from primary, so every
 // window fires once — and guards the fired scratch and the side counter.
 //
@@ -631,7 +629,7 @@ type firedWindow struct {
 // trigger happens or none of it. Across processes the sink dies with the
 // process and the journal's durable emits (KindEmit, written with each
 // trigger mark) cover it.
-func (b *Backend) triggerBags(emit func(win uint64, tbl *Table)) int {
+func (b *Backend) trigger(emitAgg EmitAgg, emitBag func(win uint64, tbl *Table)) int {
 	b.trigMu.Lock()
 	defer b.trigMu.Unlock()
 	b.mu.Lock()
@@ -647,7 +645,14 @@ func (b *Backend) triggerBags(emit func(win uint64, tbl *Table)) int {
 		return 0
 	}
 	for _, f := range fired {
-		emit(f.win, f.tbl)
+		switch {
+		case f.tbl.agg == nil:
+			emitBag(f.win, f.tbl)
+		case emitAgg != nil:
+			f.tbl.forEachAggResult(func(key uint64, result int64) {
+				emitAgg(f.win, key, result)
+			})
+		}
 	}
 	b.mu.Lock()
 	for i, f := range fired {

@@ -356,39 +356,62 @@ func TestDistributedBagsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestEpochRegressionRejected: a regressed epoch is ErrStaleEpoch on a
+// strict leader; a recoverable one takes it for replay and leaves its
+// commit state as it was.
 func TestEpochRegressionRejected(t *testing.T) {
-	bs := newCluster(t, 1, 1, crdt.Sum{}, fixedWindowEnd)
-	c := &Chunk{Epoch: 5, Thread: 0, Kind: ChunkHeartbeat, Watermark: 1}
-	if err := bs[0].HandleChunk(c); err != nil {
-		t.Fatal(err)
-	}
-	c.Epoch = 3
-	if err := bs[0].HandleChunk(c); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("err = %v, want ErrStaleEpoch", err)
-	}
+	leaderModes(t, func(t *testing.T, j Journal) {
+		b := newLeader(t, 1, j)
+		c := &Chunk{Epoch: 5, Thread: 0, Kind: ChunkHeartbeat, Watermark: 1}
+		if err := b.HandleChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		c.Epoch = 3
+		err := b.HandleChunk(c)
+		if j == nil {
+			if !errors.Is(err, ErrStaleEpoch) {
+				t.Fatalf("err = %v, want ErrStaleEpoch", err)
+			}
+			return
+		}
+		if got := b.CommittedEpochs(); err != nil || got[0] != 5 {
+			t.Fatalf("err = %v, committed %v; want nil and [5]", err, got)
+		}
+	})
 }
 
+// TestLateChunkRejected: a data chunk for a triggered window is ErrLateChunk
+// on a strict leader and a counted drop on a recoverable one.
 func TestLateChunkRejected(t *testing.T) {
-	bs := newCluster(t, 1, 1, crdt.Sum{}, fixedWindowEnd)
-	ts := bs[0].Thread(0)
-	r := stream.Record{Key: 1, Time: 10, V0: 1}
-	_ = ts.UpdateAgg(0, &r)
-	_ = ts.FinishStream()
-	if n := bs[0].TriggerReady(nil, nil); n != 1 {
-		t.Fatalf("triggered %d", n)
-	}
-	// A data chunk for the triggered window violates the protocol.
-	tbl := NewAggTable(crdt.Sum{})
-	_ = tbl.UpdateAgg(&r)
-	var payload []byte
-	_ = tbl.SerializeDelta(1024, func(region []byte) error {
-		payload = append([]byte(nil), region...)
-		return nil
+	leaderModes(t, func(t *testing.T, j Journal) {
+		b := newLeader(t, 1, j)
+		ts := b.Thread(0)
+		r := stream.Record{Key: 1, Time: 10, V0: 1}
+		_ = ts.UpdateAgg(0, &r)
+		_ = ts.FinishStream()
+		if n := b.TriggerReady(nil, nil); n != 1 {
+			t.Fatalf("triggered %d", n)
+		}
+		// A data chunk for the triggered window violates the protocol.
+		tbl := NewAggTable(crdt.Sum{})
+		_ = tbl.UpdateAgg(&r)
+		var payload []byte
+		_ = tbl.SerializeDelta(1024, func(region []byte) error {
+			payload = append([]byte(nil), region...)
+			return nil
+		})
+		late := &Chunk{Window: 0, Epoch: 99, Thread: 0, Partition: 0, Kind: ChunkData, Watermark: math.MaxInt64, Payload: payload}
+		err := b.HandleChunk(late)
+		if j == nil {
+			if !errors.Is(err, ErrLateChunk) {
+				t.Fatalf("err = %v, want ErrLateChunk", err)
+			}
+			return
+		}
+		if err != nil || b.ChunksDeduped() != 1 {
+			t.Fatalf("err = %v, %d deduped; want nil and 1", err, b.ChunksDeduped())
+		}
 	})
-	late := &Chunk{Window: 0, Epoch: 99, Thread: 0, Partition: 0, Kind: ChunkData, Watermark: math.MaxInt64, Payload: payload}
-	if err := bs[0].HandleChunk(late); !errors.Is(err, ErrLateChunk) {
-		t.Fatalf("err = %v, want ErrLateChunk", err)
-	}
 }
 
 func TestWrongLeaderRejected(t *testing.T) {

@@ -9,22 +9,25 @@ import (
 // Bag tables. Holistic state only ever grows (§5.1), so a bag fragment is a
 // plain log (a list of segments, see bagseg.go): appending writes one
 // fixed-size entry and maintains no index, a helper's epoch delta is the log
-// itself, and the leader's merge concatenates it. Nothing on that path looks
-// at a key. The one consumer that needs bags by key is the window trigger,
-// and every join it feeds only counts sides: it makes one forward pass over
-// the log with a SideCounter the trigger owns (sides.go), so a bag table
-// itself keeps no by-key state for it. The element view (ForEachBag) and
-// Keys group the log into the table's bagGroups and the element view then
-// scatters the decoded elements into one array where every key's bag is a
-// contiguous slice; tests, the state publisher and the bench mirror use it.
+// itself, and the leader's merge — the same HandleChunk every table kind
+// goes through — concatenates it. Nothing on that path looks at a key. The
+// one consumer that needs bags by key is the window trigger, the sequence
+// aggregate windows fire through too, and every join it feeds only counts
+// sides: its emit step makes one forward pass over the log with a
+// SideCounter the trigger owns (sides.go), so a bag table itself keeps no
+// by-key state for it. The element view (ForEachBag) and Keys group the log
+// into the table's bagGroups, keyed through the flat index aggregate tables
+// use, and the element view then scatters the decoded elements into one
+// array where every key's bag is a contiguous slice; tests, the state
+// publisher and the bench mirror use it.
 
 // bagGroups is the by-key view of a bag table's log. It covers the first
 // len(gids) entries; group extends it over whatever was appended since.
 type bagGroups struct {
-	// slots maps key → group id by open addressing with linear probing: a
-	// power-of-two array kept at most half full, so a probe is one
-	// predictable branch on one cache line in the common case.
-	slots  []groupSlot
+	// idx maps key → group id: the flat index aggregate tables probe, its
+	// offset field holding the group id. Its slots are allocated on the
+	// first group, so helper fragments, which are never grouped, carry none.
+	idx    index
 	keys   []uint64 // group id → key, in first-appearance order
 	counts []int32  // group id → number of elements
 	gids   []int32  // entry ordinal → group id
@@ -36,59 +39,13 @@ type bagGroups struct {
 	placed int
 }
 
-type groupSlot struct {
-	key  uint64
-	gid1 int32 // group id + 1; 0 marks a free slot, so clear() empties the map
-}
-
-const minGroupSlots = 64
-
-// reset empties the view, keeping every array for the table's next window. A
-// fragment that was never grouped — every helper fragment — has nothing to
-// clear.
+// reset empties the view, keeping every array for the table's next window.
 func (g *bagGroups) reset() {
-	if len(g.keys) > 0 {
-		clear(g.slots)
-	}
+	g.idx.reset()
 	g.keys = g.keys[:0]
 	g.counts = g.counts[:0]
 	g.gids = g.gids[:0]
 	g.placed = 0
-}
-
-// find returns key's group id, or -1 and the free slot where it belongs
-// (nil while the map has no slots at all).
-func (g *bagGroups) find(key uint64) (gid int32, free *groupSlot) {
-	if len(g.slots) == 0 {
-		return -1, nil
-	}
-	mask := len(g.slots) - 1
-	for i := int(mix64(key)) & mask; ; i = (i + 1) & mask {
-		s := &g.slots[i]
-		if s.gid1 == 0 {
-			return -1, s
-		}
-		if s.key == key {
-			return s.gid1 - 1, nil
-		}
-	}
-}
-
-// add opens a new group for key, which find reported missing.
-func (g *bagGroups) add(key uint64, free *groupSlot) int32 {
-	if 2*(len(g.keys)+1) > len(g.slots) {
-		g.slots = make([]groupSlot, max(minGroupSlots, 2*len(g.slots)))
-		for gid, k := range g.keys {
-			_, s := g.find(k)
-			*s = groupSlot{key: k, gid1: int32(gid) + 1}
-		}
-		_, free = g.find(key)
-	}
-	gid := int32(len(g.keys))
-	*free = groupSlot{key: key, gid1: gid + 1}
-	g.keys = append(g.keys, key)
-	g.counts = append(g.counts, 0)
-	return gid
 }
 
 // resized returns s at length n, keeping its contents; when s is too small
@@ -129,6 +86,9 @@ func (l *bagLog) group() {
 		return
 	}
 	g.gids = resized(g.gids, l.n)
+	if g.idx.slots == nil {
+		g.idx = *newIndex()
+	}
 	var prevKey uint64
 	prevGid := int32(-1)
 	for s := i / bagSegEntries; i < l.n; s++ {
@@ -137,10 +97,13 @@ func (l *bagLog) group() {
 			key := getU64(span[off:])
 			gid := prevGid
 			if gid < 0 || key != prevKey {
-				var free *groupSlot
-				if gid, free = g.find(key); gid < 0 {
-					gid = g.add(key, free)
+				slot, found := g.idx.lookupOrReserve(key)
+				if !found {
+					*slot = int32(len(g.keys))
+					g.keys = append(g.keys, key)
+					g.counts = append(g.counts, 0)
 				}
+				gid = *slot
 				prevKey, prevGid = key, gid
 			}
 			g.counts[gid]++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -877,62 +878,89 @@ func TestBagMergeFromFreeListAllocationFree(t *testing.T) {
 }
 
 // TestTriggerSidesWarmAllocationFree is the trigger's floor: once a backend
-// has fired a bag window of this size, firing another — the ready scan, the
-// detach, the count pass over the window's segments, the emit and the finish
-// that pools the table and frees its segments — allocates nothing.
+// has fired a window of this size, firing another — the ready scan, the
+// detach, the emit pass over the window's table (for a bag, the count pass
+// over its segments), the finish that pools the table and frees its
+// segments — allocates nothing, for either table kind.
 func TestTriggerSidesWarmAllocationFree(t *testing.T) {
 	const elems, keys, windows = 4000, 1500, 12
-	b, err := New(Config{Node: 0, Nodes: 1, ThreadsPerNode: 1, WindowEnd: fixedWindowEnd}, make([]Sender, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The triggered set keeps one entry per window for good; size it up
-	// front so that growing that map is not counted against the trigger.
-	b.triggered = make(map[uint64]bool, 2*windows)
-	src := NewBagTable()
-	defer src.Reset()
-	fill := func(win uint64) {
-		src.Reset()
-		for i := 0; i < elems; i++ {
-			e := crdt.BagElem{Time: int64(i), Side: uint8(i % 3)}
-			if err := src.AppendBag(win<<32|uint64(i*7919%keys), &e); err != nil {
+	for _, agg := range []crdt.Aggregate{nil, crdt.Sum{}} {
+		name := "bag"
+		if agg != nil {
+			name = "agg"
+		}
+		t.Run(name, func(t *testing.T) {
+			b, err := New(Config{Node: 0, Nodes: 1, ThreadsPerNode: 1, Agg: agg, WindowEnd: fixedWindowEnd}, make([]Sender, 1))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		err := src.SerializeDelta(DefaultChunkSize, func(region []byte) error {
-			return b.HandleChunk(&Chunk{Window: win, Epoch: win, Watermark: stream.NoWatermark, Kind: ChunkData, Payload: region})
+			// The triggered set keeps one entry per window for good; size it up
+			// front so that growing that map is not counted against the trigger.
+			b.triggered = make(map[uint64]bool, 2*windows)
+			src := b.newTable()
+			defer src.Reset()
+			fill := func(win uint64) {
+				src.Reset()
+				for i := 0; i < elems; i++ {
+					key := win<<32 | uint64(i*7919%keys)
+					if agg != nil {
+						err = src.UpdateAgg(&stream.Record{Key: key, Time: int64(i), V0: int64(i % 3)})
+					} else {
+						err = src.AppendBag(key, &crdt.BagElem{Time: int64(i), Side: uint8(i % 3)})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				err := src.SerializeDelta(DefaultChunkSize, func(region []byte) error {
+					return b.HandleChunk(&Chunk{Window: win, Epoch: win, Watermark: stream.NoWatermark, Kind: ChunkData, Payload: region})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.HandleChunk(&Chunk{Epoch: win, Watermark: fixedWindowEnd(win), Kind: ChunkHeartbeat}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// right totals the right-side elements of a bag window and the
+			// values of an aggregate window.
+			var visited, right int
+			emitAgg := func(_, _ uint64, v int64) {
+				visited++
+				right += int(v)
+			}
+			emitJoin := func(_, _ uint64, _, r int) {
+				visited++
+				right += r
+			}
+			wantRight := elems - (elems+2)/3
+			if agg != nil {
+				wantRight = 0
+				for i := 0; i < elems; i++ {
+					wantRight += i % 3
+				}
+			}
+			var ms runtime.MemStats
+			var allocs uint64
+			for win := uint64(1); win <= windows; win++ {
+				fill(win)
+				visited, right = 0, 0
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				n := b.TriggerSides(emitAgg, emitJoin)
+				runtime.ReadMemStats(&ms)
+				if win > 1 { // the first window sizes the scratch and the counter
+					allocs += ms.Mallocs - before
+				}
+				if n != 1 || visited != keys || right != wantRight {
+					t.Fatalf("window %d: fired %d windows, visited %d keys with a right total of %d, want 1, %d and %d",
+						win, n, visited, right, keys, wantRight)
+				}
+			}
+			if allocs != 0 {
+				t.Fatalf("%d warm triggers allocated %d times, want 0", windows-1, allocs)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.HandleChunk(&Chunk{Epoch: win, Watermark: fixedWindowEnd(win), Kind: ChunkHeartbeat}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var visited, right int
-	emit := func(_, _ uint64, _, r int) {
-		visited++
-		right += r
-	}
-	var ms runtime.MemStats
-	var allocs uint64
-	for win := uint64(1); win <= windows; win++ {
-		fill(win)
-		visited, right = 0, 0
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		n := b.TriggerSides(nil, emit)
-		runtime.ReadMemStats(&ms)
-		if win > 1 { // the first window sizes the scratch and the counter
-			allocs += ms.Mallocs - before
-		}
-		if n != 1 || visited != keys || right != elems-(elems+2)/3 {
-			t.Fatalf("window %d: fired %d windows, visited %d keys with %d right elements, want 1, %d and %d",
-				win, n, visited, right, keys, elems-(elems+2)/3)
-		}
-	}
-	if allocs != 0 {
-		t.Fatalf("%d warm triggers allocated %d times, want 0", windows-1, allocs)
 	}
 }
 
@@ -967,138 +995,191 @@ func ckptDeltaBytes(t *testing.T, payload []byte) map[uint64]int {
 	return out
 }
 
-// TestBagTriggerEmitsOutsideLock blocks the join emit in the middle of a
-// window and, while it blocks, requires the leader to keep serving: a chunk
-// for a later window merges, a chunk for a window being emitted gets the
-// answer it gets after the trigger (ErrLateChunk, or a counted drop on a
-// recoverable leader), the readers give their documented answers for the
-// windows in flight, and a second trigger fires nothing twice. On the
-// recoverable leader no trigger mark precedes the checkpoint records that
-// hold its window's deltas.
-func TestBagTriggerEmitsOutsideLock(t *testing.T) {
+// sumRegion encodes a sum delta of value 1 per key occurrence as one raw
+// aggregate log region.
+func sumRegion(t testing.TB, keys ...uint64) []byte {
+	t.Helper()
+	tbl := NewAggTable(crdt.Sum{})
+	for _, key := range keys {
+		if err := tbl.UpdateAgg(&stream.Record{Key: key, Time: 1, V0: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []byte
+	err := tbl.SerializeDelta(DefaultChunkSize, func(r []byte) error {
+		out = append(out, r...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTriggerEmitsOutsideLock blocks the emit in the middle of a window, for
+// either table kind, and while it blocks requires the leader to keep
+// serving: a chunk for a later window merges, a chunk for a window being
+// emitted gets the answer it gets after the trigger (ErrLateChunk, or a
+// counted drop on a recoverable leader), the readers give their documented
+// answers for the windows in flight, and a second trigger fires nothing
+// twice. Every fired window's sealed snapshot holds all its keys, so it was
+// published before the table was recycled. On the recoverable leader no
+// trigger mark precedes the checkpoint records that hold its window's
+// deltas.
+func TestTriggerEmitsOutsideLock(t *testing.T) {
+	kinds := []struct {
+		name   string
+		agg    crdt.Aggregate
+		region func(t testing.TB, keys ...uint64) []byte
+		// rows of windows 0 and 1, then of window 2
+		want, want2 []string
+	}{
+		{"bag", nil, keysRegion,
+			[]string{"0/1:0,1", "0/2:2,0", "0/3:0,1", "1/5:0,1", "1/4:1,0"}, []string{"2/6:1,0", "2/7:0,1"}},
+		{"agg", crdt.Sum{}, sumRegion,
+			[]string{"0/1:1", "0/2:2", "0/3:1", "1/5:1", "1/4:1"}, []string{"2/6:1", "2/7:1"}},
+	}
 	for _, recoverable := range []bool{false, true} {
 		name := "strict"
 		if recoverable {
 			name = "recoverable"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Node: 0, Nodes: 1, ThreadsPerNode: 2, WindowEnd: fixedWindowEnd}
-			j := &memJournal{}
-			if recoverable {
-				cfg.Journal = j
-			}
-			b, err := New(cfg, make([]Sender, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged := map[uint64]int{} // delta bytes merged per window
-			data := func(win, epoch uint64, payload []byte) error {
-				c := &Chunk{Window: win, Epoch: epoch, Watermark: stream.NoWatermark, Thread: 1, Kind: ChunkData, Payload: payload}
-				before := b.Stats().BytesMerged
-				err := b.HandleChunk(c)
-				merged[win] += int(b.Stats().BytesMerged - before)
-				return err
-			}
-			heartbeats := func(epoch uint64, wm stream.Watermark) {
-				for thread := 0; thread < 2; thread++ {
-					if err := b.HandleChunk(&Chunk{Epoch: epoch, Watermark: wm, Thread: thread, Kind: ChunkHeartbeat}); err != nil {
+			for _, kind := range kinds {
+				t.Run(kind.name, func(t *testing.T) {
+					cfg := Config{Node: 0, Nodes: 1, ThreadsPerNode: 2, Agg: kind.agg, WindowEnd: fixedWindowEnd}
+					j := &memJournal{}
+					if recoverable {
+						cfg.Journal = j
+					}
+					b, err := New(cfg, make([]Sender, 1))
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-			}
-			// Windows 0 and 1 become ready; window 2 stays open.
-			for win, keys := range [][]uint64{{1, 2, 3, 2}, {5, 4}, {6}} {
-				if err := data(uint64(win), 1, keysRegion(t, keys...)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			heartbeats(1, fixedWindowEnd(1))
-
-			var mu sync.Mutex
-			var rows []string
-			blocked, release := make(chan struct{}), make(chan struct{})
-			unblock := sync.OnceFunc(func() { close(release) })
-			defer unblock() // a failing check must not leave the trigger blocked
-			emit := func(win, key uint64, left, right int) {
-				mu.Lock()
-				rows = append(rows, fmt.Sprintf("%d/%d:%d,%d", win, key, left, right))
-				first := len(rows) == 1
-				mu.Unlock()
-				if first {
-					close(blocked)
-					<-release
-				}
-			}
-			fired := make(chan int, 2)
-			go func() { fired <- b.TriggerSides(nil, emit) }()
-			<-blocked
-
-			later, late := keysRegion(t, 7), keysRegion(t, 9)
-			done := make(chan error, 1)
-			go func() { done <- data(2, 2, later) }()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("chunk for a later window: %v", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("a chunk for a later window waited for the trigger's emit")
-			}
-			deduped := b.ChunksDeduped()
-			err = data(0, 2, late)
-			if recoverable {
-				if err != nil || b.ChunksDeduped() != deduped+1 {
-					t.Fatalf("chunk for the window being emitted: err %v, %d deduped after %d", err, b.ChunksDeduped(), deduped)
-				}
-			} else if !errors.Is(err, ErrLateChunk) {
-				t.Fatalf("chunk for the window being emitted: err %v, want ErrLateChunk", err)
-			}
-			if p := b.PendingWindows(); p != 3 {
-				t.Fatalf("%d pending windows while two are emitted and one is open, want 3", p)
-			}
-			if !b.TriggeredAtOrAfter(1) || b.TriggeredAtOrAfter(2) || !b.HasPendingAtOrAfter(1) {
-				t.Fatal("a window being emitted must read as triggered and pending")
-			}
-			if st := b.Stats(); st.WindowsOutput != 0 {
-				t.Fatalf("%d windows output before their trigger finished", st.WindowsOutput)
-			}
-			go func() { fired <- b.TriggerSides(nil, emit) }()
-			unblock()
-			if n := <-fired + <-fired; n != 2 {
-				t.Fatalf("two concurrent triggers fired %d windows, want 2", n)
-			}
-			want := []string{"0/1:0,1", "0/2:2,0", "0/3:0,1", "1/5:0,1", "1/4:1,0"}
-			if !slices.Equal(rows, want) {
-				t.Fatalf("rows %v, want %v", rows, want)
-			}
-			if p, st := b.PendingWindows(), b.Stats(); p != 1 || st.WindowsOutput != 2 {
-				t.Fatalf("after the trigger: %d pending, %d output, want 1 and 2", p, st.WindowsOutput)
-			}
-
-			// Window 2 closes with the delta merged during the emit.
-			heartbeats(2, fixedWindowEnd(2))
-			if n := b.TriggerSides(nil, emit); n != 1 || !slices.Equal(rows[len(want):], []string{"2/6:1,0", "2/7:0,1"}) {
-				t.Fatalf("window 2 fired %d windows, rows %v", n, rows[len(want):])
-			}
-			if !recoverable {
-				return
-			}
-			journaled := map[uint64]int{}
-			marks := 0
-			for _, rec := range j.recs {
-				if !rec.trigger {
-					for win, n := range ckptDeltaBytes(t, rec.payload) {
-						journaled[win] += n
+					pub := &recPublisher{}
+					b.SetStatePublisher(pub, 0)
+					merged := map[uint64]int{} // delta bytes merged per window
+					data := func(win, epoch uint64, payload []byte) error {
+						c := &Chunk{Window: win, Epoch: epoch, Watermark: stream.NoWatermark, Thread: 1, Kind: ChunkData, Payload: payload}
+						before := b.Stats().BytesMerged
+						err := b.HandleChunk(c)
+						merged[win] += int(b.Stats().BytesMerged - before)
+						return err
 					}
-					continue
-				}
-				marks++
-				if journaled[rec.win] != merged[rec.win] {
-					t.Fatalf("trigger mark of window %d follows %d of its %d delta bytes", rec.win, journaled[rec.win], merged[rec.win])
-				}
-			}
-			if marks != 3 {
-				t.Fatalf("%d trigger marks, want 3", marks)
+					heartbeats := func(epoch uint64, wm stream.Watermark) {
+						for thread := 0; thread < 2; thread++ {
+							if err := b.HandleChunk(&Chunk{Epoch: epoch, Watermark: wm, Thread: thread, Kind: ChunkHeartbeat}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					// Windows 0 and 1 become ready; window 2 stays open.
+					for win, keys := range [][]uint64{{1, 2, 3, 2}, {5, 4}, {6}} {
+						if err := data(uint64(win), 1, kind.region(t, keys...)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					heartbeats(1, fixedWindowEnd(1))
+
+					var mu sync.Mutex
+					var rows []string
+					blocked, release := make(chan struct{}), make(chan struct{})
+					unblock := sync.OnceFunc(func() { close(release) })
+					defer unblock() // a failing check must not leave the trigger blocked
+					row := func(r string) {
+						mu.Lock()
+						rows = append(rows, r)
+						first := len(rows) == 1
+						mu.Unlock()
+						if first {
+							close(blocked)
+							<-release
+						}
+					}
+					emitAgg := func(win, key uint64, v int64) { row(fmt.Sprintf("%d/%d:%d", win, key, v)) }
+					emitJoin := func(win, key uint64, left, right int) {
+						row(fmt.Sprintf("%d/%d:%d,%d", win, key, left, right))
+					}
+					fired := make(chan int, 2)
+					go func() { fired <- b.TriggerSides(emitAgg, emitJoin) }()
+					<-blocked
+
+					later, late := kind.region(t, 7), kind.region(t, 9)
+					done := make(chan error, 1)
+					go func() { done <- data(2, 2, later) }()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("chunk for a later window: %v", err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("a chunk for a later window waited for the trigger's emit")
+					}
+					deduped := b.ChunksDeduped()
+					err = data(0, 2, late)
+					if recoverable {
+						if err != nil || b.ChunksDeduped() != deduped+1 {
+							t.Fatalf("chunk for the window being emitted: err %v, %d deduped after %d", err, b.ChunksDeduped(), deduped)
+						}
+					} else if !errors.Is(err, ErrLateChunk) {
+						t.Fatalf("chunk for the window being emitted: err %v, want ErrLateChunk", err)
+					}
+					if p := b.PendingWindows(); p != 3 {
+						t.Fatalf("%d pending windows while two are emitted and one is open, want 3", p)
+					}
+					if !b.TriggeredAtOrAfter(1) || b.TriggeredAtOrAfter(2) || !b.HasPendingAtOrAfter(1) {
+						t.Fatal("a window being emitted must read as triggered and pending")
+					}
+					if st := b.Stats(); st.WindowsOutput != 0 {
+						t.Fatalf("%d windows output before their trigger finished", st.WindowsOutput)
+					}
+					go func() { fired <- b.TriggerSides(emitAgg, emitJoin) }()
+					unblock()
+					if n := <-fired + <-fired; n != 2 {
+						t.Fatalf("two concurrent triggers fired %d windows, want 2", n)
+					}
+					if !slices.Equal(rows, kind.want) {
+						t.Fatalf("rows %v, want %v", rows, kind.want)
+					}
+					if p, st := b.PendingWindows(), b.Stats(); p != 1 || st.WindowsOutput != 2 {
+						t.Fatalf("after the trigger: %d pending, %d output, want 1 and 2", p, st.WindowsOutput)
+					}
+
+					// Window 2 closes with the delta merged during the emit.
+					heartbeats(2, fixedWindowEnd(2))
+					if n := b.TriggerSides(emitAgg, emitJoin); n != 1 || !slices.Equal(rows[len(kind.want):], kind.want2) {
+						t.Fatalf("window 2 fired %d windows, rows %v", n, rows[len(kind.want):])
+					}
+					sealed := map[uint64]int{} // keys per sealed snapshot
+					for _, s := range pub.snaps {
+						if s.Sealed {
+							sealed[s.Window] = s.Keys
+						}
+					}
+					if want := map[uint64]int{0: 3, 1: 2, 2: 2}; !maps.Equal(sealed, want) {
+						t.Fatalf("sealed snapshots hold %v keys per window, want %v", sealed, want)
+					}
+					if !recoverable {
+						return
+					}
+					journaled := map[uint64]int{}
+					marks := 0
+					for _, rec := range j.recs {
+						if !rec.trigger {
+							for win, n := range ckptDeltaBytes(t, rec.payload) {
+								journaled[win] += n
+							}
+							continue
+						}
+						marks++
+						if journaled[rec.win] != merged[rec.win] {
+							t.Fatalf("trigger mark of window %d follows %d of its %d delta bytes", rec.win, journaled[rec.win], merged[rec.win])
+						}
+					}
+					if marks != 3 {
+						t.Fatalf("%d trigger marks, want 3", marks)
+					}
+				})
 			}
 		})
 	}

@@ -7,7 +7,10 @@ import (
 
 // This file is the recoverable half of the state backend: epoch-aligned
 // incremental checkpoints and the epoch-commit tracker that makes replayed
-// traffic idempotent.
+// traffic idempotent. A journaled leader has no merge path of its own:
+// HandleChunk runs the tracker's admission step (epochTracker.admit) ahead
+// of the one merge every leader does, and RestoreCheckpoint folds journaled
+// deltas through the same mergeLocked as live chunks.
 //
 // The checkpoint design leans on the epoch protocol (§7.2.2) instead of
 // quiescing: a leader's primary state is exactly the fold of the data chunks
@@ -81,14 +84,15 @@ func newEpochTracker(threads int) *epochTracker {
 	return &epochTracker{threads: make([]threadEpoch, threads)}
 }
 
-// handleChunkRecoverable is HandleChunk with the epoch-commit tracker in
-// force. Callers hold b.mu and have bounds-checked c.Thread. Unlike the
-// strict path it tolerates regressed epochs and chunks for triggered
-// windows — both are the signature of post-failure replay, and both drop
-// silently — while keeping the destination and generation checks hard
-// errors (replay never changes routing).
-func (b *Backend) handleChunkRecoverable(c *Chunk) error {
-	t := &b.tracker.threads[c.Thread]
+// admit runs the tracker's steps for one inbound chunk ahead of the merge
+// and reports whether the chunk is a replayed duplicate, which it counts and
+// the caller drops: a new sender incarnation arms the positional skip of the
+// epoch prefix already merged; a data chunk of a committed epoch, or one of
+// the armed prefix, is a duplicate; a data chunk of a later epoch opens it;
+// and a heartbeat commits its epoch. Callers hold b.mu and have
+// bounds-checked c.Thread.
+func (tr *epochTracker) admit(c *Chunk) (dup bool) {
+	t := &tr.threads[c.Thread]
 	if c.Inc > t.inc {
 		// New sender incarnation: the current epoch restarts from its first
 		// chunk, so arm the positional skip for the prefix already merged.
@@ -96,65 +100,32 @@ func (b *Backend) handleChunkRecoverable(c *Chunk) error {
 		t.skip = t.count
 		t.skipEpoch = t.cur
 	}
-	if c.Kind == ChunkData {
-		if c.Epoch <= t.committed {
-			b.tracker.deduped++
-			return nil
-		}
-		if c.Epoch == t.skipEpoch && t.skip > 0 {
-			t.skip--
-			b.tracker.deduped++
-			return nil
-		}
-		if c.Epoch > t.cur {
-			t.cur = c.Epoch
-			t.count = 0
-			t.skip = 0
-		}
-		if c.Partition != b.cfg.Node {
-			return fmt.Errorf("%w: partition %d at leader %d", ErrBadDestination, c.Partition, b.cfg.Node)
-		}
-		if g := b.pmap.GenFor(c.Window); c.Gen != g {
-			return fmt.Errorf("%w: window %d carries gen %d, map says %d", ErrStaleGeneration, c.Window, c.Gen, g)
-		}
-		if b.triggered[c.Window] {
-			// A replayed chunk of a window that triggered before the crash.
-			// Its content is already in the emitted result; dropping it
-			// without counting is deterministic because live operation never
-			// reaches here (P1: data beats the covering watermark).
-			b.tracker.deduped++
-			return nil
-		}
-		tbl := b.primary[c.Window]
-		if tbl == nil {
-			tbl = b.takeTable()
-			b.primary[c.Window] = tbl
-		}
-		if err := tbl.MergeDelta(c.Payload); err != nil {
-			return err
-		}
-		t.count++
-		b.chunksMerged++
-		b.bytesMerged += uint64(len(c.Payload))
-		b.markStateDirty(c.Window, len(c.Payload))
-		if b.cfg.Journal != nil {
-			b.appendCkptLog(c.Window, c.Payload)
-		}
-	} else {
+	if c.Kind != ChunkData {
 		if c.Epoch > t.committed {
 			t.committed = c.Epoch
-			b.tracker.sinceCkpt++
+			tr.sinceCkpt++
 		}
 		if t.committed >= t.cur {
 			t.cur = t.committed
 			t.count = 0
 			t.skip = 0
 		}
+		return false
 	}
-	// Merging happens before the watermark becomes visible, so a trigger
-	// that observes the new clock entry also observes the merged state.
-	b.clock.Observe(c.Thread, c.Watermark)
-	return nil
+	switch {
+	case c.Epoch <= t.committed:
+	case c.Epoch == t.skipEpoch && t.skip > 0:
+		t.skip--
+	default:
+		if c.Epoch > t.cur {
+			t.cur = c.Epoch
+			t.count = 0
+			t.skip = 0
+		}
+		return false
+	}
+	tr.deduped++
+	return true
 }
 
 // ckptLog is the pending checkpoint log: the deltas merged since the last
@@ -280,15 +251,14 @@ func (b *Backend) DropCheckpointLog() {
 // advancing the durable commit horizon, and returns the committed epoch per
 // sender thread at the cut. The controller prunes its replay rings with
 // exactly this vector: entries at or below it are durably folded into the
-// journal and need never be replayed. Written while a bag trigger is
-// emitting, the record lands between that trigger's own checkpoint record
-// and its trigger marks; it holds no delta of the windows being emitted
-// (their chunks are refused), so every mark still follows the deltas of its
-// window.
+// journal and need never be replayed. Written while a trigger is emitting,
+// the record lands between that trigger's own checkpoint record and its
+// trigger marks; it holds no delta of the windows being emitted (their
+// chunks are refused), so every mark still follows the deltas of its window.
 func (b *Backend) Checkpoint() ([]uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tracker == nil || b.cfg.Journal == nil {
+	if b.tracker == nil {
 		return nil, fmt.Errorf("ssb: node %d is not recoverable", b.cfg.Node)
 	}
 	if err := b.journalCheckpointLocked(); err != nil {
@@ -388,12 +358,7 @@ func (b *Backend) RestoreCheckpoint(clock []int64, payload []byte) error {
 			return fmt.Errorf("%w: checkpoint event overflows record", ErrChunkFormat)
 		}
 		if !b.triggered[win] {
-			tbl := b.primary[win]
-			if tbl == nil {
-				tbl = b.takeTable()
-				b.primary[win] = tbl
-			}
-			if err := tbl.MergeDelta(payload[off : off+plen]); err != nil {
+			if err := b.mergeLocked(win, payload[off:off+plen]); err != nil {
 				return err
 			}
 		}
@@ -407,6 +372,7 @@ func (b *Backend) RestoreCheckpoint(clock []int64, payload []byte) error {
 		t.count = getU32(e[16:])
 		t.inc = e[20]
 		t.skip, t.skipEpoch = 0, 0
+		b.lastEpoch[i] = t.cur
 	}
 	b.clock.RestoreSnapshot(clock)
 	return nil

@@ -68,17 +68,36 @@ func deltaPayload(t testing.TB, key uint64, v int64) []byte {
 	return out
 }
 
-func recoverableBackend(t testing.TB, j Journal) *Backend {
+// recoverableBackend builds a one-node, two-thread sum leader journaling to
+// j, or to a fresh memJournal when j is nil: a journal arms the leader's
+// epoch-commit tracker.
+func recoverableBackend(t testing.TB, j *memJournal) *Backend {
+	t.Helper()
+	if j == nil {
+		j = &memJournal{}
+	}
+	return newLeader(t, 2, j)
+}
+
+// newLeader builds a one-node sum leader of threads sender threads. It is
+// recoverable when j is non-nil and strict otherwise.
+func newLeader(t testing.TB, threads int, j Journal) *Backend {
 	t.Helper()
 	b, err := New(Config{
-		Node: 0, Nodes: 1, ThreadsPerNode: 2,
-		Agg: crdt.Sum{}, WindowEnd: fixedWindowEnd,
-		Recoverable: true, Journal: j,
+		Node: 0, Nodes: 1, ThreadsPerNode: threads,
+		Agg: crdt.Sum{}, WindowEnd: fixedWindowEnd, Journal: j,
 	}, make([]Sender, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// leaderModes runs fn on a strict leader and on a recoverable one; j is the
+// Journal to build the leader with, nil for the strict one.
+func leaderModes(t *testing.T, fn func(t *testing.T, j Journal)) {
+	t.Run("strict", func(t *testing.T) { fn(t, nil) })
+	t.Run("recoverable", func(t *testing.T) { fn(t, &memJournal{}) })
 }
 
 func sumAt(t *testing.T, b *Backend, win, key uint64) int64 {
@@ -149,18 +168,20 @@ func TestRecoverableDedup(t *testing.T) {
 	}
 }
 
-// TestRecoverableRejectsBadRouting checks the hard errors survive in
-// recoverable mode: replay tolerates duplicates, not misrouted traffic.
+// TestRecoverableRejectsBadRouting checks the hard errors hold on both
+// leaders: replay tolerates duplicates, not misrouted traffic.
 func TestRecoverableRejectsBadRouting(t *testing.T) {
-	b := recoverableBackend(t, nil)
-	c := &Chunk{Window: 0, Epoch: 1, Thread: 1, Partition: 5, Kind: ChunkData, Payload: deltaPayload(t, 1, 1)}
-	if err := b.HandleChunk(c); !errors.Is(err, ErrBadDestination) {
-		t.Fatalf("misrouted chunk: %v", err)
-	}
-	c = &Chunk{Window: 0, Epoch: 1, Gen: 7, Thread: 1, Partition: 0, Kind: ChunkData, Payload: deltaPayload(t, 1, 1)}
-	if err := b.HandleChunk(c); !errors.Is(err, ErrStaleGeneration) {
-		t.Fatalf("stale generation: %v", err)
-	}
+	leaderModes(t, func(t *testing.T, j Journal) {
+		b := newLeader(t, 2, j)
+		c := &Chunk{Window: 0, Epoch: 1, Thread: 1, Partition: 5, Kind: ChunkData, Payload: deltaPayload(t, 1, 1)}
+		if err := b.HandleChunk(c); !errors.Is(err, ErrBadDestination) {
+			t.Fatalf("misrouted chunk: %v", err)
+		}
+		c = &Chunk{Window: 0, Epoch: 1, Gen: 7, Thread: 1, Partition: 0, Kind: ChunkData, Payload: deltaPayload(t, 1, 1)}
+		if err := b.HandleChunk(c); !errors.Is(err, ErrStaleGeneration) {
+			t.Fatalf("stale generation: %v", err)
+		}
+	})
 }
 
 // TestCheckpointRestoreRoundTrip runs a two-epoch, two-window workload on a
@@ -401,7 +422,7 @@ func TestFlushRetryResends(t *testing.T) {
 		backends[i], err = New(Config{
 			Node: i, Nodes: n, ThreadsPerNode: 1,
 			Agg: crdt.Sum{}, WindowEnd: fixedWindowEnd,
-			ChunkSize: 64, Recoverable: true,
+			ChunkSize: 64, Journal: &memJournal{},
 		}, senders[i])
 		if err != nil {
 			t.Fatal(err)

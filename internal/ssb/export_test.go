@@ -12,12 +12,12 @@ func (t *Table) Entries() int {
 
 // BagLen returns the number of elements in key's bag.
 func (t *Table) BagLen(key uint64) int {
-	if t.bag == nil {
+	if t.bag == nil || t.bag.n == 0 {
 		return 0
 	}
 	t.bag.group()
-	gid, _ := t.bag.g.find(key)
-	if gid < 0 {
+	gid, ok := t.bag.g.idx.get(key)
+	if !ok {
 		return 0
 	}
 	return int(t.bag.g.counts[gid])

@@ -1,5 +1,7 @@
 package ssb
 
+import "slices"
+
 // Queryable-state publication: the merge path's half of the stateq plane.
 // Leaders expose their primary partitions to external readers by publishing
 // snapshots — a window's raw table log plus routing metadata — through a
@@ -95,26 +97,32 @@ func (b *Backend) markStateDirty(win uint64, n int) {
 }
 
 // PublishDirty publishes every live window whose unpublished delta volume
-// crossed the republication threshold (and every window never published).
-// The merge task calls it once per step, after TriggerSides; it is a no-op
-// without a publisher.
+// crossed the republication threshold (and every window never published),
+// in window order, so one input publishes one sequence. The merge task calls
+// it once per step, after TriggerSides; it is a no-op without a publisher.
 func (b *Backend) PublishDirty() {
 	if b.statePub == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for win, n := range b.stateDirty {
+	wins := b.ready[:0]
+	for win := range b.stateDirty {
+		wins = append(wins, win)
+	}
+	slices.Sort(wins)
+	b.ready = wins
+	for _, win := range wins {
 		tbl := b.primary[win]
 		if tbl == nil {
 			// Triggered (published sealed when its trigger finishes) or
-			// never materialized. A window a bag trigger is still emitting
-			// is no longer in primary either, so it gets no live image
-			// after its rows started.
+			// never materialized. A window a trigger is still emitting is no
+			// longer in primary either, so it gets no live image after its
+			// rows started.
 			delete(b.stateDirty, win)
 			continue
 		}
-		if b.statePublished[win] && n < b.stateMinDelta {
+		if b.statePublished[win] && b.stateDirty[win] < b.stateMinDelta {
 			continue
 		}
 		b.publishStateLocked(win, tbl, false)

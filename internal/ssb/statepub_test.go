@@ -2,6 +2,8 @@ package ssb
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/slash-stream/slash/internal/crdt"
@@ -25,15 +27,11 @@ func (p *recPublisher) PublishState(s *StateSnapshot) {
 	p.snaps = append(p.snaps, c)
 }
 
-func pubBackend(t *testing.T, minDelta int) (*Backend, *recPublisher) {
+// pubBackend builds a two-thread leader (see newLeader) with a recPublisher
+// attached.
+func pubBackend(t *testing.T, minDelta int, j Journal) (*Backend, *recPublisher) {
 	t.Helper()
-	b, err := New(Config{
-		Node: 0, Nodes: 1, ThreadsPerNode: 2,
-		Agg: crdt.Sum{}, WindowEnd: fixedWindowEnd,
-	}, make([]Sender, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newLeader(t, 2, j)
 	p := &recPublisher{}
 	b.SetStatePublisher(p, minDelta)
 	return b, p
@@ -53,7 +51,7 @@ func pubChunk(t *testing.T, win, epoch uint64, thread int, key uint64, v int64) 
 // the byte threshold throttling republication, and TriggerReady publishes a
 // final sealed snapshot whose log decodes to the merged state.
 func TestStatePublishDirtyAndSeal(t *testing.T) {
-	b, p := pubBackend(t, 1)
+	b, p := pubBackend(t, 1, nil)
 
 	if err := b.HandleChunk(pubChunk(t, 0, 1, 0, 7, 5)); err != nil {
 		t.Fatal(err)
@@ -116,7 +114,7 @@ func TestStatePublishDirtyAndSeal(t *testing.T) {
 // threshold a window republishes only on its first PublishDirty; crossing it
 // republishes again.
 func TestStatePublishThrottle(t *testing.T) {
-	b, p := pubBackend(t, 1<<20) // 1 MiB threshold
+	b, p := pubBackend(t, 1<<20, nil) // 1 MiB threshold
 	if err := b.HandleChunk(pubChunk(t, 0, 1, 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +128,80 @@ func TestStatePublishThrottle(t *testing.T) {
 	b.PublishDirty()
 	if len(p.snaps) != 1 {
 		t.Fatalf("sub-threshold republish happened: %d snaps", len(p.snaps))
+	}
+}
+
+// TestStateSnapshotEpoch: a live snapshot's Epoch is the highest sender
+// epoch merged so far, on a strict leader and on a journaled one alike.
+func TestStateSnapshotEpoch(t *testing.T) {
+	leaderModes(t, func(t *testing.T, j Journal) {
+		b, p := pubBackend(t, 0, j)
+		for epoch := uint64(1); epoch <= 3; epoch++ {
+			if err := b.HandleChunk(pubChunk(t, 0, epoch, 0, 7, 1)); err != nil {
+				t.Fatal(err)
+			}
+			b.PublishDirty()
+		}
+		var got []uint64
+		for _, s := range p.snaps {
+			got = append(got, s.Epoch)
+		}
+		if !slices.Equal(got, []uint64{1, 2, 3}) {
+			t.Fatalf("published epochs %v, want [1 2 3]", got)
+		}
+	})
+}
+
+// TestStatePublishOrder drives one leader from a single goroutine through
+// merges into many windows, live publications and a trigger, twice: both
+// runs must publish the same (window, sealed) sequence, live windows in
+// ascending window order.
+func TestStatePublishOrder(t *testing.T) {
+	const windows = 24
+	run := func() []string {
+		b, p := pubBackend(t, 0, nil)
+		var seq []string
+		publish := func() {
+			from := len(p.snaps)
+			b.PublishDirty()
+			for i := from + 1; i < len(p.snaps); i++ {
+				if p.snaps[i].Window <= p.snaps[i-1].Window {
+					t.Fatalf("live windows published out of order: %d after %d", p.snaps[i].Window, p.snaps[i-1].Window)
+				}
+			}
+		}
+		for epoch := uint64(1); epoch <= 2; epoch++ {
+			for i := uint64(0); i < windows; i++ {
+				win := i * 7 % windows // scattered arrival order
+				if err := b.HandleChunk(pubChunk(t, win, epoch, 0, win, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			publish()
+		}
+		// Both threads pass the first half of the windows: they seal.
+		for th := 0; th < 2; th++ {
+			if err := b.HandleChunk(&Chunk{Epoch: 3, Watermark: fixedWindowEnd(windows/2 - 1), Thread: th, Kind: ChunkHeartbeat}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := b.TriggerReady(nil, nil); n != windows/2 {
+			t.Fatalf("fired %d windows, want %d", n, windows/2)
+		}
+		for win := uint64(windows / 2); win < windows; win++ {
+			if err := b.HandleChunk(pubChunk(t, win, 4, 0, win, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		publish()
+		for _, s := range p.snaps {
+			seq = append(seq, fmt.Sprintf("%d/%t", s.Window, s.Sealed))
+		}
+		return seq
+	}
+	first, second := run(), run()
+	if !slices.Equal(first, second) {
+		t.Fatalf("two runs published\n%v\n%v", first, second)
 	}
 }
 
