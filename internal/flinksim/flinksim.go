@@ -17,19 +17,21 @@
 //   - An optional per-record managed-runtime tax modelling JVM overhead
 //     (object churn, virtual dispatch), disabled by default and calibrated
 //     by the benchmark harness.
+//
+// The partitioning producers and window operators are package repart's,
+// shared with uppar; this package supplies the socket transport, its queue
+// hand-offs and the runtime tax.
 package flinksim
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/slash-stream/slash/internal/core"
-	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/ipoib"
-	"github.com/slash-stream/slash/internal/ssb"
+	"github.com/slash-stream/slash/internal/repart"
 	"github.com/slash-stream/slash/internal/stream"
 )
 
@@ -56,10 +58,7 @@ type Config struct {
 	RuntimeTaxLoops int
 }
 
-func (c *Config) fill() error {
-	if c.Nodes < 1 || c.ProducersPerNode < 1 || c.ConsumersPerNode < 1 {
-		return fmt.Errorf("flinksim: invalid shape %d/%d/%d", c.Nodes, c.ProducersPerNode, c.ConsumersPerNode)
-	}
+func (c *Config) fill() {
 	if c.BatchBytes == 0 {
 		c.BatchBytes = 32 << 10
 	}
@@ -69,209 +68,86 @@ func (c *Config) fill() error {
 	if c.FlushRecords == 0 {
 		c.FlushRecords = 16384
 	}
-	return nil
 }
 
 // frame is one exchange buffer in flight.
 type frame struct {
 	src  int // producer global id
 	dest int // consumer global id
-	end  bool
 	data []byte
 }
 
 // frameHeaderSize is the wire size of a frame header on a socket:
-// src u32 | dest u32 | end u8 | reserved [3]u8 | len u32.
+// src u32 | dest u32 | end u8 | reserved [3]u8 | len u32. The end byte
+// repeats whether the framed batch is an end token.
 const frameHeaderSize = 16
-
-var errStopped = errors.New("flinksim: stopped")
 
 // Run executes query q under the Flink-on-IPoIB model. flows is indexed
 // [node][producer].
 func Run(cfg Config, q *core.Query, flows [][]core.Flow, sink core.Sink) (*core.Report, error) {
-	if err := cfg.fill(); err != nil {
+	cfg.fill()
+	plan := repart.Plan{
+		Name:  "flinksim",
+		Nodes: cfg.Nodes, ProducersPerNode: cfg.ProducersPerNode, ConsumersPerNode: cfg.ConsumersPerNode,
+		FlushRecords: cfg.FlushRecords,
+		BatchBytes:   cfg.BatchBytes,
+	}
+	if err := plan.Check(q, flows); err != nil {
 		return nil, err
 	}
-	if err := q.ValidateOperators(); err != nil {
-		return nil, err
-	}
-	if len(flows) != cfg.Nodes {
-		return nil, fmt.Errorf("flinksim: %d flow groups for %d nodes", len(flows), cfg.Nodes)
-	}
-	for i := range flows {
-		if len(flows[i]) != cfg.ProducersPerNode {
-			return nil, fmt.Errorf("flinksim: node %d has %d flows, want %d", i, len(flows[i]), cfg.ProducersPerNode)
+	if cfg.RuntimeTaxLoops > 0 {
+		taxed := make([][]core.Flow, len(flows))
+		for n := range flows {
+			taxed[n] = make([]core.Flow, len(flows[n]))
+			for p, f := range flows[n] {
+				taxed[n][p] = taxedFlow{f, cfg.RuntimeTaxLoops}
+			}
 		}
-	}
-	if sink == nil {
-		sink = &core.CountingSink{}
-	}
-	if cfg.BatchBytes < stream.BatchHeaderSize+q.Codec.Size() {
-		return nil, fmt.Errorf("flinksim: batch of %d bytes cannot hold one record", cfg.BatchBytes)
+		flows = taxed
 	}
 
-	nProd := cfg.Nodes * cfg.ProducersPerNode
-	nCons := cfg.Nodes * cfg.ConsumersPerNode
-
+	t := &transport{
+		ctl:        &repart.Ctl{},
+		prodPer:    cfg.ProducersPerNode,
+		consPer:    cfg.ConsumersPerNode,
+		batchBytes: cfg.BatchBytes,
+	}
 	// One socket per ordered node pair (Flink multiplexes logical channels
-	// over TCP connections).
-	socks := make([][]*ipoib.Stream, cfg.Nodes)
-	for i := range socks {
-		socks[i] = make([]*ipoib.Stream, cfg.Nodes)
-		for j := range socks[i] {
+	// over TCP connections), and handoff queues: task → network per
+	// (srcNode, dstNode), and network → consumer per consumer.
+	t.socks = make([][]*ipoib.Stream, cfg.Nodes)
+	t.outQ = make([][]chan frame, cfg.Nodes)
+	for i := 0; i < cfg.Nodes; i++ {
+		t.socks[i] = make([]*ipoib.Stream, cfg.Nodes)
+		t.outQ[i] = make([]chan frame, cfg.Nodes)
+		for j := 0; j < cfg.Nodes; j++ {
 			if i != j {
-				socks[i][j] = ipoib.NewStream(cfg.IPoIB)
+				t.socks[i][j] = ipoib.NewStream(cfg.IPoIB)
+				t.outQ[i][j] = make(chan frame, cfg.QueueDepth)
 			}
 		}
 	}
-
-	// Handoff queues: task → network per (srcNode, dstNode), and network →
-	// consumer per consumer.
-	outQ := make([][]chan frame, cfg.Nodes)
-	for i := range outQ {
-		outQ[i] = make([]chan frame, cfg.Nodes)
-		for j := range outQ[i] {
-			if i != j {
-				outQ[i][j] = make(chan frame, cfg.QueueDepth)
-			}
-		}
+	t.inQ = make([]chan frame, cfg.Nodes*cfg.ConsumersPerNode)
+	for i := range t.inQ {
+		t.inQ[i] = make(chan frame, cfg.QueueDepth)
 	}
-	inQ := make([]chan frame, nCons)
-	for i := range inQ {
-		inQ[i] = make(chan frame, cfg.QueueDepth)
-	}
-
-	run := &runCtl{}
-	run.stopAll = func() {
-		for i := range socks {
-			for j := range socks[i] {
-				if socks[i][j] != nil {
-					socks[i][j].Close()
-				}
-			}
-		}
-	}
-
-	var records, updates atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-
-	// Network sender threads: one per directed node pair.
-	for src := 0; src < cfg.Nodes; src++ {
-		for dst := 0; dst < cfg.Nodes; dst++ {
-			if src == dst {
-				continue
-			}
-			wg.Add(1)
-			go func(q chan frame, s *ipoib.Stream) {
-				defer wg.Done()
-				runNetSender(run, q, s)
-			}(outQ[src][dst], socks[src][dst])
-		}
-	}
-
-	// Network receiver threads: one per directed node pair.
-	for dst := 0; dst < cfg.Nodes; dst++ {
-		for src := 0; src < cfg.Nodes; src++ {
-			if src == dst {
-				continue
-			}
-			wg.Add(1)
-			go func(s *ipoib.Stream) {
-				defer wg.Done()
-				runNetReceiver(run, s, inQ)
-			}(socks[src][dst])
-		}
-	}
-
-	// Consumer task threads.
-	var consWG sync.WaitGroup
-	for c := 0; c < nCons; c++ {
-		wg.Add(1)
-		consWG.Add(1)
-		go func(cid int) {
-			defer wg.Done()
-			defer consWG.Done()
-			runConsumer(run, q, cid, nProd, inQ[cid], sink, &updates)
-		}(c)
-	}
-
-	// Producer task threads, plus a closer that shuts the per-node socket
-	// queues once every producer of that node finished.
-	prodWG := make([]sync.WaitGroup, cfg.Nodes)
-	for node := 0; node < cfg.Nodes; node++ {
-		for p := 0; p < cfg.ProducersPerNode; p++ {
-			pid := node*cfg.ProducersPerNode + p
-			prodWG[node].Add(1)
-			wg.Add(1)
-			go func(node, pid, p int) {
-				defer wg.Done()
-				defer prodWG[node].Done()
-				runProducer(run, cfg, q, node, pid, flows[node][p], outQ[node], inQ, &records)
-			}(node, pid, p)
-		}
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			prodWG[node].Wait()
-			for dst, ch := range outQ[node] {
-				if dst != node && ch != nil {
-					close(ch)
-				}
-			}
-		}(node)
-	}
-
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := run.err(); err != nil {
-		return nil, err
-	}
-	rep := &core.Report{
-		Query:   q.Name,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.ProducersPerNode + cfg.ConsumersPerNode,
-		Records: records.Load(),
-		Updates: updates.Load(),
-		Elapsed: elapsed,
-	}
-	if elapsed > 0 {
-		rep.RecordsPerSec = float64(rep.Records) / elapsed.Seconds()
-	}
-	for i := range socks {
-		for j := range socks[i] {
-			if socks[i][j] != nil {
-				s := socks[i][j].Stats()
-				rep.NetTxBytes += s.BytesSent
-				rep.NetTxMsgs += s.MsgsSent
-			}
-		}
-	}
-	return rep, nil
+	t.ctl.OnStop = t.close
+	return repart.Run(plan, t.ctl, q, flows, sink, t)
 }
 
-type runCtl struct {
-	once    sync.Once
-	val     atomic.Value
-	stopAll func()
-	stopped atomic.Bool
+// taxedFlow burns the managed-runtime tax on every record its flow yields,
+// ahead of the filter.
+type taxedFlow struct {
+	core.Flow
+	loops int
 }
 
-func (r *runCtl) fail(err error) {
-	r.once.Do(func() {
-		r.val.Store(err)
-		r.stopped.Store(true)
-		if r.stopAll != nil {
-			r.stopAll()
-		}
-	})
-}
-
-func (r *runCtl) err() error {
-	if v := r.val.Load(); v != nil {
-		return v.(error)
+func (f taxedFlow) Next(rec *stream.Record) bool {
+	if !f.Flow.Next(rec) {
+		return false
 	}
-	return nil
+	runtimeTax(f.loops)
+	return true
 }
 
 // runtimeTax burns CPU modelling managed-runtime overhead.
@@ -285,262 +161,114 @@ func runtimeTax(loops int) {
 	}
 }
 
-// runProducer applies filter/map, hash-partitions into per-consumer batch
-// buffers, and hands full buffers to the exchange: directly to local
-// consumer queues, or to the node's network sender queue for remote ones.
-func runProducer(run *runCtl, cfg Config, q *core.Query, node, pid int, flow core.Flow, out []chan frame, inQ []chan frame, records *atomic.Int64) {
-	nCons := len(inQ)
-	writers := make([]*stream.BatchWriter, nCons)
-	bufs := make([][]byte, nCons)
-	wm := stream.NoWatermark
-	var rec stream.Record
-	var local int64
-	sinceFlush := 0
+// transport is the queue-based socket exchange: producer tasks hand
+// batches to per-node-pair sender threads, receiver threads hand inbound
+// batches to a fan-in queue per consumer task, and within a node producers
+// hand batches straight to the consumer queue.
+type transport struct {
+	ctl              *repart.Ctl
+	prodPer, consPer int
+	batchBytes       int
+	socks            [][]*ipoib.Stream // [src][dst] node
+	outQ             [][]chan frame    // [src][dst] node
+	inQ              []chan frame      // per consumer
+}
 
-	send := func(dest int, data []byte, end bool) bool {
-		f := frame{src: pid, dest: dest, end: end, data: data}
-		destNode := dest / (nCons / cfg.Nodes)
-		if destNode == node {
-			// Local exchange: still a queue handoff, no socket.
-			select {
-			case inQ[dest] <- f:
-				return true
-			default:
+func (t *transport) close() {
+	for i := range t.socks {
+		for _, s := range t.socks[i] {
+			if s != nil {
+				s.Close()
 			}
-			for {
-				if run.stopped.Load() {
-					return false
-				}
-				select {
-				case inQ[dest] <- f:
-					return true
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}
-		for {
-			if run.stopped.Load() {
-				return false
-			}
-			select {
-			case out[destNode] <- f:
-				return true
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}
-	flush := func(dest int) bool {
-		w := writers[dest]
-		if w == nil || w.Len() == 0 {
-			return true
-		}
-		used := w.FinishData(wm)
-		data := bufs[dest][:used]
-		writers[dest] = nil
-		bufs[dest] = nil
-		return send(dest, data, false)
-	}
-
-	for {
-		if run.stopped.Load() {
-			return
-		}
-		if !flow.Next(&rec) {
-			break
-		}
-		local++
-		sinceFlush++
-		if rec.Time > wm {
-			wm = rec.Time
-		}
-		runtimeTax(cfg.RuntimeTaxLoops)
-		if q.Filter != nil && !q.Filter(&rec) {
-			continue
-		}
-		if q.Map != nil {
-			q.Map(&rec)
-		}
-		dest := int(hash64(rec.Key) % uint64(nCons))
-		w := writers[dest]
-		if w == nil {
-			// A fresh heap buffer per batch: the allocation churn of a
-			// managed exchange stack.
-			bufs[dest] = make([]byte, cfg.BatchBytes)
-			nw, err := stream.NewBatchWriter(bufs[dest], q.Codec)
-			if err != nil {
-				run.fail(err)
-				return
-			}
-			writers[dest] = nw
-			w = nw
-		}
-		if err := w.Append(&rec); err != nil {
-			if !errors.Is(err, stream.ErrBatchFull) {
-				run.fail(err)
-				return
-			}
-			if !flush(dest) {
-				return
-			}
-			bufs[dest] = make([]byte, cfg.BatchBytes)
-			nw, err := stream.NewBatchWriter(bufs[dest], q.Codec)
-			if err != nil {
-				run.fail(err)
-				return
-			}
-			writers[dest] = nw
-			if err := nw.Append(&rec); err != nil {
-				run.fail(err)
-				return
-			}
-		}
-		if sinceFlush >= cfg.FlushRecords {
-			sinceFlush = 0
-			for d := 0; d < nCons; d++ {
-				if !flush(d) {
-					return
-				}
-			}
-		}
-	}
-	records.Add(local)
-	for d := 0; d < nCons; d++ {
-		if !flush(d) {
-			return
-		}
-	}
-	// End-of-stream tokens to every consumer.
-	for d := 0; d < nCons; d++ {
-		buf := make([]byte, stream.BatchHeaderSize+q.Codec.Size())
-		w, err := stream.NewBatchWriter(buf, q.Codec)
-		if err != nil {
-			run.fail(err)
-			return
-		}
-		used := w.FinishEnd(wm)
-		if !send(d, buf[:used], true) {
-			return
 		}
 	}
 }
 
-// runNetSender drains one node-pair queue onto the socket.
-func runNetSender(run *runCtl, q chan frame, s *ipoib.Stream) {
-	hdr := make([]byte, frameHeaderSize)
-	for f := range q {
-		putU32(hdr[0:], uint32(f.src))
-		putU32(hdr[4:], uint32(f.dest))
-		if f.end {
-			hdr[8] = 1
-		} else {
-			hdr[8] = 0
-		}
-		hdr[9], hdr[10], hdr[11] = 0, 0, 0
-		putU32(hdr[12:], uint32(len(f.data)))
-		if err := s.Send(hdr); err != nil {
-			if !run.stopped.Load() {
-				run.fail(err)
-			}
-			return
-		}
-		if err := s.Send(f.data); err != nil {
-			if !run.stopped.Load() {
-				run.fail(err)
-			}
-			return
-		}
-	}
-	s.Close()
+func (t *transport) Output(pid, cid int) repart.Output {
+	return &output{t: t, src: pid, dest: cid}
 }
 
-// runNetReceiver parses frames off the socket and routes them to consumer
-// queues — the second queue handoff of the exchange.
-func runNetReceiver(run *runCtl, s *ipoib.Stream, inQ []chan frame) {
-	hdr := make([]byte, frameHeaderSize)
+// output is one producer task's path to one consumer.
+type output struct {
+	t         *transport
+	src, dest int
+	buf       []byte
+}
+
+// Acquire returns a fresh heap buffer per batch: the allocation churn of a
+// managed exchange stack.
+func (o *output) Acquire() ([]byte, bool) {
+	o.buf = make([]byte, o.t.batchBytes)
+	return o.buf, true
+}
+
+// Post hands the batch on: to the consumer's queue within a node, or to
+// the node pair's sender queue across nodes.
+func (o *output) Post(used int) error {
+	t := o.t
+	srcNode, dstNode := o.src/t.prodPer, o.dest/t.consPer
+	q := t.inQ[o.dest]
+	if srcNode != dstNode {
+		q = t.outQ[srcNode][dstNode]
+	}
+	return t.enqueue(q, frame{src: o.src, dest: o.dest, data: o.buf[:used]})
+}
+
+// enqueue blocks until q takes f or the run stops.
+func (t *transport) enqueue(q chan frame, f frame) error {
 	for {
-		if err := s.RecvFull(hdr); err != nil {
-			if !errors.Is(err, ipoib.ErrClosed) && !run.stopped.Load() {
-				run.fail(err)
-			}
-			return
+		select {
+		case q <- f:
+			return nil
+		default:
 		}
-		src := int(getU32(hdr[0:]))
-		dest := int(getU32(hdr[4:]))
-		end := hdr[8] == 1
-		n := int(getU32(hdr[12:]))
-		if dest < 0 || dest >= len(inQ) || n < 0 || n > 1<<26 {
-			run.fail(fmt.Errorf("flinksim: corrupt frame header dest=%d len=%d", dest, n))
-			return
+		if t.ctl.Stopped() {
+			return repart.ErrStopped
 		}
-		data := make([]byte, n) // deserialization copy into a fresh buffer
-		if err := s.RecvFull(data); err != nil {
-			if !run.stopped.Load() {
-				run.fail(err)
-			}
-			return
+		select {
+		case q <- f:
+			return nil
+		case <-time.After(time.Millisecond):
 		}
-		f := frame{src: src, dest: dest, end: end, data: data}
-		for {
-			if run.stopped.Load() {
-				return
-			}
-			select {
-			case inQ[dest] <- f:
-			case <-time.After(time.Millisecond):
+	}
+}
+
+// Start launches one sender and one receiver thread per directed node
+// pair.
+func (t *transport) Start(wg *sync.WaitGroup) {
+	for src := range t.socks {
+		for dst, s := range t.socks[src] {
+			if s == nil {
 				continue
 			}
-			break
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				t.runNetSender(t.outQ[src][dst], s)
+			}()
+			go func() {
+				defer wg.Done()
+				t.runNetReceiver(s)
+			}()
 		}
 	}
 }
 
-// runConsumer is one window-operator task: it dequeues exchange buffers,
-// deserializes records, updates co-partitioned local state, and triggers
-// windows once every producer's watermark passed their end.
-func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink core.Sink, updates *atomic.Int64) {
-	srcWM := make([]stream.Watermark, nProd)
-	ended := make([]bool, nProd)
-	for i := range srcWM {
-		srcWM[i] = stream.NoWatermark
-	}
-	state := map[uint64]*ssb.Table{}
-	var wins []uint64
-	var rec stream.Record
-	var local int64
-	var sides ssb.SideCounter // one for every window this task fires
-	remaining := nProd
-
-	minWM := func() stream.Watermark {
-		m := stream.Watermark(1<<63 - 1)
-		for i := range srcWM {
-			if !ended[i] && srcWM[i] < m {
-				m = srcWM[i]
-			}
-		}
-		return m
-	}
-	trigger := func(now stream.Watermark) {
-		for win, tbl := range state {
-			if q.Window.End(win) > now {
-				continue
-			}
-			if q.Agg != nil {
-				agg := q.Agg
-				tbl.ForEachAgg(func(key uint64, st []byte) {
-					sink.EmitAgg(cid, win, key, agg.Result(st))
-				})
-			} else {
-				sides.Count(tbl, func(key uint64, left, right int) {
-					sink.EmitJoin(cid, win, key, left, right)
-				})
-			}
-			tbl.Reset() // returns a bag table's segments to the free list
-			delete(state, win)
+// NodeDone closes the node's sender queues, so its sender threads drain
+// them and close their sockets.
+func (t *transport) NodeDone(node int) {
+	for dst, q := range t.outQ[node] {
+		if dst != node {
+			close(q)
 		}
 	}
+}
 
-	for remaining > 0 {
-		if run.stopped.Load() {
+// Consume dequeues the consumer's fan-in queue and fires after every frame.
+func (t *transport) Consume(cid int, op *repart.Operator) {
+	in := t.inQ[cid]
+	for !op.Done() {
+		if t.ctl.Stopped() {
 			return
 		}
 		var f frame
@@ -549,61 +277,78 @@ func runConsumer(run *runCtl, q *core.Query, cid, nProd int, in chan frame, sink
 		case <-time.After(time.Millisecond):
 			continue
 		}
-		r, err := stream.NewBatchReader(f.data, q.Codec)
-		if err != nil {
-			run.fail(err)
+		if err := op.Apply(f.src, f.data); err != nil {
+			t.ctl.Fail(err)
 			return
 		}
-		if f.end || r.Kind() == stream.KindEnd {
-			if f.src >= 0 && f.src < nProd && !ended[f.src] {
-				ended[f.src] = true
-				remaining--
-			}
-			trigger(minWM())
-			continue
-		}
-		if f.src >= 0 && f.src < nProd && r.Watermark() > srcWM[f.src] {
-			srcWM[f.src] = r.Watermark()
-		}
-		for r.Next(&rec) {
-			wins = q.Window.Assign(rec.Time, wins[:0])
-			for _, win := range wins {
-				tbl := state[win]
-				if tbl == nil {
-					if q.Agg != nil {
-						tbl = ssb.NewAggTable(q.Agg)
-					} else {
-						tbl = ssb.NewBagTable()
-					}
-					state[win] = tbl
-				}
-				var err error
-				if q.Agg != nil {
-					err = tbl.UpdateAgg(&rec)
-				} else {
-					e := crdt.BagFromRecord(&rec, q.JoinSide(&rec))
-					err = tbl.AppendBag(rec.Key, &e)
-				}
-				if err != nil {
-					run.fail(err)
-					return
-				}
-				local++
-			}
-		}
-		trigger(minWM())
+		op.Fire()
 	}
-	trigger(stream.Watermark(1<<63 - 1))
-	updates.Add(local)
 }
 
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+func (t *transport) Sent() (bytes, msgs int64) {
+	for i := range t.socks {
+		for _, s := range t.socks[i] {
+			if s != nil {
+				st := s.Stats()
+				bytes += st.BytesSent
+				msgs += st.MsgsSent
+			}
+		}
+	}
+	return bytes, msgs
+}
+
+// runNetSender drains one node-pair queue onto the socket.
+func (t *transport) runNetSender(q chan frame, s *ipoib.Stream) {
+	hdr := make([]byte, frameHeaderSize)
+	for f := range q {
+		putU32(hdr[0:], uint32(f.src))
+		putU32(hdr[4:], uint32(f.dest))
+		hdr[8] = 0
+		if stream.BatchKind(f.data[0]) == stream.KindEnd {
+			hdr[8] = 1
+		}
+		hdr[9], hdr[10], hdr[11] = 0, 0, 0
+		putU32(hdr[12:], uint32(len(f.data)))
+		if err := s.Send(hdr); err != nil {
+			t.ctl.Fail(err)
+			return
+		}
+		if err := s.Send(f.data); err != nil {
+			t.ctl.Fail(err)
+			return
+		}
+	}
+	s.Close()
+}
+
+// runNetReceiver parses frames off the socket and routes them to consumer
+// queues — the second queue handoff of the exchange.
+func (t *transport) runNetReceiver(s *ipoib.Stream) {
+	hdr := make([]byte, frameHeaderSize)
+	for {
+		if err := s.RecvFull(hdr); err != nil {
+			if !errors.Is(err, ipoib.ErrClosed) {
+				t.ctl.Fail(err)
+			}
+			return
+		}
+		src := int(getU32(hdr[0:]))
+		dest := int(getU32(hdr[4:]))
+		n := int(getU32(hdr[12:]))
+		if dest < 0 || dest >= len(t.inQ) || n < 0 || n > 1<<26 {
+			t.ctl.Fail(fmt.Errorf("flinksim: corrupt frame header dest=%d len=%d", dest, n))
+			return
+		}
+		data := make([]byte, n) // deserialization copy into a fresh buffer
+		if err := s.RecvFull(data); err != nil {
+			t.ctl.Fail(err)
+			return
+		}
+		if t.enqueue(t.inQ[dest], frame{src: src, dest: dest, data: data}) != nil {
+			return
+		}
+	}
 }
 
 func putU32(b []byte, v uint32) {

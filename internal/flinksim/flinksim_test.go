@@ -3,210 +3,83 @@ package flinksim
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/slash-stream/slash/internal/core"
 	"github.com/slash-stream/slash/internal/crdt"
+	"github.com/slash-stream/slash/internal/ipoib"
+	"github.com/slash-stream/slash/internal/repart"
 	"github.com/slash-stream/slash/internal/stream"
 	"github.com/slash-stream/slash/internal/window"
 )
 
-var testCodec = stream.MustCodec(32)
-
-func genFlows(rng *rand.Rand, nodes, producers, recsPerFlow, keyRange int) ([][]core.Flow, []stream.Record) {
-	var all []stream.Record
-	flows := make([][]core.Flow, nodes)
-	for n := 0; n < nodes; n++ {
-		flows[n] = make([]core.Flow, producers)
-		for p := 0; p < producers; p++ {
-			recs := make([]stream.Record, recsPerFlow)
-			ts := int64(0)
-			for i := range recs {
-				ts += rng.Int63n(15)
-				recs[i] = stream.Record{
-					Key:  uint64(rng.Intn(keyRange)),
-					Time: ts,
-					V0:   rng.Int63n(100) - 50,
-					V1:   int64(rng.Intn(2)),
-				}
-			}
-			all = append(all, recs...)
-			flows[n][p] = core.NewSliceFlow(recs)
-		}
-	}
-	return flows, all
-}
-
-func smallConfig(nodes, producers, consumers int) Config {
-	return Config{
-		Nodes:            nodes,
-		ProducersPerNode: producers,
-		ConsumersPerNode: consumers,
-		BatchBytes:       1024,
-		QueueDepth:       8,
-		FlushRecords:     64,
-	}
-}
-
-func oracleSum(recs []stream.Record, w window.Assigner) map[uint64]map[uint64]int64 {
-	out := map[uint64]map[uint64]int64{}
-	var wins []uint64
-	for i := range recs {
-		r := recs[i]
-		wins = w.Assign(r.Time, wins[:0])
-		for _, win := range wins {
-			if out[win] == nil {
-				out[win] = map[uint64]int64{}
-			}
-			out[win][r.Key] += r.V0
-		}
-	}
-	return out
-}
-
-func TestConfigValidation(t *testing.T) {
-	win, _ := window.NewTumbling(100)
-	q := &core.Query{Name: "q", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	if _, err := Run(Config{}, q, nil, nil); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	cfg := smallConfig(2, 1, 1)
-	if _, err := Run(cfg, q, [][]core.Flow{{core.NewSliceFlow(nil)}}, nil); err == nil {
-		t.Fatal("wrong flow shape accepted")
-	}
-	bad := cfg
-	bad.BatchBytes = 8
-	flows := [][]core.Flow{{core.NewSliceFlow(nil)}, {core.NewSliceFlow(nil)}}
-	if _, err := Run(bad, q, flows, nil); err == nil {
-		t.Fatal("tiny batch accepted")
-	}
-	if _, err := Run(cfg, &core.Query{Codec: testCodec, Window: win}, flows, nil); err == nil {
-		t.Fatal("stateless query accepted")
-	}
-}
-
-func TestDistributedSumEqualsSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	flows, all := genFlows(rng, 3, 2, 400, 23)
-	win, _ := window.NewTumbling(500)
-	q := &core.Query{Name: "sum", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	col := &core.Collector{}
-	rep, err := Run(smallConfig(3, 2, 2), q, flows, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != int64(len(all)) {
-		t.Fatalf("records = %d, want %d", rep.Records, len(all))
-	}
-	oracle := oracleSum(all, win)
-	got := map[uint64]map[uint64]int64{}
-	for _, r := range col.Aggs() {
-		if got[r.Win] == nil {
-			got[r.Win] = map[uint64]int64{}
-		}
-		if _, dup := got[r.Win][r.Key]; dup {
-			t.Fatalf("duplicate emission win=%d key=%d", r.Win, r.Key)
-		}
-		got[r.Win][r.Key] = r.Value
-	}
-	if len(got) != len(oracle) {
-		t.Fatalf("windows: got %d, want %d", len(got), len(oracle))
-	}
-	for w, keys := range oracle {
-		for k, v := range keys {
-			if got[w][k] != v {
-				t.Fatalf("window %d key %d: got %d, want %d", w, k, got[w][k], v)
-			}
-		}
-	}
-	if rep.NetTxBytes == 0 {
-		t.Fatal("multi-node run sent no socket traffic")
-	}
-}
-
-func TestJoinCardinalities(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	flows, all := genFlows(rng, 2, 1, 300, 9)
-	win, _ := window.NewTumbling(600)
-	side := func(r *stream.Record) uint8 { return uint8(r.V1) }
-	q := &core.Query{Name: "join", Codec: testCodec, Window: win, JoinSide: side}
-	col := &core.Collector{}
-	if _, err := Run(smallConfig(2, 1, 2), q, flows, col); err != nil {
-		t.Fatal(err)
-	}
-	type wk struct{ w, k uint64 }
-	oracleL, oracleR := map[wk]int{}, map[wk]int{}
-	var wins []uint64
-	for i := range all {
-		r := all[i]
-		wins = win.Assign(r.Time, wins[:0])
-		for _, w := range wins {
-			if r.V1 == 0 {
-				oracleL[wk{w, r.Key}]++
-			} else {
-				oracleR[wk{w, r.Key}]++
-			}
-		}
-	}
-	for _, jr := range col.Joins() {
-		k := wk{jr.Win, jr.Key}
-		if jr.Left != oracleL[k] || jr.Right != oracleR[k] {
-			t.Fatalf("join %v: (%d,%d), want (%d,%d)", k, jr.Left, jr.Right, oracleL[k], oracleR[k])
-		}
-	}
-}
-
 func TestRuntimeTaxDoesNotChangeResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	flows, all := genFlows(rng, 2, 1, 200, 11)
 	win, _ := window.NewTumbling(400)
-	q := &core.Query{Name: "tax", Codec: testCodec, Window: win, Agg: crdt.Count{}}
-	cfg := smallConfig(2, 1, 1)
-	cfg.RuntimeTaxLoops = 64
+	flows := make([][]core.Flow, 2)
+	want := map[[2]uint64]bool{} // (window, key) rows the count must emit
+	for n := range flows {
+		recs := make([]stream.Record, 200)
+		ts := int64(0)
+		for i := range recs {
+			ts += rng.Int63n(15)
+			recs[i] = stream.Record{Key: uint64(rng.Intn(11)), Time: ts}
+			for _, w := range win.Assign(ts, nil) {
+				want[[2]uint64{w, recs[i].Key}] = true
+			}
+		}
+		flows[n] = []core.Flow{core.NewSliceFlow(recs)}
+	}
+	q := &core.Query{Name: "tax", Codec: stream.MustCodec(32), Window: win, Agg: crdt.Count{}}
+	cfg := Config{Nodes: 2, ProducersPerNode: 1, ConsumersPerNode: 1, BatchBytes: 1024, QueueDepth: 8, FlushRecords: 64, RuntimeTaxLoops: 64}
 	sink := &core.CountingSink{}
 	if _, err := Run(cfg, q, flows, sink); err != nil {
 		t.Fatal(err)
 	}
-	oracle := oracleSum(all, win)
-	want := 0
-	for _, keys := range oracle {
-		want += len(keys)
-	}
-	if int(sink.AggRows.Load()) != want {
-		t.Fatalf("rows = %d, want %d", sink.AggRows.Load(), want)
+	if int(sink.AggRows.Load()) != len(want) {
+		t.Fatalf("rows = %d, want %d", sink.AggRows.Load(), len(want))
 	}
 }
 
-func TestQuickShapes(t *testing.T) {
-	prop := func(seed int64, nn, pp, cc uint8) bool {
-		nodes := 1 + int(nn%3)
-		prods := 1 + int(pp%2)
-		cons := 1 + int(cc%2)
-		rng := rand.New(rand.NewSource(seed))
-		flows, all := genFlows(rng, nodes, prods, 120, 13)
-		win, _ := window.NewTumbling(300)
-		q := &core.Query{Name: "quick", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-		col := &core.Collector{}
-		if _, err := Run(smallConfig(nodes, prods, cons), q, flows, col); err != nil {
-			return false
+// TestFrameHeader pins the socket frame header: src, dest, an end byte that
+// is 1 exactly for end tokens, three zero bytes and the payload length.
+func TestFrameHeader(t *testing.T) {
+	codec := stream.MustCodec(32)
+	q := make(chan frame, 2)
+	for _, end := range []bool{false, true} {
+		buf := make([]byte, 256)
+		w, err := stream.NewBatchWriter(buf, codec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		oracle := oracleSum(all, win)
-		rows := col.Aggs()
-		total := 0
-		for _, keys := range oracle {
-			total += len(keys)
-		}
-		if len(rows) != total {
-			return false
-		}
-		for _, r := range rows {
-			if oracle[r.Win][r.Key] != r.Value {
-				return false
+		var used int
+		if end {
+			used = w.FinishEnd(7)
+		} else {
+			if err := w.Append(&stream.Record{Key: 1, Time: 7}); err != nil {
+				t.Fatal(err)
 			}
+			used = w.FinishData(7)
 		}
-		return true
+		q <- frame{src: 3, dest: 5, data: buf[:used]}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
+	close(q)
+	s := ipoib.NewStream(ipoib.Config{})
+	go (&transport{ctl: &repart.Ctl{}}).runNetSender(q, s)
+	hdr := make([]byte, frameHeaderSize)
+	for _, end := range []byte{0, 1} {
+		if err := s.RecvFull(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if getU32(hdr[0:]) != 3 || getU32(hdr[4:]) != 5 || hdr[8] != end || hdr[9] != 0 || hdr[10] != 0 || hdr[11] != 0 {
+			t.Fatalf("header %v, want src 3, dest 5, end %d", hdr, end)
+		}
+		data := make([]byte, getU32(hdr[12:]))
+		if err := s.RecvFull(data); err != nil {
+			t.Fatal(err)
+		}
+		r, err := stream.NewBatchReader(data, codec)
+		if err != nil || (r.Kind() == stream.KindEnd) != (end == 1) {
+			t.Fatalf("payload kind %v (%v), end byte %d", r.Kind(), err, end)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -159,24 +160,46 @@ func TestScaleOutSystemsAgreeOnJoin(t *testing.T) {
 	}
 }
 
+// scaleOut runs q on the two re-partitioning baselines, each with one
+// consumer per node, for the sliding and session differentials.
+var scaleOut = []struct {
+	name string
+	run  func(q *core.Query, flows [][]core.Flow, sink core.Sink) error
+}{
+	{"uppar", func(q *core.Query, flows [][]core.Flow, sink core.Sink) error {
+		_, err := uppar.Run(uppar.Config{Nodes: len(flows), ProducersPerNode: len(flows[0]), ConsumersPerNode: 1}, q, flows, sink)
+		return err
+	}},
+	{"flink", func(q *core.Query, flows [][]core.Flow, sink core.Sink) error {
+		_, err := flinksim.Run(flinksim.Config{Nodes: len(flows), ProducersPerNode: len(flows[0]), ConsumersPerNode: 1, BatchBytes: 2048}, q, flows, sink)
+		return err
+	}},
+}
+
 func TestSystemsAgreeUnderSlidingWindows(t *testing.T) {
 	const nodes, threads = 2, 1
 	data := diffDataset(31, nodes*threads, 300, 9)
-	win, _ := window.NewSliding(400, 100)
-	q := &core.Query{Name: "diff-slide", Codec: diffCodec, Window: win, Agg: crdt.Sum{}}
-
-	slashCol := &core.Collector{}
-	if _, err := core.Run(core.Config{Nodes: nodes, ThreadsPerNode: threads, EpochBytes: 2 << 10},
-		q, sliceFlows(data, nodes, threads), slashCol); err != nil {
-		t.Fatalf("slash: %v", err)
-	}
-	upCol := &core.Collector{}
-	if _, err := uppar.Run(uppar.Config{Nodes: nodes, ProducersPerNode: threads, ConsumersPerNode: 1},
-		q, sliceFlows(data, nodes, threads), upCol); err != nil {
-		t.Fatalf("uppar: %v", err)
-	}
-	if !reflect.DeepEqual(aggMap(upCol), aggMap(slashCol)) {
-		t.Fatal("sliding-window results diverge between slash and uppar")
+	// 400/150: the slide does not divide the size.
+	for _, sz := range [][2]int64{{400, 100}, {400, 150}} {
+		win, _ := window.NewSliding(sz[0], sz[1])
+		q := &core.Query{Name: "diff-slide", Codec: diffCodec, Window: win, Agg: crdt.Sum{}}
+		t.Run(fmt.Sprintf("size%d_slide%d", sz[0], sz[1]), func(t *testing.T) {
+			slashCol := &core.Collector{}
+			if _, err := core.Run(core.Config{Nodes: nodes, ThreadsPerNode: threads, EpochBytes: 2 << 10},
+				q, sliceFlows(data, nodes, threads), slashCol); err != nil {
+				t.Fatalf("slash: %v", err)
+			}
+			want := aggMap(slashCol)
+			for _, sys := range scaleOut {
+				col := &core.Collector{}
+				if err := sys.run(q, sliceFlows(data, nodes, threads), col); err != nil {
+					t.Fatalf("%s: %v", sys.name, err)
+				}
+				if !reflect.DeepEqual(aggMap(col), want) {
+					t.Fatalf("sliding-window results diverge between slash and %s", sys.name)
+				}
+			}
+		})
 	}
 }
 
@@ -192,12 +215,14 @@ func TestSystemsAgreeUnderSessionWindows(t *testing.T) {
 		q, sliceFlows(data, nodes, threads), slashCol); err != nil {
 		t.Fatalf("slash: %v", err)
 	}
-	upCol := &core.Collector{}
-	if _, err := uppar.Run(uppar.Config{Nodes: nodes, ProducersPerNode: threads, ConsumersPerNode: 1},
-		q, sliceFlows(data, nodes, threads), upCol); err != nil {
-		t.Fatalf("uppar: %v", err)
-	}
-	if !reflect.DeepEqual(joinMap(upCol), joinMap(slashCol)) {
-		t.Fatal("session-window results diverge between slash and uppar")
+	want := joinMap(slashCol)
+	for _, sys := range scaleOut {
+		col := &core.Collector{}
+		if err := sys.run(q, sliceFlows(data, nodes, threads), col); err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		if !reflect.DeepEqual(joinMap(col), want) {
+			t.Fatalf("session-window results diverge between slash and %s", sys.name)
+		}
 	}
 }

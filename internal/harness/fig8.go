@@ -138,7 +138,7 @@ func runRO(cfg roConfig) (roResult, error) {
 				rec.Time = int64(n)
 				dest := i
 				if cfg.partition {
-					dest = int(mix(rec.Key) % uint64(p))
+					dest = int(ssb.Mix64(rec.Key) % uint64(p))
 				}
 				w := writers[dest]
 				if w == nil {
@@ -308,15 +308,6 @@ func runRO(cfg roConfig) (roResult, error) {
 		res.imbalance = float64(max) * float64(p) / float64(sum)
 	}
 	return res, nil
-}
-
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 func roRow(exp string, system string, params string, r roResult) Row {

@@ -59,14 +59,11 @@ func Run(cfg Config, q *core.Query, flows []core.Flow, sink core.Sink) (*core.Re
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if q.Window == nil {
-		return nil, core.ErrNoWindow
+	if err := q.ValidateOperators(); err != nil {
+		return nil, err
 	}
 	if q.JoinSide != nil {
 		return nil, ErrJoinsUnsupported
-	}
-	if q.Agg == nil {
-		return nil, core.ErrNoStateful
 	}
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("lightsaber: no flows")

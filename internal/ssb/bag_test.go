@@ -111,7 +111,7 @@ func TestRecycledAggTableStartsFromIdentity(t *testing.T) {
 		"updateAggColumns": func(t *testing.T, tbl *Table) {
 			hashes := make([]uint64, len(keys))
 			for i, k := range keys {
-				hashes[i] = mix64(k)
+				hashes[i] = Mix64(k)
 			}
 			if err := tbl.updateAggColumns(tbl.kind, keys, hashes, v0, times, v1); err != nil {
 				t.Fatal(err)
@@ -252,14 +252,14 @@ func countSides(c *SideCounter, t *Table) []keySides {
 	return out
 }
 
-// collidingKeys returns key 0 and n other keys whose mix64 hashes share
+// collidingKeys returns key 0 and n other keys whose Mix64 hashes share
 // their low 12 bits with it: in a side counter of up to 4096 slots they all
 // start probing at the same slot.
 func collidingKeys(n int) []uint64 {
-	home := mix64(0) & 0xfff
+	home := Mix64(0) & 0xfff
 	keys := []uint64{0}
 	for k := uint64(1); len(keys) <= n; k++ {
-		if mix64(k)&0xfff == home {
+		if Mix64(k)&0xfff == home {
 			keys = append(keys, k)
 		}
 	}
@@ -636,7 +636,7 @@ func (h *bagHarness) run(wins, ops int, after func()) {
 // against a map-of-slices reference and a flat log per window. Half the
 // seeds run at a chunk size whose chunks cross segment ends. Keys mix a few
 // hot ones, a long tail that differs from window to window, key 0 and keys
-// that collide under mix64; one side counter reads every live window of a
+// that collide under Mix64; one side counter reads every live window of a
 // run and grows in the middle of a pass as windows widen.
 func TestBagTableProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -743,7 +743,7 @@ func (h *bagHarness) checkSegments() {
 // FuzzBagMergeDelta: an arbitrary region never panics the bag merge, and is
 // either concatenated whole or rejected without a trace. The table starts
 // with 1 to 3 segments' worth of entries over key 0 and keys that collide
-// with it under mix64, so a merge may cross segment ends. Serialising the
+// with it under Mix64, so a merge may cross segment ends. Serialising the
 // result at a chunk size of 40 B to 64 KiB plus a few bytes cuts the flat
 // log at the same boundaries, and merging those chunks into an empty table
 // rebuilds it byte for byte. On whatever the table then holds, the side

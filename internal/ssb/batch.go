@@ -62,7 +62,7 @@ func kindOfAgg(a crdt.Aggregate) aggKind {
 // batchScratch is the reusable storage of one thread's columnar update path.
 type batchScratch struct {
 	keys   []uint64 // gathered keys, grouped by leader node
-	hashes []uint64 // mix64 of keys (index probe hashes)
+	hashes []uint64 // Mix64 of keys (index probe hashes)
 	v0     []int64  // gathered V0 column
 	times  []int64  // gathered Times column (generic aggregates only)
 	v1     []int64  // gathered V1 column (generic aggregates only)
@@ -133,7 +133,7 @@ func (ts *ThreadState) UpdateAggBatch(win uint64, rb *stream.RecordBatch, p0, p1
 		hashes := s.hashes[:n]
 		keys := rb.Keys[p0:p1]
 		for i, k := range keys {
-			hashes[i] = mix64(k)
+			hashes[i] = Mix64(k)
 		}
 		return tbl.updateAggColumns(kind, keys, hashes, rb.V0[p0:p1], nil, nil)
 	}
@@ -183,7 +183,7 @@ func (ts *ThreadState) UpdateAggBatch(win uint64, rb *stream.RecordBatch, p0, p1
 	}
 	// Pre-hash the gathered key column in one tight loop.
 	for i, k := range s.keys[:n] {
-		s.hashes[i] = mix64(k)
+		s.hashes[i] = Mix64(k)
 	}
 	// Per-leader dense update. s.off[node] now holds each group's end.
 	var start int32
@@ -209,7 +209,7 @@ func (ts *ThreadState) UpdateAggBatch(win uint64, rb *stream.RecordBatch, p0, p1
 }
 
 // updateAggColumns is the per-fragment inner loop: fold parallel key/value
-// columns into the aggregate table. hashes[i] must equal mix64(keys[i]);
+// columns into the aggregate table. hashes[i] must equal Mix64(keys[i]);
 // times/v1 are only consulted for generic aggregates. Consecutive equal keys
 // reuse the previous entry's offset without re-probing — the skew fast path
 // (a Zipf-heavy column is full of same-key runs).

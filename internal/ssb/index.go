@@ -39,8 +39,10 @@ func newIndex() *index {
 	return &index{slots: make([]indexSlot, minSlots)}
 }
 
-// mix64 is the splitmix64 finalizer, a strong cheap hash for 64-bit keys.
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer, a strong cheap hash for 64-bit keys.
+// The re-partitioning baselines and the Fig. 8 drill-down pick destinations
+// with it too, so key distributions compare fairly across systems.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -53,7 +55,7 @@ func mix64(x uint64) uint64 {
 func (ix *index) get(key uint64) (int32, bool) {
 	slots := ix.slots
 	mask := uint64(len(slots) - 1)
-	for i := mix64(key); ; i++ {
+	for i := Mix64(key); ; i++ {
 		s := &slots[i&mask]
 		if s.key == key && s.used != 0 {
 			return s.off, true
@@ -75,12 +77,12 @@ func (ix *index) set(key uint64, off int32) {
 // stays valid until the next set/lookupOrReserve call (growth rehashes
 // before the new key's slot is claimed).
 func (ix *index) lookupOrReserve(key uint64) (off *int32, found bool) {
-	return ix.lookupOrReserveHashed(key, mix64(key))
+	return ix.lookupOrReserveHashed(key, Mix64(key))
 }
 
 // lookupOrReserveHashed is lookupOrReserve with the hash precomputed — the
 // batch path hashes the whole key column in one tight loop and probes with
-// the stored hashes. h must equal mix64(key). The walk starts at key's home
+// the stored hashes. h must equal Mix64(key). The walk starts at key's home
 // slot and compares the key first, so the common case, a hit there, reads
 // one slot. Only an insert grows the table: it doubles first if the new key
 // would fill it past half.
@@ -142,7 +144,7 @@ func (ix *index) growTo(size int) {
 	old := index{slots: ix.slots}
 	ix.slots = make([]indexSlot, size)
 	old.forEach(func(key uint64, off int32) {
-		*ix.free(mix64(key)) = indexSlot{key: key, off: off, used: 1}
+		*ix.free(Mix64(key)) = indexSlot{key: key, off: off, used: 1}
 	})
 }
 

@@ -76,7 +76,7 @@ func TestIndexGrowthAndOverflow(t *testing.T) {
 func homeKeys(n, size int, home uint64) []uint64 {
 	var keys []uint64
 	for k := uint64(0); len(keys) < n; k++ {
-		if mix64(k)&uint64(size-1) == home {
+		if Mix64(k)&uint64(size-1) == home {
 			keys = append(keys, k)
 		}
 	}
@@ -115,7 +115,7 @@ func TestIndexSharedHomeSlotWraps(t *testing.T) {
 		}
 		wrapped := func(stage string) {
 			t.Helper()
-			if s := ix.slots[0]; s.used == 0 || mix64(s.key)&uint64(len(ix.slots)-1) != uint64(len(ix.slots)-1) {
+			if s := ix.slots[0]; s.used == 0 || Mix64(s.key)&uint64(len(ix.slots)-1) != uint64(len(ix.slots)-1) {
 				t.Fatalf("%s %s: the probe run did not wrap to slot 0", name, stage)
 			}
 		}
@@ -183,7 +183,7 @@ func TestIndexQuickMapEquivalence(t *testing.T) {
 // sharing its home slot at the minimum size (so they also collide after
 // every doubling with probability ½ each), then 128 spread keys.
 var indexOpKeys = func() []uint64 {
-	keys := homeKeys(24, minSlots, mix64(0)&(minSlots-1))
+	keys := homeKeys(24, minSlots, Mix64(0)&(minSlots-1))
 	for i := uint64(1); i <= 128; i++ {
 		keys = append(keys, i*0x9E3779B97F4A7C15)
 	}
@@ -248,7 +248,7 @@ func opFailure(n int, op string, key uint64, got int32, gotOK bool, want int32, 
 }
 
 // TestIndexOpsMatchMap runs random lookupOrReserve/get/set/reserve/reset
-// sequences over key 0, keys that collide under mix64, and spread keys, and
+// sequences over key 0, keys that collide under Mix64, and spread keys, and
 // checks the index against a Go map after every operation.
 func TestIndexOpsMatchMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))

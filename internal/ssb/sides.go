@@ -57,7 +57,7 @@ func (c *SideCounter) Count(t *Table, fn func(key uint64, left, right int)) {
 			key := getU64(log)
 			if s == nil || key != prevKey {
 				prevKey = key
-				for i := int(mix64(key)); ; i++ {
+				for i := int(Mix64(key)); ; i++ {
 					s = &slots[i&(len(slots)-1)]
 					if s.left|s.right == 0 {
 						s = c.claim(key, i&(len(slots)-1))
@@ -103,7 +103,7 @@ func (c *SideCounter) claim(key uint64, i int) *sideSlot {
 // free returns the free slot where key, which is not in the map, belongs.
 func (c *SideCounter) free(key uint64) int {
 	mask := len(c.slots) - 1
-	i := int(mix64(key)) & mask
+	i := int(Mix64(key)) & mask
 	for c.slots[i].left|c.slots[i].right != 0 {
 		i = (i + 1) & mask
 	}

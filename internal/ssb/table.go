@@ -475,7 +475,7 @@ func (t *Table) mergeAggDelta(region []byte) error {
 			raw = region[pos : pos+asize]
 			pos += asize
 		}
-		slot, found := t.idx.lookupOrReserveHashed(key, mix64(key))
+		slot, found := t.idx.lookupOrReserveHashed(key, Mix64(key))
 		var state []byte
 		if found {
 			state = t.valueAt(*slot)

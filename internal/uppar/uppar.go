@@ -5,8 +5,10 @@
 //
 // Each node splits its threads between producers (filter/projection +
 // hash-partitioning, the paper's sender half) and consumers (the window
-// operator over co-partitioned local state, the receiver half). Every
-// producer thread owns one RDMA channel to every consumer thread —
+// operator over co-partitioned local state, the receiver half). Both halves
+// are package repart's, shared with flinksim; this package supplies the
+// transport. Every producer thread owns one RDMA channel to every consumer
+// thread on another node and an SPSC ring to every one on its own —
 // records are serialized into per-destination batches selected by key hash,
 // so the partitioning work (hashing, branching, data-dependent writes into
 // fan-out buffers) sits on the critical per-record path. That is the cost
@@ -14,19 +16,15 @@
 package uppar
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/slash-stream/slash/internal/channel"
 	"github.com/slash-stream/slash/internal/core"
-	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/rdma"
-	"github.com/slash-stream/slash/internal/ssb"
-	"github.com/slash-stream/slash/internal/stream"
+	"github.com/slash-stream/slash/internal/repart"
 )
 
 // Config describes an RDMA UpPar deployment.
@@ -46,25 +44,24 @@ type Config struct {
 	FlushRecords int
 }
 
-func (c *Config) fill() error {
-	if c.Nodes < 1 || c.ProducersPerNode < 1 || c.ConsumersPerNode < 1 {
-		return fmt.Errorf("uppar: invalid shape %d nodes, %d producers, %d consumers",
-			c.Nodes, c.ProducersPerNode, c.ConsumersPerNode)
-	}
+func (c *Config) fill() {
 	if c.FlushRecords == 0 {
 		c.FlushRecords = 16384
 	}
-	return nil
+	if c.Channel.Credits == 0 {
+		c.Channel.Credits = channel.DefaultCredits
+	}
+	if c.Channel.SlotSize == 0 {
+		c.Channel.SlotSize = channel.DefaultSlotSize
+	}
 }
 
 // exchange is a point-to-point batch transport: an RDMA channel across
 // nodes, or an SPSC ring within a node (intra-node traffic does not cross
 // the NIC).
 type exchange interface {
-	// acquire returns a writable data region, or false if no slot is free.
-	acquire() ([]byte, bool)
-	// post publishes the acquired region's first used bytes.
-	post(used int) error
+	// Acquire and Post are the producer side (repart.Output).
+	repart.Output
 	// poll returns the next inbound batch, or false if none is ready.
 	poll() ([]byte, bool)
 	// release returns the polled batch's slot (FIFO order).
@@ -83,7 +80,7 @@ type rdmaExchange struct {
 	rb   *channel.RecvBuffer
 }
 
-func (e *rdmaExchange) acquire() ([]byte, bool) {
+func (e *rdmaExchange) Acquire() ([]byte, bool) {
 	sb, ok := e.prod.TryAcquire()
 	if !ok {
 		return nil, false
@@ -92,7 +89,7 @@ func (e *rdmaExchange) acquire() ([]byte, bool) {
 	return sb.Data, true
 }
 
-func (e *rdmaExchange) post(used int) error {
+func (e *rdmaExchange) Post(used int) error {
 	sb := e.sb
 	e.sb = nil
 	return e.prod.Post(sb, used)
@@ -139,7 +136,7 @@ func newLocalExchange(slots, slotSize int) *localExchange {
 	return e
 }
 
-func (e *localExchange) acquire() ([]byte, bool) {
+func (e *localExchange) Acquire() ([]byte, bool) {
 	if e.closed.Load() {
 		return nil, false
 	}
@@ -149,7 +146,7 @@ func (e *localExchange) acquire() ([]byte, bool) {
 	return e.slots[e.posted.Load()%uint64(len(e.slots))], true
 }
 
-func (e *localExchange) post(used int) error {
+func (e *localExchange) Post(used int) error {
 	if e.closed.Load() {
 		return channel.ErrClosed
 	}
@@ -179,436 +176,118 @@ func (e *localExchange) close() { e.closed.Store(true) }
 // Run executes query q under the UpPar model. flows is indexed
 // [node][producer]. Results stream into sink (nil discards).
 func Run(cfg Config, q *core.Query, flows [][]core.Flow, sink core.Sink) (*core.Report, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+	cfg.fill()
+	plan := repart.Plan{
+		Name:  "uppar",
+		Nodes: cfg.Nodes, ProducersPerNode: cfg.ProducersPerNode, ConsumersPerNode: cfg.ConsumersPerNode,
+		FlushRecords: cfg.FlushRecords,
+		BatchBytes:   cfg.Channel.SlotSize - channel.FooterSize,
 	}
-	if err := q.ValidateOperators(); err != nil {
-		return nil, err
-	}
-	if len(flows) != cfg.Nodes {
-		return nil, fmt.Errorf("uppar: %d flow groups for %d nodes", len(flows), cfg.Nodes)
-	}
-	for i := range flows {
-		if len(flows[i]) != cfg.ProducersPerNode {
-			return nil, fmt.Errorf("uppar: node %d has %d flows, want %d", i, len(flows[i]), cfg.ProducersPerNode)
-		}
-	}
-	if sink == nil {
-		sink = &core.CountingSink{}
-	}
-	chCfg := cfg.Channel
-	if err := checkSlot(&chCfg, q.Codec); err != nil {
+	if err := plan.Check(q, flows); err != nil {
 		return nil, err
 	}
 
 	fabric := rdma.NewFabric(cfg.Fabric)
-	nics := make([]*rdma.NIC, cfg.Nodes)
-	for i := range nics {
-		nics[i] = fabric.MustNIC(fmt.Sprintf("node%d", i))
+	t := &transport{ctl: &repart.Ctl{}, nics: make([]*rdma.NIC, cfg.Nodes)}
+	for i := range t.nics {
+		t.nics[i] = fabric.MustNIC(fmt.Sprintf("node%d", i))
 	}
-
 	nProd := cfg.Nodes * cfg.ProducersPerNode
 	nCons := cfg.Nodes * cfg.ConsumersPerNode
 	// exch[p][c] connects producer thread p to consumer thread c.
-	exch := make([][]exchange, nProd)
-	var all []exchange
+	t.exch = make([][]exchange, nProd)
+	defer t.close()
 	for p := 0; p < nProd; p++ {
-		exch[p] = make([]exchange, nCons)
+		t.exch[p] = make([]exchange, nCons)
 		pNode := p / cfg.ProducersPerNode
 		for c := 0; c < nCons; c++ {
 			cNode := c / cfg.ConsumersPerNode
 			if pNode == cNode {
-				exch[p][c] = newLocalExchange(chCfg.Credits, chCfg.SlotSize)
-			} else {
-				prod, cons, err := channel.New(nics[pNode], nics[cNode], chCfg)
-				if err != nil {
-					return nil, fmt.Errorf("uppar: channel %d->%d: %w", p, c, err)
-				}
-				exch[p][c] = &rdmaExchange{prod: prod, cons: cons}
-			}
-			all = append(all, exch[p][c])
-		}
-	}
-	defer func() {
-		for _, e := range all {
-			e.close()
-		}
-	}()
-
-	run := &runCtl{}
-	run.closeAll = func() {
-		for _, e := range all {
-			e.close()
-		}
-	}
-
-	var records, updates atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-
-	// Consumers: the window-operator half.
-	for c := 0; c < nCons; c++ {
-		inbound := make([]exchange, nProd)
-		for p := 0; p < nProd; p++ {
-			inbound[p] = exch[p][c]
-		}
-		wg.Add(1)
-		go func(cid int, inbound []exchange) {
-			defer wg.Done()
-			runConsumer(run, q, cid, inbound, sink, &updates)
-		}(c, inbound)
-	}
-
-	// Producers: the partitioning half.
-	for p := 0; p < nProd; p++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			node := pid / cfg.ProducersPerNode
-			local := pid % cfg.ProducersPerNode
-			runProducer(run, cfg, q, pid, flows[node][local], exch[pid], &records)
-		}(p)
-	}
-
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := run.err(); err != nil {
-		return nil, err
-	}
-	rep := &core.Report{
-		Query:   q.Name,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.ProducersPerNode + cfg.ConsumersPerNode,
-		Records: records.Load(),
-		Updates: updates.Load(),
-		Elapsed: elapsed,
-	}
-	if elapsed > 0 {
-		rep.RecordsPerSec = float64(rep.Records) / elapsed.Seconds()
-	}
-	for _, nic := range nics {
-		s := nic.Stats()
-		rep.NetTxBytes += s.TxBytes
-		rep.NetTxMsgs += s.TxMsgs
-	}
-	return rep, nil
-}
-
-func checkSlot(chCfg *channel.Config, codec stream.Codec) error {
-	if chCfg.Credits == 0 {
-		chCfg.Credits = channel.DefaultCredits
-	}
-	if chCfg.SlotSize == 0 {
-		chCfg.SlotSize = channel.DefaultSlotSize
-	}
-	need := channel.FooterSize + stream.BatchHeaderSize + codec.Size()
-	if chCfg.SlotSize < need {
-		return fmt.Errorf("uppar: slot size %d cannot hold one record batch (%d)", chCfg.SlotSize, need)
-	}
-	return nil
-}
-
-// runCtl propagates the first error and tears the exchanges down so
-// spinning producers exit.
-type runCtl struct {
-	once     sync.Once
-	val      atomic.Value
-	closeAll func()
-	stopped  atomic.Bool
-}
-
-func (r *runCtl) fail(err error) {
-	r.once.Do(func() {
-		r.val.Store(err)
-		r.stopped.Store(true)
-		if r.closeAll != nil {
-			r.closeAll()
-		}
-	})
-}
-
-func (r *runCtl) err() error {
-	if v := r.val.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
-}
-
-// openBatch is a partially filled per-destination buffer on the producer.
-type openBatch struct {
-	w    *stream.BatchWriter
-	open bool
-}
-
-// runProducer reads the flow, applies filter/map, and hash-partitions
-// records into per-consumer batches — the per-record work whose cost the
-// paper's drill-down attributes UpPar's front-end stalls to (§8.3.3).
-func runProducer(run *runCtl, cfg Config, q *core.Query, pid int, flow core.Flow, outs []exchange, records *atomic.Int64) {
-	nCons := len(outs)
-	batches := make([]openBatch, nCons)
-	wm := stream.NoWatermark
-	var rec stream.Record
-	var local int64
-	sinceFlush := 0
-
-	ensure := func(dest int) (*stream.BatchWriter, error) {
-		b := &batches[dest]
-		if b.open {
-			return b.w, nil
-		}
-		for {
-			if run.stopped.Load() {
-				return nil, errStopped
-			}
-			data, ok := outs[dest].acquire()
-			if ok {
-				w, err := stream.NewBatchWriter(data, q.Codec)
-				if err != nil {
-					return nil, err
-				}
-				b.w = w
-				b.open = true
-				return w, nil
-			}
-			runtime.Gosched()
-		}
-	}
-	flush := func(dest int) error {
-		b := &batches[dest]
-		if !b.open || b.w.Len() == 0 {
-			return nil
-		}
-		used := b.w.FinishData(wm)
-		b.open = false
-		return outs[dest].post(used)
-	}
-	flushAll := func() error {
-		for d := range batches {
-			if err := flush(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for {
-		if run.stopped.Load() {
-			return
-		}
-		if !flow.Next(&rec) {
-			break
-		}
-		local++
-		sinceFlush++
-		if rec.Time > wm {
-			wm = rec.Time
-		}
-		if q.Filter != nil && !q.Filter(&rec) {
-			continue
-		}
-		if q.Map != nil {
-			q.Map(&rec)
-		}
-		// The data-dependent destination select: this branch plus the
-		// scattered fan-out buffer write is the partitioning cost.
-		dest := int(hash64(rec.Key) % uint64(nCons))
-		w, err := ensure(dest)
-		if err != nil {
-			if !errors.Is(err, errStopped) {
-				run.fail(err)
-			}
-			return
-		}
-		if err := w.Append(&rec); err != nil {
-			if errors.Is(err, stream.ErrBatchFull) {
-				if err := flush(dest); err != nil {
-					run.fail(err)
-					return
-				}
-				w, err = ensure(dest)
-				if err == nil {
-					err = w.Append(&rec)
-				}
-			}
-			if err != nil && !errors.Is(err, errStopped) {
-				run.fail(err)
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-		if sinceFlush >= cfg.FlushRecords {
-			sinceFlush = 0
-			if err := flushAll(); err != nil {
-				run.fail(err)
-				return
-			}
-		}
-	}
-	records.Add(local)
-	if err := flushAll(); err != nil {
-		run.fail(err)
-		return
-	}
-	// End-of-stream tokens let consumers treat this source as fully
-	// progressed.
-	for dest := range outs {
-		for {
-			if run.stopped.Load() {
-				return
-			}
-			data, ok := outs[dest].acquire()
-			if !ok {
-				runtime.Gosched()
+				t.exch[p][c] = newLocalExchange(cfg.Channel.Credits, cfg.Channel.SlotSize)
 				continue
 			}
-			w, err := stream.NewBatchWriter(data, q.Codec)
+			prod, cons, err := channel.New(t.nics[pNode], t.nics[cNode], cfg.Channel)
 			if err != nil {
-				run.fail(err)
-				return
+				return nil, fmt.Errorf("uppar: channel %d->%d: %w", p, c, err)
 			}
-			used := w.FinishEnd(wm)
-			if err := outs[dest].post(used); err != nil {
-				run.fail(err)
-				return
+			t.exch[p][c] = &rdmaExchange{prod: prod, cons: cons}
+		}
+	}
+	t.ctl.OnStop = t.close
+	return repart.Run(plan, t.ctl, q, flows, sink, t)
+}
+
+// transport is the RDMA re-partitioning exchange: every producer thread
+// owns one exchange to every consumer thread.
+type transport struct {
+	ctl  *repart.Ctl
+	nics []*rdma.NIC
+	exch [][]exchange // [producer][consumer]
+}
+
+func (t *transport) close() {
+	for _, row := range t.exch {
+		for _, e := range row {
+			if e != nil {
+				e.close()
 			}
-			break
 		}
 	}
 }
 
-var errStopped = errors.New("uppar: stopped")
+func (t *transport) Output(pid, cid int) repart.Output { return t.exch[pid][cid] }
 
-// runConsumer is one window-operator thread: it polls its fan-in of
-// exchanges (§8.3.3's "receivers poll on multiple RDMA channels"), applies
-// stateful updates to co-partitioned local state, and triggers windows when
-// every source's watermark passes their end.
-func runConsumer(run *runCtl, q *core.Query, cid int, inbound []exchange, sink core.Sink, updates *atomic.Int64) {
-	srcWM := make([]stream.Watermark, len(inbound))
-	ended := make([]bool, len(inbound))
-	for i := range srcWM {
-		srcWM[i] = stream.NoWatermark
-	}
-	state := map[uint64]*ssb.Table{}
-	newTable := func() *ssb.Table {
-		if q.Agg != nil {
-			return ssb.NewAggTable(q.Agg)
-		}
-		return ssb.NewBagTable()
-	}
-	var wins []uint64
-	var rec stream.Record
-	var local int64
-	var sides ssb.SideCounter // one for every window this task fires
+// Start has nothing to launch: producers post and consumers poll directly.
+func (t *transport) Start(*sync.WaitGroup) {}
 
-	minWM := func() stream.Watermark {
-		m := stream.Watermark(1<<63 - 1)
-		for i := range srcWM {
-			if !ended[i] && srcWM[i] < m {
-				m = srcWM[i]
-			}
-		}
-		return m
-	}
-	trigger := func(now stream.Watermark) {
-		for win, tbl := range state {
-			if q.Window.End(win) > now {
-				continue
-			}
-			if q.Agg != nil {
-				agg := q.Agg
-				tbl.ForEachAgg(func(key uint64, st []byte) {
-					sink.EmitAgg(cid, win, key, agg.Result(st))
-				})
-			} else {
-				sides.Count(tbl, func(key uint64, left, right int) {
-					sink.EmitJoin(cid, win, key, left, right)
-				})
-			}
-			tbl.Reset() // returns a bag table's segments to the free list
-			delete(state, win)
-		}
-	}
+// NodeDone has nothing to release: each exchange ends with its end token.
+func (t *transport) NodeDone(int) {}
 
-	remaining := len(inbound)
-	for remaining > 0 {
-		if run.stopped.Load() {
+// Consume polls the consumer's fan-in of exchanges (§8.3.3's "receivers
+// poll on multiple RDMA channels") and fires after every round that made
+// progress.
+func (t *transport) Consume(cid int, op *repart.Operator) {
+	for !op.Done() {
+		if t.ctl.Stopped() {
 			return
 		}
 		progress := false
-		for i, ex := range inbound {
-			if ended[i] {
+		for src := range t.exch {
+			if op.Ended(src) {
 				continue
 			}
+			ex := t.exch[src][cid]
 			data, ok := ex.poll()
 			if !ok {
 				if err := ex.err(); err != nil {
-					run.fail(err)
+					t.ctl.Fail(err)
 					return
 				}
 				continue
 			}
 			progress = true
-			r, err := stream.NewBatchReader(data, q.Codec)
-			if err != nil {
-				run.fail(err)
+			if err := op.Apply(src, data); err != nil {
+				t.ctl.Fail(err)
 				return
 			}
-			switch r.Kind() {
-			case stream.KindEnd:
-				ended[i] = true
-				remaining--
-			default:
-				if r.Watermark() > srcWM[i] {
-					srcWM[i] = r.Watermark()
-				}
-				for r.Next(&rec) {
-					wins = q.Window.Assign(rec.Time, wins[:0])
-					for _, win := range wins {
-						tbl := state[win]
-						if tbl == nil {
-							tbl = newTable()
-							state[win] = tbl
-						}
-						var err error
-						if q.Agg != nil {
-							err = tbl.UpdateAgg(&rec)
-						} else {
-							e := crdt.BagFromRecord(&rec, q.JoinSide(&rec))
-							err = tbl.AppendBag(rec.Key, &e)
-						}
-						if err != nil {
-							run.fail(err)
-							return
-						}
-						local++
-					}
-				}
-			}
 			if err := ex.release(); err != nil {
-				run.fail(err)
+				t.ctl.Fail(err)
 				return
 			}
 		}
 		if progress {
-			trigger(minWM())
+			op.Fire()
 		} else {
 			runtime.Gosched()
 		}
 	}
-	// All sources ended: everything pending can fire.
-	trigger(stream.Watermark(1<<63 - 1))
-	updates.Add(local)
 }
 
-// hash64 is the partitioning hash (same mixer the SSB uses, so key
-// distributions compare fairly across systems).
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+func (t *transport) Sent() (bytes, msgs int64) {
+	for _, nic := range t.nics {
+		s := nic.Stats()
+		bytes += s.TxBytes
+		msgs += s.TxMsgs
+	}
+	return bytes, msgs
 }
