@@ -165,7 +165,6 @@ func main() {
 		cfg.Recovery = &core.RecoveryOptions{
 			Store:             store,
 			CheckpointCommits: o.ckptIval,
-			AutoRestart:       true,
 		}
 		ival := o.ckptIval
 		if ival <= 0 {

@@ -169,10 +169,10 @@ func TestElasticJoinPreemptedByRestart(t *testing.T) {
 		append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...),
 		append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...),
 	}
-	joiners := func() [][]Flow { return [][]Flow{{NewSliceFlow(phaseB[2])}, {NewSliceFlow(phaseB[3])}} }
+	joiners := func() [][]Flow { return [][]Flow{{NewColumnarFlow(phaseB[2])}, {NewColumnarFlow(phaseB[3])}} }
 
 	staticCol := &Collector{}
-	staticFlows := append([][]Flow{{NewSliceFlow(stay[0])}, {NewSliceFlow(stay[1])}}, joiners()...)
+	staticFlows := append([][]Flow{{NewColumnarFlow(stay[0])}, {NewColumnarFlow(stay[1])}}, joiners()...)
 	if _, err := Run(smallConfig(4, 1), mkQuery(), staticFlows, staticCol); err != nil {
 		t.Fatalf("static run: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestElasticJoinPreemptedByRestart(t *testing.T) {
 	// No byte-volume flushes: each source reaches the fence holding the
 	// fragment of its last phase-A window, which the barrier must flush.
 	cfg.EpochBytes = 1 << 30
-	gates := []*GatedFlow{NewGatedFlow(stay[0], 5*winSize), NewGatedFlow(stay[1], 5*winSize)}
+	gates := []*ColumnarFlow{NewColumnarFlow(stay[0], 5*winSize), NewColumnarFlow(stay[1], 5*winSize)}
 	col := &Collector{}
 	c, err := NewController(cfg, mkQuery(), [][]Flow{{gates[0]}, {gates[1]}}, col)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestElasticJoinPreemptedByRestart(t *testing.T) {
 	// Kill link 0->1 under node 0: its barrier flush fails at the first send
 	// and parks until a restart rebuilds the link.
 	c.mu.Lock()
-	c.producers[0][1].Close()
+	c.senders[0][1].prod.Close()
 	c.mu.Unlock()
 	joined := make(chan error, 1)
 	go func() {

@@ -132,11 +132,11 @@ func TestBatchPathElasticJoinMatchesOracle(t *testing.T) {
 
 	cfg := smallConfig(4, 1)
 	cfg.MaxNodes = 8
-	gates := make([]*GatedFlow, 4)
+	gates := make([]*ColumnarFlow, 4)
 	initial := make([][]Flow, 4)
 	for i := range gates {
 		recs := append(append([]stream.Record(nil), phaseA[i]...), phaseB[i]...)
-		gates[i] = NewGatedFlow(recs, 5*winSize)
+		gates[i] = NewColumnarFlow(recs, 5*winSize)
 		initial[i] = []Flow{gates[i]}
 	}
 	q := &Query{Name: "diff-elastic", Codec: testCodec, Window: win, Agg: crdt.Sum{}}

@@ -36,7 +36,7 @@ func genFlows(rng *rand.Rand, nodes, threads, recsPerFlow, keyRange int) ([][]Fl
 				}
 			}
 			all = append(all, recs...)
-			flows[n][th] = NewSliceFlow(recs)
+			flows[n][th] = NewColumnarFlow(recs)
 		}
 	}
 	return flows, all
@@ -62,7 +62,7 @@ func TestQueryValidation(t *testing.T) {
 		{Query{Codec: testCodec, Window: win, Agg: crdt.Sum{}, JoinSide: func(*stream.Record) uint8 { return 0 }}, ErrBothStateful},
 	}
 	for i, c := range cases {
-		flows := [][]Flow{{NewSliceFlow(nil)}}
+		flows := [][]Flow{{NewColumnarFlow(nil)}}
 		_, err := Run(smallConfig(1, 1), &c.q, flows, nil)
 		if !errors.Is(err, c.want) {
 			t.Fatalf("case %d: err = %v, want %v", i, err, c.want)
@@ -73,10 +73,10 @@ func TestQueryValidation(t *testing.T) {
 func TestRunValidatesFlowShape(t *testing.T) {
 	win, _ := window.NewTumbling(100)
 	q := &Query{Name: "q", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	if _, err := Run(smallConfig(2, 1), q, [][]Flow{{NewSliceFlow(nil)}}, nil); err == nil {
+	if _, err := Run(smallConfig(2, 1), q, [][]Flow{{NewColumnarFlow(nil)}}, nil); err == nil {
 		t.Fatal("wrong node count accepted")
 	}
-	if _, err := Run(smallConfig(1, 2), q, [][]Flow{{NewSliceFlow(nil)}}, nil); err == nil {
+	if _, err := Run(smallConfig(1, 2), q, [][]Flow{{NewColumnarFlow(nil)}}, nil); err == nil {
 		t.Fatal("wrong thread count accepted")
 	}
 }
@@ -324,7 +324,7 @@ func diffAggRows(rows []AggResult, oracle map[uint64]map[uint64]int64) string {
 func TestEmptyFlows(t *testing.T) {
 	win, _ := window.NewTumbling(100)
 	q := &Query{Name: "empty", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	flows := [][]Flow{{NewSliceFlow(nil)}, {NewSliceFlow(nil)}}
+	flows := [][]Flow{{NewColumnarFlow(nil)}, {NewColumnarFlow(nil)}}
 	col := &Collector{}
 	rep, err := Run(smallConfig(2, 1), q, flows, col)
 	if err != nil {

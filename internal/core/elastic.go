@@ -122,9 +122,8 @@ type Controller struct {
 
 	mu        sync.Mutex
 	nics      []*rdma.NIC
-	producers [][]channel.SendPort // [src][dst]
-	senders   [][]*chanSender      // [src][dst]
-	consumers [][]consEntry        // by receiving node, for teardown and recovery unwiring
+	senders   [][]*chanSender // [src][dst]
+	consumers [][]consEntry   // by receiving node, for teardown and recovery unwiring
 	backends  []*ssb.Backend
 	sources   [][]*sourceTask // by node
 	merges    []*mergeTask    // by node
@@ -208,7 +207,6 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		pmap:      ssb.StaticPartitionMap(cfg.Nodes),
 		pool:      sched.NewPool(0),
 		nics:      make([]*rdma.NIC, cfg.MaxNodes),
-		producers: make([][]channel.SendPort, cfg.MaxNodes),
 		senders:   make([][]*chanSender, cfg.MaxNodes),
 		consumers: make([][]consEntry, cfg.MaxNodes),
 		backends:  make([]*ssb.Backend, cfg.MaxNodes),
@@ -218,8 +216,7 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		nodeInc:   make([]int, cfg.MaxNodes),
 		retiring:  map[int]*retireBatch{},
 	}
-	for i := range c.producers {
-		c.producers[i] = make([]channel.SendPort, cfg.MaxNodes)
+	for i := range c.senders {
 		c.senders[i] = make([]*chanSender, cfg.MaxNodes)
 	}
 	if cfg.Trunk != nil {
@@ -384,14 +381,14 @@ func (c *Controller) wirePair(x, m int) (inbound, error) {
 		return inbound{}, fmt.Errorf("core: channel %d->%d: %w", m, x, err)
 	}
 	if toM != nil {
-		c.producers[x][m], c.senders[x][m] = toM, c.newSender(x, m, toM)
+		c.senders[x][m] = c.newSender(x, m, toM)
 	}
 	if fromX != nil {
 		c.consumers[m] = append(c.consumers[m], consEntry{src: x, cons: fromX})
 		c.merges[m].AddInbound(inbound{src: x, inc: c.nodeInc[x], cons: fromX})
 	}
 	if toX != nil {
-		c.producers[m][x], c.senders[m][x] = toX, c.newSender(m, x, toX)
+		c.senders[m][x] = c.newSender(m, x, toX)
 		c.backends[m].SetSender(x, c.senders[m][x])
 	}
 	in := inbound{src: m, inc: c.nodeInc[m], cons: fromM}
@@ -732,10 +729,10 @@ func (c *Controller) Teardown() (*Report, error) {
 func (c *Controller) closeProducers() {
 	c.mu.Lock()
 	var ps []channel.SendPort
-	for _, row := range c.producers {
-		for _, p := range row {
-			if p != nil {
-				ps = append(ps, p)
+	for _, row := range c.senders {
+		for _, s := range row {
+			if s != nil {
+				ps = append(ps, s.prod)
 			}
 		}
 	}

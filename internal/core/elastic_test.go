@@ -88,10 +88,10 @@ func TestElasticScaleOutMatchesStatic(t *testing.T) {
 	// Static baseline at the final size.
 	staticCol := &Collector{}
 	staticFlows := [][]Flow{
-		{NewSliceFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...))},
-		{NewSliceFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...))},
-		{NewSliceFlow(phaseB[2])},
-		{NewSliceFlow(phaseB[3])},
+		{NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...))},
+		{NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...))},
+		{NewColumnarFlow(phaseB[2])},
+		{NewColumnarFlow(phaseB[3])},
 	}
 	if _, err := Run(smallConfig(4, 1), mkQuery(), staticFlows, staticCol); err != nil {
 		t.Fatalf("static run: %v", err)
@@ -100,9 +100,9 @@ func TestElasticScaleOutMatchesStatic(t *testing.T) {
 	// Elastic run: 2 nodes ingest phase A, join 2 more at the boundary.
 	cfg := smallConfig(2, 1)
 	cfg.MaxNodes = 4
-	gates := []*GatedFlow{
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
+	gates := []*ColumnarFlow{
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
 	}
 	col := &Collector{}
 	c, err := NewController(cfg, mkQuery(), [][]Flow{{gates[0]}, {gates[1]}}, col)
@@ -111,7 +111,7 @@ func TestElasticScaleOutMatchesStatic(t *testing.T) {
 	}
 	c.Start()
 	waitFor(t, "phase A drained", func() bool { return gates[0].AtFence(0) && gates[1].AtFence(0) })
-	ids, err := c.AddNodes([][]Flow{{NewSliceFlow(phaseB[2])}, {NewSliceFlow(phaseB[3])}}, AutoCutover)
+	ids, err := c.AddNodes([][]Flow{{NewColumnarFlow(phaseB[2])}, {NewColumnarFlow(phaseB[3])}}, AutoCutover)
 	if err != nil {
 		t.Fatalf("AddNodes: %v", err)
 	}
@@ -168,24 +168,24 @@ func TestElasticScaleInMatchesStatic(t *testing.T) {
 
 	staticCol := &Collector{}
 	staticFlows := [][]Flow{
-		{NewSliceFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...))},
-		{NewSliceFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...))},
-		{NewSliceFlow(phaseA[2])},
-		{NewSliceFlow(phaseA[3])},
+		{NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...))},
+		{NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...))},
+		{NewColumnarFlow(phaseA[2])},
+		{NewColumnarFlow(phaseA[3])},
 	}
 	if _, err := Run(smallConfig(4, 1), mkQuery(), staticFlows, staticCol); err != nil {
 		t.Fatalf("static run: %v", err)
 	}
 
-	gates := []*GatedFlow{
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
+	gates := []*ColumnarFlow{
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
 	}
 	elasticFlows := [][]Flow{
 		{gates[0]},
 		{gates[1]},
-		{NewSliceFlow(phaseA[2])},
-		{NewSliceFlow(phaseA[3])},
+		{NewColumnarFlow(phaseA[2])},
+		{NewColumnarFlow(phaseA[3])},
 	}
 	col := &Collector{}
 	c, err := NewController(smallConfig(4, 1), mkQuery(), elasticFlows, col)
@@ -242,9 +242,9 @@ func TestReconfigErrors(t *testing.T) {
 	cfg.MaxNodes = 3
 	// A phase-B tail behind the fence keeps the sources alive (a gated flow
 	// with nothing fenced simply ends).
-	gates := []*GatedFlow{
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
+	gates := []*ColumnarFlow{
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
 	}
 	col := &Collector{}
 	c, err := NewController(cfg, q, [][]Flow{{gates[0]}, {gates[1]}}, col)
@@ -252,7 +252,7 @@ func TestReconfigErrors(t *testing.T) {
 		t.Fatalf("NewController: %v", err)
 	}
 
-	if _, err := c.AddNodes([][]Flow{{NewSliceFlow(nil)}}, AutoCutover); !errors.Is(err, ErrNotRunning) {
+	if _, err := c.AddNodes([][]Flow{{NewColumnarFlow(nil)}}, AutoCutover); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("AddNodes before Start: %v", err)
 	}
 	if err := c.RemoveNodes([]int{1}, AutoCutover); !errors.Is(err, ErrNotRunning) {
@@ -262,7 +262,7 @@ func TestReconfigErrors(t *testing.T) {
 	c.Start()
 	waitFor(t, "phase A drained", func() bool { return gates[0].AtFence(0) && gates[1].AtFence(0) })
 
-	if _, err := c.AddNodes([][]Flow{{NewSliceFlow(nil)}}, 1); !errors.Is(err, ErrCutoverInPast) {
+	if _, err := c.AddNodes([][]Flow{{NewColumnarFlow(nil)}}, 1); !errors.Is(err, ErrCutoverInPast) {
 		t.Fatalf("AddNodes cutover into owned window: %v", err)
 	}
 	if err := c.RemoveNodes([]int{1}, AutoCutover); !errors.Is(err, ErrSourcesActive) {
@@ -271,14 +271,14 @@ func TestReconfigErrors(t *testing.T) {
 	if err := c.RemoveNodes([]int{7}, AutoCutover); err == nil || !strings.Contains(err.Error(), "active set") {
 		t.Fatalf("RemoveNodes unknown node: %v", err)
 	}
-	if _, err := c.AddNodes([][]Flow{{NewSliceFlow(nil)}, {NewSliceFlow(nil)}}, AutoCutover); !errors.Is(err, ErrCapacity) {
+	if _, err := c.AddNodes([][]Flow{{NewColumnarFlow(nil)}, {NewColumnarFlow(nil)}}, AutoCutover); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("AddNodes beyond capacity: %v", err)
 	}
-	ids, err := c.AddNodes([][]Flow{{NewSliceFlow(nil)}}, AutoCutover)
+	ids, err := c.AddNodes([][]Flow{{NewColumnarFlow(nil)}}, AutoCutover)
 	if err != nil || !reflect.DeepEqual(ids, []int{2}) {
 		t.Fatalf("AddNodes within capacity: ids=%v err=%v", ids, err)
 	}
-	if _, err := c.AddNodes([][]Flow{{NewSliceFlow(nil)}}, AutoCutover); !errors.Is(err, ErrCapacity) {
+	if _, err := c.AddNodes([][]Flow{{NewColumnarFlow(nil)}}, AutoCutover); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("AddNodes at capacity: %v", err)
 	}
 

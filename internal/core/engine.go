@@ -120,10 +120,6 @@ type RecoveryOptions struct {
 	// last checkpoint, the merge task writes one and lets the controller
 	// prune its replay rings. Defaults to 32.
 	CheckpointCommits int
-	// AutoRestart lets the failure manager restart the voted suspect on its
-	// own. When false, link failures still route to the manager but fail the
-	// run (operators can only restart via RestartNode before that).
-	AutoRestart bool
 }
 
 func (o *RecoveryOptions) fill() error {

@@ -161,7 +161,7 @@ func TestMonotonicTimestampsNotRequiredAcrossFlows(t *testing.T) {
 		early[i] = stream.Record{Key: uint64(i % 5), Time: int64(i), V0: 1}
 		late[i] = stream.Record{Key: uint64(i % 5), Time: int64(i) + 100_000, V0: 1}
 	}
-	flows := [][]Flow{{NewSliceFlow(early)}, {NewSliceFlow(late)}}
+	flows := [][]Flow{{NewColumnarFlow(early)}, {NewColumnarFlow(late)}}
 	win, _ := window.NewTumbling(100)
 	q := &Query{Name: "skewed-time", Codec: testCodec, Window: win, Agg: crdt.Count{}}
 	col := &Collector{}

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"github.com/slash-stream/slash/internal/stream"
 )
 
 // BatchFlow is the columnar form of Flow: a source that fills a
 // structure-of-arrays record batch per call instead of producing one record
 // per virtual call. The deterministic generators in internal/workload and
-// the materialized replay flows implement it natively; every other Flow is
-// adapted (see batchFlowFor), so the engine's hot loop is batch-shaped
-// either way — the same operator pipeline runs identically in stream mode
-// and in replay/catch-up mode.
+// the materialized replay flow (ColumnarFlow) implement it natively; every
+// other Flow is adapted (see batchFlowFor), so the engine's hot loop is
+// batch-shaped either way — the same operator pipeline runs identically in
+// stream mode and in replay/catch-up mode.
 type BatchFlow interface {
 	Flow
 	// Batch appends up to rb.Free() records to rb and reports whether the
@@ -60,23 +63,39 @@ func (a *flowBatchAdapter) Batch(rb *stream.RecordBatch) bool {
 }
 
 // ColumnarFlow replays pre-generated records from structure-of-arrays
-// columns: the batch-native materialized source (the harness pre-generates
-// datasets into it, §8.2.1). Batch fills are four column copies; Next serves
-// engines that still read record-at-a-time.
+// columns (the paper streams pre-generated data from main memory, §8.2.1).
+// It is the one replay flow: the harnesses, the benchmark and the public
+// API all materialize datasets into it. Batch fills append column slices;
+// Next serves engines that still read record-at-a-time.
+//
+// A flow built with fence timestamps is gated: records with Time >=
+// fences[k] wait until Open has been called k+1 times. Fencing a
+// deployment's flows at a phase boundary pins where a reconfiguration
+// cutover lands (see AutoCutover) without coordinating clocks: the sources
+// drain phase k, park (Ready is false), the controller reconfigures at the
+// barrier, then Open releases phase k+1. Next ignores fences; a gated flow
+// is drained through Batch, which reads the fence stage once per fill.
 type ColumnarFlow struct {
 	keys   []uint64
 	times  []int64
 	v0, v1 []int64
-	pos    int
+	pos    int // next record; owned by the consuming goroutine
+
+	fences  []int64
+	stage   atomic.Int32 // fences opened so far
+	drained atomic.Int64 // pos as of the last fenced Batch or Rewind, for AtFence
 }
 
 // NewColumnarFlow transposes recs into columns once, at materialize time.
-func NewColumnarFlow(recs []stream.Record) *ColumnarFlow {
+// recs' timestamps must be non-decreasing, as for every Flow; fences, if
+// any, must be increasing.
+func NewColumnarFlow(recs []stream.Record, fences ...int64) *ColumnarFlow {
 	f := &ColumnarFlow{
-		keys:  make([]uint64, len(recs)),
-		times: make([]int64, len(recs)),
-		v0:    make([]int64, len(recs)),
-		v1:    make([]int64, len(recs)),
+		keys:   make([]uint64, len(recs)),
+		times:  make([]int64, len(recs)),
+		v0:     make([]int64, len(recs)),
+		v1:     make([]int64, len(recs)),
+		fences: fences,
 	}
 	for i := range recs {
 		f.keys[i] = recs[i].Key
@@ -90,12 +109,13 @@ func NewColumnarFlow(recs []stream.Record) *ColumnarFlow {
 // Len returns the total record count.
 func (f *ColumnarFlow) Len() int { return len(f.keys) }
 
-// Clone returns a fresh flow over the same columns, positioned at the start.
-// Harnesses materialize a dataset once and replay clones across runs and
-// systems — the columns are read-only to every consumer (Batch copies into
-// the record batch; Next copies into the record).
+// Clone returns a fresh flow over the same columns and fences, positioned at
+// the start with no fence opened. Harnesses materialize a dataset once and
+// replay clones across runs and systems — the columns are read-only to
+// every consumer (Batch copies into the record batch; Next copies into the
+// record).
 func (f *ColumnarFlow) Clone() *ColumnarFlow {
-	return &ColumnarFlow{keys: f.keys, times: f.times, v0: f.v0, v1: f.v1}
+	return &ColumnarFlow{keys: f.keys, times: f.times, v0: f.v0, v1: f.v1, fences: f.fences}
 }
 
 // Next implements Flow.
@@ -112,60 +132,60 @@ func (f *ColumnarFlow) Next(rec *stream.Record) bool {
 	return true
 }
 
-// Batch implements BatchFlow.
+// Batch implements BatchFlow. A fenced fill cuts at the first record with
+// Time >= the current fence, found by binary search on the times column.
 func (f *ColumnarFlow) Batch(rb *stream.RecordBatch) bool {
-	n := len(f.keys)
-	if f.pos >= n {
+	n, p := len(f.times), f.pos
+	if p >= n {
 		return false
 	}
-	k := rb.Free()
-	if k > n-f.pos {
-		k = n - f.pos
-	}
-	rb.AppendColumns(f.keys[f.pos:f.pos+k], f.times[f.pos:f.pos+k], f.v0[f.pos:f.pos+k], f.v1[f.pos:f.pos+k])
-	f.pos += k
-	return f.pos < n
-}
-
-// Rewind implements RewindableFlow.
-func (f *ColumnarFlow) Rewind(consumed int64) {
-	if consumed < 0 {
-		consumed = 0
-	}
-	if consumed > int64(len(f.keys)) {
-		consumed = int64(len(f.keys))
-	}
-	f.pos = int(consumed)
-}
-
-// Batch implements BatchFlow for SliceFlow.
-func (f *SliceFlow) Batch(rb *stream.RecordBatch) bool {
-	n := len(f.recs)
-	for rb.Free() > 0 && f.pos < n {
-		rb.Append(&f.recs[f.pos])
-		f.pos++
-	}
-	return f.pos < n
-}
-
-// Batch implements BatchFlow for GatedFlow: the fill stops at the current
-// fence (a fence landing mid-batch truncates at precisely that record) and
-// reports exhaustion only when every record was delivered.
-func (g *GatedFlow) Batch(rb *stream.RecordBatch) bool {
-	p := g.pos.Load()
-	n := int64(len(g.recs))
-	s := int(g.stage.Load())
-	fenced := s < len(g.fences)
-	for rb.Free() > 0 && p < n {
-		r := &g.recs[p]
-		if fenced && r.Time >= g.fences[s] {
-			break
+	end := min(n, p+rb.Free())
+	if len(f.fences) > 0 {
+		if s := int(f.stage.Load()); s < len(f.fences) {
+			cut, _ := slices.BinarySearch(f.times[p:end], f.fences[s])
+			end = p + cut
 		}
-		rb.Append(r)
-		p++
 	}
-	g.pos.Store(p)
-	return p < n
+	rb.AppendColumns(f.keys[p:end], f.times[p:end], f.v0[p:end], f.v1[p:end])
+	f.pos = end
+	if len(f.fences) > 0 {
+		f.drained.Store(int64(end))
+	}
+	return end < n
+}
+
+// Rewind implements RewindableFlow. Fence stages are not rewound: recovery
+// replays records the run already released, so the flow's gating history
+// stays where the harness advanced it.
+func (f *ColumnarFlow) Rewind(consumed int64) {
+	f.pos = int(min(max(consumed, 0), int64(len(f.keys))))
+	if len(f.fences) > 0 {
+		f.drained.Store(int64(f.pos))
+	}
+}
+
+// Ready implements ReadyFlow: false while the next record is fenced.
+func (f *ColumnarFlow) Ready() bool {
+	if len(f.fences) == 0 || f.pos >= len(f.times) {
+		return true
+	}
+	s := int(f.stage.Load())
+	return s >= len(f.fences) || f.times[f.pos] < f.fences[s]
+}
+
+// Open releases the next fence. Safe to call from any goroutine.
+func (f *ColumnarFlow) Open() { f.stage.Add(1) }
+
+// AtFence reports whether the flow consumed everything below fence k
+// (0-based) and is parked on it. Harnesses poll it from any goroutine to
+// learn when a phase fully drained before reconfiguring; it reads the
+// position as of the last Batch or Rewind.
+func (f *ColumnarFlow) AtFence(k int) bool {
+	if k >= len(f.fences) || int(f.stage.Load()) != k {
+		return false
+	}
+	p := f.drained.Load()
+	return p >= int64(len(f.times)) || f.times[p] >= f.fences[k]
 }
 
 // runFilterBatch applies the query's filter over a batch, leaving rb.Sel

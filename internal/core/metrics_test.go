@@ -44,7 +44,7 @@ func testSourceStepMetricSkipsIdleSteps(t *testing.T) {
 	}
 	// Fence at the first timestamp: every record is withheld until Open, so
 	// the source can only take no-op Idle steps.
-	gate := NewGatedFlow(recs, 1)
+	gate := NewColumnarFlow(recs, 1)
 
 	reg := metrics.NewRegistry()
 	cfg := smallConfig(1, 1)

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/slash-stream/slash/internal/crdt"
 	"github.com/slash-stream/slash/internal/stream"
@@ -115,39 +114,6 @@ type RewindableFlow interface {
 	Rewind(consumed int64)
 }
 
-// SliceFlow replays a pre-generated record slice (the paper's methodology
-// streams pre-generated data from main memory, §8.2.1).
-type SliceFlow struct {
-	recs []stream.Record
-	pos  int
-}
-
-// NewSliceFlow wraps recs.
-func NewSliceFlow(recs []stream.Record) *SliceFlow {
-	return &SliceFlow{recs: recs}
-}
-
-// Next implements Flow.
-func (f *SliceFlow) Next(rec *stream.Record) bool {
-	if f.pos >= len(f.recs) {
-		return false
-	}
-	*rec = f.recs[f.pos]
-	f.pos++
-	return true
-}
-
-// Rewind implements RewindableFlow.
-func (f *SliceFlow) Rewind(consumed int64) {
-	if consumed < 0 {
-		consumed = 0
-	}
-	if consumed > int64(len(f.recs)) {
-		consumed = int64(len(f.recs))
-	}
-	f.pos = int(consumed)
-}
-
 // FuncFlow adapts a generator function to Flow.
 type FuncFlow func(rec *stream.Record) bool
 
@@ -157,79 +123,11 @@ func (f FuncFlow) Next(rec *stream.Record) bool { return f(rec) }
 // ReadyFlow is an optional Flow extension for flows that can be temporarily
 // out of records without being finished. A source task whose flow reports
 // !Ready() parks (scheduler Idle) instead of calling Next, so a gated flow
-// never ends the stream early. The elastic harness uses this to phase input
-// around reconfigurations.
+// never ends the stream early. The elastic and recovery harnesses phase
+// input around reconfigurations and restarts with fenced ColumnarFlows.
 type ReadyFlow interface {
 	Flow
 	// Ready reports whether Next can currently produce a record. A finished
 	// flow reports true: Next itself signals end of flow.
 	Ready() bool
-}
-
-// GatedFlow replays a record slice but withholds records at or past a
-// sequence of fence timestamps until the matching Open call: records with
-// Time >= fences[k] wait until Open has been called k+1 times. Fencing a
-// deployment's pre-existing flows at a phase boundary pins where a
-// reconfiguration cutover lands (see AutoCutover) without coordinating
-// clocks: the sources drain phase k, park, the controller reconfigures at
-// the barrier, then Open releases phase k+1.
-type GatedFlow struct {
-	recs   []stream.Record
-	fences []int64
-	pos    atomic.Int64
-	stage  atomic.Int32
-}
-
-// NewGatedFlow wraps recs (timestamps non-decreasing, as for every Flow)
-// with the given fence timestamps in increasing order.
-func NewGatedFlow(recs []stream.Record, fences ...int64) *GatedFlow {
-	return &GatedFlow{recs: recs, fences: fences}
-}
-
-// Next implements Flow.
-func (g *GatedFlow) Next(rec *stream.Record) bool {
-	p := g.pos.Load()
-	if p >= int64(len(g.recs)) {
-		return false
-	}
-	*rec = g.recs[p]
-	g.pos.Store(p + 1)
-	return true
-}
-
-// Ready implements ReadyFlow: false while the next record is fenced.
-func (g *GatedFlow) Ready() bool {
-	p := g.pos.Load()
-	if p >= int64(len(g.recs)) {
-		return true
-	}
-	s := int(g.stage.Load())
-	return s >= len(g.fences) || g.recs[p].Time < g.fences[s]
-}
-
-// Open releases the next fence. Safe to call from any goroutine.
-func (g *GatedFlow) Open() { g.stage.Add(1) }
-
-// Rewind implements RewindableFlow. Fence stages are not rewound: recovery
-// replays records the run already released, so the flow's gating history
-// stays where the harness advanced it.
-func (g *GatedFlow) Rewind(consumed int64) {
-	if consumed < 0 {
-		consumed = 0
-	}
-	if consumed > int64(len(g.recs)) {
-		consumed = int64(len(g.recs))
-	}
-	g.pos.Store(consumed)
-}
-
-// AtFence reports whether the flow consumed everything below fence k
-// (0-based) and is parked on it. Harnesses poll this to learn when a phase
-// fully drained before reconfiguring.
-func (g *GatedFlow) AtFence(k int) bool {
-	if k >= len(g.fences) || int(g.stage.Load()) != k {
-		return false
-	}
-	p := g.pos.Load()
-	return p >= int64(len(g.recs)) || g.recs[p].Time >= g.fences[k]
 }

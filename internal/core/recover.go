@@ -533,7 +533,6 @@ func (m *recoveryMgr) judge(burst []linkReport) bool {
 	c := m.c
 	votes := map[int]int{}
 	incOf := map[int]int{}
-	var cause error
 	for _, r := range burst {
 		if m.stale(r) {
 			continue
@@ -547,9 +546,6 @@ func (m *recoveryMgr) judge(burst []linkReport) bool {
 		votes[r.src]++
 		votes[r.dst]++
 		incOf[r.src], incOf[r.dst] = r.srcInc, r.dstInc
-		if cause == nil {
-			cause = r.err
-		}
 	}
 	suspect, best := -1, 0
 	for n, v := range votes {
@@ -566,10 +562,6 @@ func (m *recoveryMgr) judge(burst []linkReport) bool {
 		return false // every report was stale
 	}
 	m.last = suspect
-	if !c.cfg.Recovery.AutoRestart {
-		c.run.fail(cause)
-		return false
-	}
 	// Condition the restart on the incarnation the reports accused: if a
 	// concurrent (manual) restart already replaced it, the failure is gone
 	// and restarting the fresh incarnation would only lose time. Fatal
@@ -687,9 +679,9 @@ func (c *Controller) restartLocked(x, expect int) error {
 // until every live source but x's answered hold.
 func (c *Controller) awaitHold(hold *barrier, x int) error {
 	c.mu.Lock()
-	for m := range c.producers {
-		if p := c.producers[m][x]; p != nil {
-			p.Close()
+	for m := range c.senders {
+		if s := c.senders[m][x]; s != nil {
+			s.prod.Close()
 		}
 	}
 	c.mu.Unlock()
@@ -732,10 +724,10 @@ func (c *Controller) kill(x int) ([]bool, error) {
 	// endpoint touching the node unblocks any sender spinning for credit on a
 	// channel whose far end will never poll again.
 	c.run.fenced[x].Store(true)
-	for m := range c.producers {
-		for _, p := range []channel.SendPort{c.producers[x][m], c.producers[m][x]} {
-			if p != nil {
-				p.Close()
+	for m := range c.senders {
+		for _, s := range []*chanSender{c.senders[x][m], c.senders[m][x]} {
+			if s != nil {
+				s.prod.Close()
 			}
 		}
 	}
@@ -772,9 +764,7 @@ func (c *Controller) kill(x int) ([]bool, error) {
 	if be := c.backends[x]; be != nil {
 		be.DropCheckpointLog()
 	}
-	for m := range c.producers[x] {
-		c.producers[x][m], c.senders[x][m] = nil, nil
-	}
+	clear(c.senders[x])
 	// The dead NIC's counters would vanish with it; fold them into the
 	// run-level accumulators the final Report reads.
 	if nic := c.nics[x]; nic != nil {
@@ -826,7 +816,7 @@ func (c *Controller) fence(x, newInc int) []uint64 {
 			continue
 		}
 		// awaitHold already closed the send half toward x.
-		c.producers[m][x], c.senders[m][x] = nil, nil
+		c.senders[m][x] = nil
 		kept := c.consumers[m][:0]
 		for _, e := range c.consumers[m] {
 			if e.src == x {

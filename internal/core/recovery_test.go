@@ -39,7 +39,7 @@ func sliceFlowsOf(recs [][]stream.Record, threads int) [][]Flow {
 	for n := 0; n < nodes; n++ {
 		flows[n] = make([]Flow, threads)
 		for th := 0; th < threads; th++ {
-			flows[n][th] = NewSliceFlow(recs[n*threads+th])
+			flows[n][th] = NewColumnarFlow(recs[n*threads+th])
 		}
 	}
 	return flows
@@ -142,7 +142,6 @@ func TestRecoveryAutoRestartOnIsolatedNode(t *testing.T) {
 	fi := rdma.NewFaultInjector(29)
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
-	cfg.Recovery.AutoRestart = true
 	col := &Collector{}
 	ctrl, err := NewController(cfg, sumQuery("recover-auto"), sliceFlowsOf(recs, threads), col)
 	if err != nil {
@@ -191,8 +190,7 @@ func TestRecoveryDoubleFailureSameNode(t *testing.T) {
 	fi := rdma.NewFaultInjector(53)
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
-	cfg.Recovery.AutoRestart = true
-	flows, gates := gatedFlows(recs, threads, 500, func(g *GatedFlow) Flow { return g })
+	flows, gates := gatedFlows(recs, threads, 500, func(g *ColumnarFlow) Flow { return g })
 	col := &Collector{}
 	ctrl, err := NewController(cfg, sumQuery("recover-double"), flows, col)
 	if err != nil {
@@ -280,16 +278,16 @@ func TestRecoveryCheckpointFailureFailsRun(t *testing.T) {
 	}
 }
 
-// gatedFlows wraps each flow's records in a GatedFlow fenced at ts, passed
+// gatedFlows wraps each flow's records in a ColumnarFlow fenced at ts, passed
 // through wrap, and returns the flows with their gates.
-func gatedFlows(recs [][]stream.Record, threads int, ts int64, wrap func(*GatedFlow) Flow) ([][]Flow, []*GatedFlow) {
+func gatedFlows(recs [][]stream.Record, threads int, ts int64, wrap func(*ColumnarFlow) Flow) ([][]Flow, []*ColumnarFlow) {
 	nodes := len(recs) / threads
-	gates := make([]*GatedFlow, len(recs))
+	gates := make([]*ColumnarFlow, len(recs))
 	flows := make([][]Flow, nodes)
 	for n := 0; n < nodes; n++ {
 		flows[n] = make([]Flow, threads)
 		for th := 0; th < threads; th++ {
-			g := NewGatedFlow(recs[n*threads+th], ts)
+			g := NewColumnarFlow(recs[n*threads+th], ts)
 			gates[n*threads+th] = g
 			flows[n][th] = wrap(g)
 		}
@@ -308,7 +306,7 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 	const nodes, threads, per = 3, 2, 8000
 	rng := rand.New(rand.NewSource(83))
 	recs, _ := genPhase(rng, nodes*threads, per, 64, 0, 1000)
-	flows, gates := gatedFlows(recs, threads, 100, func(g *GatedFlow) Flow { return g })
+	flows, gates := gatedFlows(recs, threads, 100, func(g *ColumnarFlow) Flow { return g })
 
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Recovery.CheckpointCommits = 1 << 30 // never checkpoint
@@ -340,7 +338,7 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 
 // unrewindableFlow is a gated flow that cannot rewind: it has Next and
 // Ready, but no Rewind.
-type unrewindableFlow struct{ g *GatedFlow }
+type unrewindableFlow struct{ g *ColumnarFlow }
 
 func (f unrewindableFlow) Next(rec *stream.Record) bool { return f.g.Next(rec) }
 func (f unrewindableFlow) Ready() bool                  { return f.g.Ready() }
@@ -353,7 +351,7 @@ func TestRecoveryUnrewindableFlow(t *testing.T) {
 	const nodes, threads, per = 2, 2, 8000
 	rng := rand.New(rand.NewSource(37))
 	recs, _ := genPhase(rng, nodes*threads, per, 64, 0, 1000)
-	flows, gates := gatedFlows(recs, threads, 500, func(g *GatedFlow) Flow { return unrewindableFlow{g} })
+	flows, gates := gatedFlows(recs, threads, 500, func(g *ColumnarFlow) Flow { return unrewindableFlow{g} })
 
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	ctrl, err := NewController(cfg, sumQuery("recover-norewind"), flows, &Collector{})
@@ -397,10 +395,10 @@ func TestRecoveryRestartDrainingLeaver(t *testing.T) {
 	want := baselineAggs(t, "recover-drain", baseline, 3, threads)
 
 	cfg := recoveryConfig(3, threads, recovery.NewMemStore())
-	flows, gates := gatedFlows(stayRecs, threads, 500, func(g *GatedFlow) Flow { return g })
+	flows, gates := gatedFlows(stayRecs, threads, 500, func(g *ColumnarFlow) Flow { return g })
 	flows = append(flows, make([]Flow, threads))
 	for th := 0; th < threads; th++ {
-		flows[2][th] = NewSliceFlow(leaver[th])
+		flows[2][th] = NewColumnarFlow(leaver[th])
 	}
 	col := &Collector{}
 	ctrl, err := NewController(cfg, sumQuery("recover-drain"), flows, col)

@@ -273,7 +273,7 @@ func (t *sourceTask) step() sched.Status {
 		return t.answer(b)
 	}
 	if t.gate != nil && !t.gate.Ready() {
-		// The flow is fenced (see GatedFlow): park without ending the stream.
+		// The flow is fenced (see ColumnarFlow): park without ending the stream.
 		return sched.Idle
 	}
 	return t.stepBatch()

@@ -78,9 +78,9 @@ func TestTrunkModeElasticScaleOut(t *testing.T) {
 
 	cfg := trunkConfig(2, 1)
 	cfg.MaxNodes = 4
-	gates := []*GatedFlow{
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
-		NewGatedFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
+	gates := []*ColumnarFlow{
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[0]...), phaseB[0]...), 5*winSize),
+		NewColumnarFlow(append(append([]stream.Record(nil), phaseA[1]...), phaseB[1]...), 5*winSize),
 	}
 	col := &Collector{}
 	c, err := NewController(cfg, q, [][]Flow{{gates[0]}, {gates[1]}}, col)
@@ -89,7 +89,7 @@ func TestTrunkModeElasticScaleOut(t *testing.T) {
 	}
 	c.Start()
 	waitFor(t, "phase A drained", func() bool { return gates[0].AtFence(0) && gates[1].AtFence(0) })
-	ids, err := c.AddNodes([][]Flow{{NewSliceFlow(phaseB[2])}, {NewSliceFlow(phaseB[3])}}, AutoCutover)
+	ids, err := c.AddNodes([][]Flow{{NewColumnarFlow(phaseB[2])}, {NewColumnarFlow(phaseB[3])}}, AutoCutover)
 	if err != nil {
 		t.Fatalf("AddNodes: %v", err)
 	}
@@ -174,7 +174,6 @@ func TestTrunkModeAutoRestartOnIsolatedNode(t *testing.T) {
 	fi := rdma.NewFaultInjector(29)
 	cfg := trunkRecoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
-	cfg.Recovery.AutoRestart = true
 	col := &Collector{}
 	ctrl, err := NewController(cfg, sumQuery("trunk-auto"), sliceFlowsOf(recs, threads), col)
 	if err != nil {

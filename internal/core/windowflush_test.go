@@ -82,10 +82,10 @@ func testWindowEndEndsEpoch(t *testing.T) {
 	cfg.BatchRecords = batch
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
-	gates := make([]*GatedFlow, nodes)
+	gates := make([]*ColumnarFlow, nodes)
 	flows := make([][]Flow, nodes)
 	for n := range gates {
-		gates[n] = NewGatedFlow(recs[n], fence)
+		gates[n] = NewColumnarFlow(recs[n], fence)
 		flows[n] = []Flow{gates[n]}
 	}
 	col := &Collector{}
@@ -99,8 +99,8 @@ func testWindowEndEndsEpoch(t *testing.T) {
 		return reflect.DeepEqual(windowRows(col, 0), oracle[0])
 	})
 	for n, g := range gates {
-		if !g.AtFence(0) || g.pos.Load() != 5*batch {
-			t.Fatalf("flow %d released %d records, want %d and parked", n, g.pos.Load(), 5*batch)
+		if !g.AtFence(0) || g.drained.Load() != 5*batch {
+			t.Fatalf("flow %d released %d records, want %d and parked", n, g.drained.Load(), 5*batch)
 		}
 	}
 	for _, g := range gates {
@@ -168,11 +168,10 @@ func TestWindowFlushSurvivesRestart(t *testing.T) {
 			// Checkpoints only at window triggers: node 1's durable horizon
 			// stays at window 0 while its threads run ahead.
 			cfg.Recovery.CheckpointCommits = 1 << 20
-			cfg.Recovery.AutoRestart = tc.voted
 			fi := rdma.NewFaultInjector(97)
 			cfg.Fabric.Faults = fi
 
-			gates := make([]*GatedFlow, nodes*threads)
+			gates := make([]*ColumnarFlow, nodes*threads)
 			flows := make([][]Flow, nodes)
 			for n := 0; n < nodes; n++ {
 				flows[n] = make([]Flow, threads)
@@ -181,7 +180,7 @@ func TestWindowFlushSurvivesRestart(t *testing.T) {
 					if n == 1 {
 						fences = append(fences, fastFence)
 					}
-					g := NewGatedFlow(recs[n*threads+th], fences...)
+					g := NewColumnarFlow(recs[n*threads+th], fences...)
 					gates[n*threads+th], flows[n][th] = g, g
 				}
 			}

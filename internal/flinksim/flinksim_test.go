@@ -27,7 +27,7 @@ func TestRuntimeTaxDoesNotChangeResults(t *testing.T) {
 				want[[2]uint64{w, recs[i].Key}] = true
 			}
 		}
-		flows[n] = []core.Flow{core.NewSliceFlow(recs)}
+		flows[n] = []core.Flow{core.NewColumnarFlow(recs)}
 	}
 	q := &core.Query{Name: "tax", Codec: stream.MustCodec(32), Window: win, Agg: crdt.Count{}}
 	cfg := Config{Nodes: 2, ProducersPerNode: 1, ConsumersPerNode: 1, BatchBytes: 1024, QueueDepth: 8, FlushRecords: 64, RuntimeTaxLoops: 64}

@@ -49,7 +49,7 @@ func sliceFlows(data [][]stream.Record, nodes, threads int) [][]core.Flow {
 	for n := range flows {
 		flows[n] = make([]core.Flow, threads)
 		for t := range flows[n] {
-			flows[n][t] = core.NewSliceFlow(data[i])
+			flows[n][t] = core.NewColumnarFlow(data[i])
 			i++
 		}
 	}
@@ -112,7 +112,7 @@ func TestAllSystemsAgreeOnAggregation(t *testing.T) {
 			lsCol := &core.Collector{}
 			var all []core.Flow
 			for _, d := range data {
-				all = append(all, core.NewSliceFlow(d))
+				all = append(all, core.NewColumnarFlow(d))
 			}
 			if _, err := lightsaber.Run(lightsaber.Config{Workers: 3}, q, all, lsCol); err != nil {
 				t.Fatalf("lightsaber: %v", err)

@@ -119,9 +119,9 @@ func Elastic(o Options) ([]Row, error) {
 		staticFlows[n] = make([]core.Flow, T)
 		for t := range staticFlows[n] {
 			if n < initial {
-				staticFlows[n][t] = core.NewSliceFlow(fullStream(n, t))
+				staticFlows[n][t] = core.NewColumnarFlow(fullStream(n, t))
 			} else {
-				staticFlows[n][t] = core.NewSliceFlow(phaseB[n*T+t])
+				staticFlows[n][t] = core.NewColumnarFlow(phaseB[n*T+t])
 			}
 		}
 	}
@@ -139,13 +139,13 @@ func Elastic(o Options) ([]Row, error) {
 		staticRep.Records, time.Since(staticStart).Seconds(), staticRep.RecordsPerSec)
 
 	// Elastic run: 4 nodes, fenced at both phase boundaries.
-	gates := make([][]*core.GatedFlow, initial)
+	gates := make([][]*core.ColumnarFlow, initial)
 	elasticFlows := make([][]core.Flow, initial)
 	for n := range elasticFlows {
-		gates[n] = make([]*core.GatedFlow, T)
+		gates[n] = make([]*core.ColumnarFlow, T)
 		elasticFlows[n] = make([]core.Flow, T)
 		for t := range elasticFlows[n] {
-			gates[n][t] = core.NewGatedFlow(fullStream(n, t), phaseSpan, 2*phaseSpan)
+			gates[n][t] = core.NewColumnarFlow(fullStream(n, t), phaseSpan, 2*phaseSpan)
 			elasticFlows[n][t] = gates[n][t]
 		}
 	}
@@ -153,7 +153,7 @@ func Elastic(o Options) ([]Row, error) {
 	for j := range joinFlows {
 		joinFlows[j] = make([]core.Flow, T)
 		for t := range joinFlows[j] {
-			joinFlows[j][t] = core.NewSliceFlow(phaseB[(initial+j)*T+t])
+			joinFlows[j][t] = core.NewColumnarFlow(phaseB[(initial+j)*T+t])
 		}
 	}
 

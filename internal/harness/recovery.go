@@ -57,7 +57,7 @@ func Recovery(o Options) ([]Row, error) {
 	for n := range baseFlows {
 		baseFlows[n] = make([]core.Flow, T)
 		for t := range baseFlows[n] {
-			baseFlows[n][t] = core.NewSliceFlow(fullStream(n, t))
+			baseFlows[n][t] = core.NewColumnarFlow(fullStream(n, t))
 		}
 	}
 	// Short epochs so the periodic, epoch-aligned checkpoint cadence engages
@@ -80,13 +80,13 @@ func Recovery(o Options) ([]Row, error) {
 
 	// Recovery run: same flows behind a fence at the phase boundary, with
 	// journaling armed and the failure manager allowed to restart on its own.
-	gates := make([][]*core.GatedFlow, nodes)
+	gates := make([][]*core.ColumnarFlow, nodes)
 	flows := make([][]core.Flow, nodes)
 	for n := range flows {
-		gates[n] = make([]*core.GatedFlow, T)
+		gates[n] = make([]*core.ColumnarFlow, T)
 		flows[n] = make([]core.Flow, T)
 		for t := range flows[n] {
-			gates[n][t] = core.NewGatedFlow(fullStream(n, t), phaseSpan)
+			gates[n][t] = core.NewColumnarFlow(fullStream(n, t), phaseSpan)
 			flows[n][t] = gates[n][t]
 		}
 	}
@@ -101,7 +101,6 @@ func Recovery(o Options) ([]Row, error) {
 		Recovery: &core.RecoveryOptions{
 			Store:             store,
 			CheckpointCommits: 8,
-			AutoRestart:       true,
 		},
 	}
 	// Bounded producer waits: an isolated peer starves producers of credits;

@@ -154,7 +154,7 @@ func scaleRun(o Options, reg *metrics.Registry, n, perFlow int, win window.Assig
 	for i := range flows {
 		flows[i] = make([]core.Flow, o.Threads)
 		for t := range flows[i] {
-			flows[i][t] = core.NewSliceFlow(recs[i*o.Threads+t])
+			flows[i][t] = core.NewColumnarFlow(recs[i*o.Threads+t])
 		}
 	}
 	cfg := core.Config{

@@ -71,7 +71,7 @@ func TestStateQChaos(t *testing.T) {
 	for n := range baseFlows {
 		baseFlows[n] = make([]core.Flow, T)
 		for th := range baseFlows[n] {
-			baseFlows[n][th] = core.NewSliceFlow(fullStream(n, th))
+			baseFlows[n][th] = core.NewColumnarFlow(fullStream(n, th))
 		}
 	}
 	baseCol := &core.Collector{}
@@ -83,13 +83,13 @@ func TestStateQChaos(t *testing.T) {
 	want := aggSet(baseCol)
 
 	// Chaos run: gated flows, fault injector, recovery plane, state plane.
-	gates := make([][]*core.GatedFlow, nodes)
+	gates := make([][]*core.ColumnarFlow, nodes)
 	flows := make([][]core.Flow, nodes)
 	for n := range flows {
-		gates[n] = make([]*core.GatedFlow, T)
+		gates[n] = make([]*core.ColumnarFlow, T)
 		flows[n] = make([]core.Flow, T)
 		for th := range flows[n] {
-			gates[n][th] = core.NewGatedFlow(fullStream(n, th), phaseSpan)
+			gates[n][th] = core.NewColumnarFlow(fullStream(n, th), phaseSpan)
 			flows[n][th] = gates[n][th]
 		}
 	}
@@ -98,7 +98,7 @@ func TestStateQChaos(t *testing.T) {
 	fab.Faults = fi
 	cfg := core.Config{
 		Nodes: nodes, ThreadsPerNode: T, EpochBytes: 8 << 10, Fabric: fab,
-		Recovery: &core.RecoveryOptions{Store: recstore.NewMemStore(), CheckpointCommits: 8, AutoRestart: true},
+		Recovery: &core.RecoveryOptions{Store: recstore.NewMemStore(), CheckpointCommits: 8},
 		State:    &stateq.Options{},
 	}
 	cfg.Channel.CreditWaitTimeout = time.Second

@@ -25,7 +25,7 @@ func genFlows(rng *rand.Rand, n, recsPerFlow, keyRange int) ([]core.Flow, []stre
 			recs[j] = stream.Record{Key: uint64(rng.Intn(keyRange)), Time: ts, V0: rng.Int63n(50)}
 		}
 		all = append(all, recs...)
-		flows[i] = core.NewSliceFlow(recs)
+		flows[i] = core.NewColumnarFlow(recs)
 	}
 	return flows, all
 }
@@ -33,17 +33,17 @@ func genFlows(rng *rand.Rand, n, recsPerFlow, keyRange int) ([]core.Flow, []stre
 func TestValidation(t *testing.T) {
 	win, _ := window.NewTumbling(100)
 	q := &core.Query{Name: "q", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	if _, err := Run(Config{}, q, []core.Flow{core.NewSliceFlow(nil)}, nil); err == nil {
+	if _, err := Run(Config{}, q, []core.Flow{core.NewColumnarFlow(nil)}, nil); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 	join := &core.Query{Name: "j", Codec: testCodec, Window: win, JoinSide: func(*stream.Record) uint8 { return 0 }}
-	if _, err := Run(Config{Workers: 1}, join, []core.Flow{core.NewSliceFlow(nil)}, nil); !errors.Is(err, ErrJoinsUnsupported) {
+	if _, err := Run(Config{Workers: 1}, join, []core.Flow{core.NewColumnarFlow(nil)}, nil); !errors.Is(err, ErrJoinsUnsupported) {
 		t.Fatalf("join err = %v", err)
 	}
 	if _, err := Run(Config{Workers: 1}, q, nil, nil); err == nil {
 		t.Fatal("no flows accepted")
 	}
-	if _, err := Run(Config{Workers: 1}, &core.Query{Codec: testCodec, Window: win}, []core.Flow{core.NewSliceFlow(nil)}, nil); err == nil {
+	if _, err := Run(Config{Workers: 1}, &core.Query{Codec: testCodec, Window: win}, []core.Flow{core.NewColumnarFlow(nil)}, nil); err == nil {
 		t.Fatal("stateless query accepted")
 	}
 }

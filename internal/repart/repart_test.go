@@ -65,7 +65,7 @@ func genFlows(rng *rand.Rand, nodes, producers, recsPerFlow, keyRange int) ([][]
 				}
 			}
 			all = append(all, recs...)
-			flows[n][p] = core.NewSliceFlow(recs)
+			flows[n][p] = core.NewColumnarFlow(recs)
 		}
 	}
 	return flows, all
@@ -90,14 +90,14 @@ func oracleSum(recs []stream.Record, w window.Assigner) map[uint64]map[uint64]in
 func TestConfigValidation(t *testing.T) {
 	win, _ := window.NewTumbling(100)
 	q := &core.Query{Name: "q", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
-	flows := [][]core.Flow{{core.NewSliceFlow(nil)}, {core.NewSliceFlow(nil)}}
+	flows := [][]core.Flow{{core.NewColumnarFlow(nil)}, {core.NewColumnarFlow(nil)}}
 	small := shape{nodes: 2, producers: 1, consumers: 1}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			if _, err := e.run(shape{}, q, nil, nil); err == nil {
 				t.Fatal("empty config accepted")
 			}
-			if _, err := e.run(small, q, [][]core.Flow{{core.NewSliceFlow(nil)}}, nil); err == nil {
+			if _, err := e.run(small, q, [][]core.Flow{{core.NewColumnarFlow(nil)}}, nil); err == nil {
 				t.Fatal("wrong flow shape accepted")
 			}
 			tiny := small

@@ -166,39 +166,8 @@ func (c *Client) Lookup(win, key uint64) (int64, error) {
 func (c *Client) Scan(win uint64) ([]Entry, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	return c.scanLocked(win)
-}
-
-func (c *Client) scanLocked(win uint64) ([]Entry, error) {
-	eps := c.reg.Endpoints()
-	if len(eps) == 0 {
-		return nil, ErrNoEndpoint
-	}
-	var out []Entry
-	hits := 0
-	for _, ep := range eps {
-		sl, payload, err := c.fetch(ep.Node, win)
-		if errors.Is(err, ErrNoSnapshot) || errors.Is(err, ErrNoEndpoint) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if sl.Holistic {
-			return nil, ErrHolistic
-		}
-		hits++
-		if err := walkEntries(payload, sl.AggKind, func(k uint64, v int64) {
-			out = append(out, Entry{Key: k, Value: v})
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if hits == 0 {
-		return nil, ErrNoSnapshot
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	out, _, err := c.scanLocked(win, false)
+	return out, err
 }
 
 // ScanSealed is Scan restricted to sealed (final, immutable) snapshots: it
@@ -209,6 +178,12 @@ func (c *Client) scanLocked(win uint64) ([]Entry, error) {
 func (c *Client) ScanSealed(win uint64) ([]Entry, int, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
+	return c.scanLocked(win, true)
+}
+
+// scanLocked is Scan's body; sealed makes a live contribution an error. It
+// returns the sorted union and the number of contributing endpoints.
+func (c *Client) scanLocked(win uint64, sealed bool) ([]Entry, int, error) {
 	eps := c.reg.Endpoints()
 	if len(eps) == 0 {
 		return nil, 0, ErrNoEndpoint
@@ -226,7 +201,7 @@ func (c *Client) ScanSealed(win uint64) ([]Entry, int, error) {
 		if sl.Holistic {
 			return nil, 0, ErrHolistic
 		}
-		if !sl.Sealed {
+		if sealed && !sl.Sealed {
 			return nil, 0, ErrNotSealed
 		}
 		hits++
@@ -249,7 +224,7 @@ func (c *Client) ScanSealed(win uint64) ([]Entry, int, error) {
 func (c *Client) TopK(win uint64, k int) ([]Entry, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	all, err := c.scanLocked(win)
+	all, _, err := c.scanLocked(win, false)
 	if err != nil {
 		return nil, err
 	}

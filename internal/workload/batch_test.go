@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/slash-stream/slash/internal/core"
@@ -171,5 +172,29 @@ func TestDistNames(t *testing.T) {
 		if got := tc.d.Name(); got != tc.want {
 			t.Fatalf("Name() = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// TestReplayLeavesColumnsUnchanged: the engine treats a replayed flow's
+// columns as read-only. YSB's MapBatch writes rb.V0 in place, so a flow that
+// handed out views of its columns would have its dataset rewritten by the
+// first run, and a second run over a clone would filter different records.
+func TestReplayLeavesColumnsUnchanged(t *testing.T) {
+	w := YSB{Keys: 100, RecordsPerFlow: 20000, Seed: 5}
+	recs := drain(t, w.Flows(1, 1)[0][0])
+	src := core.NewColumnarFlow(recs)
+	var runs [2][]core.AggResult
+	for i := range runs {
+		col := &core.Collector{}
+		if _, err := core.Run(core.Config{Nodes: 1, ThreadsPerNode: 1}, w.Query(), [][]core.Flow{{src.Clone()}}, col); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		runs[i] = col.Aggs()
+	}
+	if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("two runs over clones of one flow differ: %d and %d rows", len(runs[0]), len(runs[1]))
+	}
+	if got := drain(t, src.Clone()); !reflect.DeepEqual(got, recs) {
+		t.Fatal("the engine rewrote the replayed flow's columns")
 	}
 }

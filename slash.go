@@ -44,11 +44,11 @@ type Watermark = stream.Watermark
 // (non-decreasing timestamps within a flow).
 type Flow = core.Flow
 
-// SliceFlow replays a pre-generated record slice.
-type SliceFlow = core.SliceFlow
+// SliceFlow replays a pre-generated record slice from columns.
+type SliceFlow = core.ColumnarFlow
 
-// NewSliceFlow wraps recs as a Flow.
-func NewSliceFlow(recs []Record) *SliceFlow { return core.NewSliceFlow(recs) }
+// NewSliceFlow copies recs into a replayable Flow.
+func NewSliceFlow(recs []Record) *SliceFlow { return core.NewColumnarFlow(recs) }
 
 // FuncFlow adapts a generator function to Flow.
 type FuncFlow = core.FuncFlow
